@@ -15,6 +15,7 @@ failure, 2 on invalid arguments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +55,26 @@ def _parse_seed(text: str) -> int:
     return value & ((1 << 64) - 1)
 
 
+def _parse_finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def _parse_positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_instance_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("instance")
     group.add_argument("--N", type=int, help="modulus to factor")
@@ -63,7 +84,9 @@ def _add_instance_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--l", type=int, default=0, help="support offset (default 0)")
 
 
-def _add_model_options(parser: argparse.ArgumentParser) -> None:
+def _add_model_options(
+    parser: argparse.ArgumentParser, magnitudes: bool = True
+) -> None:
     group = parser.add_argument_group("error model")
     group.add_argument(
         "--model",
@@ -71,9 +94,12 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
         default="none",
         help="error mode (default none)",
     )
-    group.add_argument("--delta0", type=float, default=0.0, help="constant error part")
-    group.add_argument("--smax", type=float, default=0.0, help="uniform half-width")
-    group.add_argument("--sigma", type=float, default=0.0, help="gaussian std dev")
+    if not magnitudes:
+        return
+    number = _parse_finite_float
+    group.add_argument("--delta0", type=number, default=0.0, help="constant error part")
+    group.add_argument("--smax", type=number, default=0.0, help="uniform half-width")
+    group.add_argument("--sigma", type=number, default=0.0, help="gaussian std dev")
     group.add_argument(
         "--amp-errors",
         action="store_true",
@@ -81,13 +107,15 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--init-delta",
-        type=float,
+        type=number,
         default=0.0,
         help="preparation-weight miscalibration (default 0)",
     )
 
 
-def _add_run_options(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
+def _add_run_options(
+    parser: argparse.ArgumentParser, with_out: bool = True, normalize: bool = True
+) -> None:
     group = parser.add_argument_group("run")
     group.add_argument(
         "--seed",
@@ -98,11 +126,12 @@ def _add_run_options(parser: argparse.ArgumentParser, with_out: bool = True) -> 
     group.add_argument(
         "--realizations", type=int, default=1, help="realization count (default 1)"
     )
-    group.add_argument(
-        "--normalize",
-        action="store_true",
-        help="scale the written spectrum to unit total (default off)",
-    )
+    if normalize:
+        group.add_argument(
+            "--normalize",
+            action="store_true",
+            help="scale the written spectrum to unit total (default off)",
+        )
     if with_out:
         group.add_argument("--out", required=True, help="output CSV path")
 
@@ -124,25 +153,26 @@ def build_parser() -> argparse.ArgumentParser:
         _add_model_options(p)
         _add_run_options(p)
 
+    # The sweep sets the mode's magnitude itself and writes no spectrum.
     p_sweep = sub.add_parser("sweep", help="threshold sweep over error magnitudes")
     _add_instance_options(p_sweep)
-    _add_model_options(p_sweep)
-    _add_run_options(p_sweep)
-    p_sweep.add_argument("--mag-start", type=float, default=0.0)
-    p_sweep.add_argument("--mag-stop", type=float, required=True)
-    p_sweep.add_argument("--mag-step", type=float, required=True)
-    p_sweep.add_argument("--eta", type=float, default=DEFAULT_ETA)
+    _add_model_options(p_sweep, magnitudes=False)
+    _add_run_options(p_sweep, normalize=False)
+    p_sweep.add_argument("--mag-start", type=_parse_finite_float, default=0.0)
+    p_sweep.add_argument("--mag-stop", type=_parse_finite_float, required=True)
+    p_sweep.add_argument("--mag-step", type=_parse_finite_float, required=True)
+    p_sweep.add_argument("--eta", type=_parse_finite_float, default=DEFAULT_ETA)
     p_sweep.add_argument(
-        "--multiplier-bound", type=int, default=DEFAULT_MULTIPLIER_BOUND
+        "--multiplier-bound", type=_parse_positive_int, default=DEFAULT_MULTIPLIER_BOUND
     )
 
     p_factor = sub.add_parser("factor", help="measure, recover the order, factor")
     _add_instance_options(p_factor)
     _add_model_options(p_factor)
     _add_run_options(p_factor, with_out=False)
-    p_factor.add_argument("--shots", type=int, default=100)
+    p_factor.add_argument("--shots", type=_parse_positive_int, default=100)
     p_factor.add_argument(
-        "--multiplier-bound", type=int, default=DEFAULT_MULTIPLIER_BOUND
+        "--multiplier-bound", type=_parse_positive_int, default=DEFAULT_MULTIPLIER_BOUND
     )
 
     return parser
@@ -236,6 +266,10 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("sweep needs --model systematic, uniform, or gaussian")
     if args.mag_step <= 0:
         parser.error("--mag-step must be positive")
+    if args.mag_start < 0:
+        parser.error("--mag-start must be >= 0")
+    if args.mag_stop < args.mag_start:
+        parser.error("--mag-stop must be >= --mag-start")
     count = int(round((args.mag_stop - args.mag_start) / args.mag_step)) + 1
     magnitudes = [args.mag_start + i * args.mag_step for i in range(count)]
     result = threshold_sweep(
@@ -259,8 +293,6 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _run_factor(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.N is None or args.y is None:
         parser.error("factor needs --N and --y")
-    if args.shots < 1:
-        parser.error("--shots must be >= 1")
     inst = ShorInstance.from_factoring(args.N, args.y, offset=args.l)
     model = _model_from_args(args)
     state = prepare_period_state(inst, model.init_delta)

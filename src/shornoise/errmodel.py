@@ -112,6 +112,10 @@ class ErrorModel:
     init_delta: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("delta0", "s_max", "sigma0", "init_delta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.s_max < 0.0:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
         if self.sigma0 < 0.0:

@@ -8,7 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from .errmodel import ErrorMode, ErrorModel, derive_stream_seed
-from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, recover_order
+from .numth import (
+    DEFAULT_MULTIPLIER_BOUND,
+    ShorInstance,
+    _check_recovery_inputs,
+    find_order,
+)
 from .spectrum import Spectrum, SpectrumMethod, combined_spectrum
 
 DEFAULT_HEIGHT_FLOOR_FRACTION = 0.1
@@ -128,10 +133,42 @@ def ensemble_spectrum(
 def _recovery_mask(
     q: int, modulus: int, base: int, order: int, multiplier_bound: int
 ) -> tuple[bool, ...]:
-    return tuple(
-        recover_order(c, q, modulus, base, multiplier_bound) == order
-        for c in range(q)
-    )
+    """Per outcome c in range(q), whether recover_order(c, ...) == order.
+
+    recover_order returns the least candidate lam*d with base**(lam*d) == 1,
+    that is, the least multiple of the true order r among them. Built on
+    a convergent denominator d, that multiple is lcm(d, r), reachable when
+    r/gcd(d, r) <= multiplier_bound; c succeeds when the least reachable
+    lcm(d, r) over its denominators d < modulus equals order. For
+    order == r this reads: some d divides r with r/d <= multiplier_bound.
+
+    The continued-fraction expansion of c/q runs for all c in lockstep.
+    A lane stops when its expansion ends or its denominator reaches
+    modulus, since denominators never decrease. Every value stays at or
+    below q <= 2**24, so the lanes are int32.
+    """
+    _check_recovery_inputs(modulus, base, multiplier_bound)
+    r = find_order(base, modulus)
+    if order % r:
+        return (False,) * q
+    bound = min(multiplier_bound, r)
+    # Per outcome, the least lcm(d, r) / r over the reachable d so far.
+    least = np.full(q, np.iinfo(np.int32).max, dtype=np.int32)
+    lane = np.arange(q, dtype=np.int32)
+    num, den = lane.copy(), np.full(q, q, dtype=np.int32)
+    k_prev, k = np.ones(q, dtype=np.int32), np.zeros(q, dtype=np.int32)
+    while lane.size:
+        a, rem = np.divmod(num, den)
+        k_prev, k = k, a * k + k_prev
+        below = k < modulus
+        g = np.gcd(k, r)
+        reachable = below & (r // g <= bound)
+        at = lane[reachable]
+        least[at] = np.minimum(least[at], k[reachable] // g[reachable])
+        keep = below & (rem != 0)
+        lane, num, den = lane[keep], den[keep], rem[keep]
+        k_prev, k = k_prev[keep], k[keep]
+    return tuple((least == order // r).tolist())
 
 
 def success_probability(
@@ -139,6 +176,12 @@ def success_probability(
     multiplier_bound: int = DEFAULT_MULTIPLIER_BOUND,
 ) -> float:
     """Probability mass on register values whose recovery yields the order.
+
+    Outcome c counts when recover_order(c, ...) returns the order r, that
+    is, when some continued-fraction convergent denominator d < modulus
+    of c/q satisfies d | r and r/d <= multiplier_bound. Since d = 1 always
+    qualifies once multiplier_bound >= r, such a bound gives success 1.0
+    whatever the spectrum; multiplier_bound=1 demands d == r.
 
     The spectrum is normalized internally, so relative spectra are fine.
     The instance must carry (modulus, base) for recovery to be defined.
@@ -149,7 +192,8 @@ def success_probability(
     mask = np.array(
         _recovery_mask(
             inst.register_size, inst.modulus, inst.base, inst.order, multiplier_bound
-        )
+        ),
+        dtype=bool,
     )
     normalized = spec.normalize().values
     return float(np.sum(normalized[mask]))

@@ -104,6 +104,16 @@ def convergents(c: int, q: int) -> list[tuple[int, int]]:
         num, den = den, rem
 
 
+def _check_recovery_inputs(modulus: int, base: int, multiplier_bound: int) -> None:
+    """Raise ValueError unless (modulus, base, multiplier_bound) admit recovery."""
+    if multiplier_bound < 1:
+        raise ValueError(f"multiplier_bound must be >= 1, got {multiplier_bound}")
+    if not 2 <= base < modulus:
+        raise ValueError(f"need 2 <= base < modulus, got base={base}")
+    if math.gcd(base, modulus) != 1:
+        raise ValueError(f"base {base} shares a factor with modulus {modulus}")
+
+
 def recover_order(
     c: int,
     q: int,
@@ -117,13 +127,14 @@ def recover_order(
     their small multiples lam*d for lam up to multiplier_bound, and
     returns the least candidate v with base**v == 1 mod modulus, or None
     when no candidate works.
+
+    Every v with base**v == 1 is a multiple of the true order r, so the
+    result is r exactly when some convergent denominator d < modulus
+    satisfies d | r and r/d <= multiplier_bound. In particular d = 1 is
+    always a convergent denominator, so any multiplier_bound >= r
+    recovers r from every outcome c.
     """
-    if multiplier_bound < 1:
-        raise ValueError(f"multiplier_bound must be >= 1, got {multiplier_bound}")
-    if not 2 <= base < modulus:
-        raise ValueError(f"need 2 <= base < modulus, got base={base}")
-    if math.gcd(base, modulus) != 1:
-        raise ValueError(f"base {base} shares a factor with modulus {modulus}")
+    _check_recovery_inputs(modulus, base, multiplier_bound)
     denominators = {d for _, d in convergents(c, q) if d < modulus}
     candidates = sorted(
         {lam * d for d in denominators for lam in range(1, multiplier_bound + 1)}

@@ -196,7 +196,7 @@ def test_10_seeded_runs_are_byte_identical(tmp_path, capsys) -> None:
     assert main(spec_args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     sweep_args = ["sweep", "--N", "15", "--y", "7", "--model", "gaussian",
-                  "--sigma", "0.05", "--mag-start", "0", "--mag-stop", "0.1",
+                  "--mag-start", "0", "--mag-stop", "0.1",
                   "--mag-step", "0.02", "--realizations", "3", "--seed", "9"]
     c, d = tmp_path / "c.csv", tmp_path / "d.csv"
     assert main(sweep_args + ["--out", str(c)]) == 0

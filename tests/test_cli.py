@@ -237,6 +237,54 @@ class TestErrorHandling:
                   "--out", str(tmp_path / "x.csv")])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--delta0", "--smax", "--sigma", "--init-delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_magnitude_is_usage_error(
+        self, tmp_path, flag: str, value: str
+    ) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--L", "6", "--r", "4", "--model", "systematic",
+                  flag, value, "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--delta0", "5"], ["--smax", "0.1"], ["--sigma", "0.1"],
+         ["--amp-errors"], ["--init-delta", "0.1"], ["--normalize"]],
+    )
+    def test_sweep_rejects_flags_it_ignores(self, tmp_path, extra) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", "systematic",
+                  "--mag-start", "0", "--mag-stop", "0.1", "--mag-step", "0.05",
+                  "--out", str(tmp_path / "x.csv")] + extra)
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "span",
+        [["--mag-start", "0.2", "--mag-stop", "0.1"],
+         ["--mag-start", "-0.1", "--mag-stop", "0.1"],
+         ["--mag-start", "0", "--mag-stop", "inf"]],
+    )
+    def test_sweep_bad_magnitude_range_is_usage_error(self, tmp_path, span) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", "systematic",
+                  "--mag-step", "0.05", "--out", str(tmp_path / "x.csv")] + span)
+        assert info.value.code == 2
+
+    def test_sweep_multiplier_bound_below_one_is_usage_error(self, tmp_path) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", "systematic",
+                  "--mag-start", "0", "--mag-stop", "0.1", "--mag-step", "0.05",
+                  "--multiplier-bound", "0", "--out", str(tmp_path / "x.csv")])
+        assert info.value.code == 2
+
+    def test_factor_multiplier_bound_below_one_is_usage_error(self) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["factor", "--N", "15", "--y", "7", "--multiplier-bound", "0"])
+        assert info.value.code == 2
+
     def test_invalid_problem_returns_one(self, tmp_path, capsys) -> None:
         code = main(["spectrum", "--N", "4", "--y", "2", "--model", "none",
                      "--out", str(tmp_path / "x.csv")])

@@ -105,6 +105,12 @@ class TestErrorModel:
         with pytest.raises(ValueError):
             ErrorModel(ErrorMode.GAUSSIAN, sigma0=-0.5)
 
+    @pytest.mark.parametrize("field", ["delta0", "s_max", "sigma0", "init_delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_magnitudes(self, field: str, value: float) -> None:
+        with pytest.raises(ValueError, match=field):
+            ErrorModel(ErrorMode.GAUSSIAN, **{field: value})
+
 
 class TestSamplePhaseErrors:
     def test_systematic_is_constant(self) -> None:

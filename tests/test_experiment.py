@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shornoise.errmodel import ErrorMode, ErrorModel, derive_stream_seed
 from shornoise.experiment import (
     SweepResult,
+    _recovery_mask,
     ensemble_spectrum,
     peak_report,
     reference_positions,
@@ -15,7 +20,7 @@ from shornoise.experiment import (
     threshold_sweep,
     write_sweep_csv,
 )
-from shornoise.numth import ShorInstance
+from shornoise.numth import ShorInstance, find_order, recover_order
 from shornoise.spectrum import (
     Spectrum,
     SpectrumMethod,
@@ -172,6 +177,76 @@ class TestSuccessProbability:
         values = [success_probability(spec, b) for b in (1, 2, 4, 8)]
         for narrow, wide in zip(values, values[1:]):
             assert wide >= narrow - 1e-12
+
+
+COPRIME_PAIRS = st.integers(3, 60).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sampled_from([y for y in range(2, n) if math.gcd(y, n) == 1]),
+    )
+)
+
+
+def scalar_mask(q: int, modulus: int, base: int, order: int, bound: int) -> tuple:
+    return tuple(
+        recover_order(c, q, modulus, base, bound) == order for c in range(q)
+    )
+
+
+class TestRecoveryMask:
+    @pytest.mark.parametrize("modulus, base", [(15, 7), (21, 2), (91, 2)])
+    @pytest.mark.parametrize("bound", [1, 2, 4, 64])
+    def test_matches_scalar_recovery(self, modulus, base, bound) -> None:
+        inst = ShorInstance.from_factoring(modulus, base)
+        args = (inst.register_size, modulus, base, inst.order, bound)
+        mask = _recovery_mask(*args)
+        assert mask == scalar_mask(*args)
+        assert all(type(hit) is bool for hit in mask)
+
+    def test_matches_scalar_recovery_at_full_size(self) -> None:
+        inst = ShorInstance.from_factoring(221, 2)
+        args = (65536, 221, 2, inst.order, 1)
+        assert inst.register_size == 65536
+        assert _recovery_mask(*args) == scalar_mask(*args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=COPRIME_PAIRS,
+        n_qubits=st.integers(1, 12),
+        bound=st.integers(1, 8),
+    )
+    def test_matches_scalar_recovery_property(self, problem, n_qubits, bound) -> None:
+        modulus, base = problem
+        args = (1 << n_qubits, modulus, base, find_order(base, modulus), bound)
+        assert _recovery_mask(*args) == scalar_mask(*args)
+
+    def test_wrong_order_fails_everywhere(self) -> None:
+        # 7 has order 4 mod 15; no candidate is ever 3.
+        inst = ShorInstance(
+            modulus=15, base=7, n_qubits=8, register_size=256, order=3,
+            offset=0, support_count=86,
+        )
+        assert success_probability(noiseless_spectrum(inst), 64) == 0.0
+        assert not any(_recovery_mask(256, 15, 7, 3, 64))
+
+    def test_multiple_of_order_matches_scalar(self) -> None:
+        # Order 8 is a multiple of the true order 4, and recover_order
+        # returns 8 where the expansion of c/q reaches denominator 8 but
+        # none dividing 4 within the bound.
+        mask = _recovery_mask(256, 15, 7, 8, 1)
+        assert mask == scalar_mask(256, 15, 7, 8, 1)
+        assert any(mask)
+
+    def test_rejects_inputs_recover_order_rejects(self) -> None:
+        for args in [(256, 15, 7, 4, 0), (256, 15, 1, 4, 1),
+                     (256, 15, 15, 4, 1), (256, 15, 5, 4, 1)]:
+            with pytest.raises(ValueError):
+                _recovery_mask(*args)
+
+    def test_success_probability_rejects_zero_bound(self) -> None:
+        spec = noiseless_spectrum(ShorInstance.from_factoring(15, 7))
+        with pytest.raises(ValueError):
+            success_probability(spec, 0)
 
 
 class TestThresholdSweep:
