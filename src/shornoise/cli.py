@@ -75,12 +75,15 @@ def _parse_positive_int(text: str) -> int:
     return value
 
 
-def _add_instance_options(parser: argparse.ArgumentParser) -> None:
+def _add_instance_options(
+    parser: argparse.ArgumentParser, synthetic: bool = True
+) -> None:
     group = parser.add_argument_group("instance")
     group.add_argument("--N", type=int, help="modulus to factor")
     group.add_argument("--y", type=int, help="base coprime to the modulus")
-    group.add_argument("--L", type=int, help="register width in qubits (synthetic)")
-    group.add_argument("--r", type=int, help="period of the support (synthetic)")
+    if synthetic:
+        group.add_argument("--L", type=int, help="register width in qubits (synthetic)")
+        group.add_argument("--r", type=int, help="period of the support (synthetic)")
     group.add_argument("--l", type=int, default=0, help="support offset (default 0)")
 
 
@@ -114,7 +117,10 @@ def _add_model_options(
 
 
 def _add_run_options(
-    parser: argparse.ArgumentParser, with_out: bool = True, normalize: bool = True
+    parser: argparse.ArgumentParser,
+    with_out: bool = True,
+    normalize: bool = True,
+    realizations: bool = False,
 ) -> None:
     group = parser.add_argument_group("run")
     group.add_argument(
@@ -123,9 +129,10 @@ def _add_run_options(
         default=DEFAULT_SEED,
         help="64-bit seed, decimal or 0x-hex (default 42)",
     )
-    group.add_argument(
-        "--realizations", type=int, default=1, help="realization count (default 1)"
-    )
+    if realizations:
+        group.add_argument(
+            "--realizations", type=int, default=1, help="realization count (default 1)"
+        )
     if normalize:
         group.add_argument(
             "--normalize",
@@ -151,13 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_spectrum, p_circuit, p_ensemble):
         _add_instance_options(p)
         _add_model_options(p)
-        _add_run_options(p)
+        _add_run_options(p, realizations=p is p_ensemble)
 
     # The sweep sets the mode's magnitude itself and writes no spectrum.
     p_sweep = sub.add_parser("sweep", help="threshold sweep over error magnitudes")
     _add_instance_options(p_sweep)
     _add_model_options(p_sweep, magnitudes=False)
-    _add_run_options(p_sweep, normalize=False)
+    _add_run_options(p_sweep, normalize=False, realizations=True)
     p_sweep.add_argument("--mag-start", type=_parse_finite_float, default=0.0)
     p_sweep.add_argument("--mag-stop", type=_parse_finite_float, required=True)
     p_sweep.add_argument("--mag-step", type=_parse_finite_float, required=True)
@@ -167,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_factor = sub.add_parser("factor", help="measure, recover the order, factor")
-    _add_instance_options(p_factor)
+    _add_instance_options(p_factor, synthetic=False)
     _add_model_options(p_factor)
-    _add_run_options(p_factor, with_out=False)
+    _add_run_options(p_factor, with_out=False, normalize=False)
     p_factor.add_argument("--shots", type=_parse_positive_int, default=100)
     p_factor.add_argument(
         "--multiplier-bound", type=_parse_positive_int, default=DEFAULT_MULTIPLIER_BOUND

@@ -5,12 +5,26 @@ generator defined here, so runs are bit-reproducible across platforms and
 processes. Phase and amplitude errors draw from disjoint substreams
 derived from one user seed, which keeps toggling amplitude errors from
 perturbing the phase draws.
+
+Batches of draws come from `Xorshift64Star.uniform01_array`, which
+returns exactly the values, and leaves exactly the state, of the same
+number of scalar `uniform01` calls. The xorshift transition T is linear
+over GF(2), so position p of the stream is T**p applied to the state.
+The batch splits the stream into _LANES lanes of s = ceil(n/_LANES)
+draws: lane k starts at position k*s, reached through a cached table of
+the 64-column matrices T**(k*s), and all lanes then step together in
+numpy uint64. Gaussian draws keep the scalar Box-Muller pairing and take
+their logarithms and cosines through `math.log` and `math.cos`: numpy's
+vectorized `np.log` can differ from the C library in the last bit (713
+of 200,000 inputs on one AVX-512 host), which would change seeded
+results. The square root, products and sums are IEEE-exact either way.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +37,76 @@ _PHASE_STREAM_SALT = 0x9E3779B97F4A7C15
 _AMPLITUDE_STREAM_SALT = 0xD1B54A32D192ED03
 _INDEX_STRIDE = 0x9E3779B97F4A7C15
 _ZERO_STATE_SUBSTITUTE = 0x6A09E667F3BCC909
+
+# Lanes stepped together by uniform01_array; of 64 to 1024, 256 was
+# fastest on batches of a few thousand draws (one ensemble realization).
+_LANES = 256
+_BITS = np.arange(64, dtype=np.uint64)
+
+
+def _step_lanes(x: np.ndarray, buffer: np.ndarray) -> None:
+    """One xorshift transition of every uint64 in x, in place."""
+    np.right_shift(x, 12, out=buffer)
+    x ^= buffer
+    np.left_shift(x, 25, out=buffer)
+    x ^= buffer
+    np.right_shift(x, 27, out=buffer)
+    x ^= buffer
+
+
+def _gf2_apply(columns: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Apply the 64x64 GF(2) matrix with these columns to every vector.
+
+    Column i is the image of bit i. The matrix is tabulated per byte of
+    the input (eight 256-entry tables), so each vector costs eight
+    lookups. Applied to the columns of B, this returns the columns of
+    the product columns @ B.
+    """
+    tables = np.zeros((8, 256), dtype=np.uint64)
+    per_byte = columns.reshape(8, 8)
+    for bit in range(8):
+        width = 1 << bit
+        np.bitwise_xor(
+            tables[:, :width], per_byte[:, bit : bit + 1], out=tables[:, width : 2 * width]
+        )
+    out = tables[0][vectors & np.uint64(0xFF)]
+    for byte in range(1, 8):
+        out ^= tables[byte][(vectors >> np.uint64(8 * byte)) & np.uint64(0xFF)]
+    return out
+
+
+def _transition_power(exponent: int) -> np.ndarray:
+    """Columns of T**exponent, by square-and-multiply."""
+    power = np.uint64(1) << _BITS
+    base = power.copy()
+    _step_lanes(base, np.empty_like(base))
+    while exponent:
+        if exponent & 1:
+            power = _gf2_apply(base, power)
+        exponent >>= 1
+        if exponent:
+            base = _gf2_apply(base, base)
+    return power
+
+
+@lru_cache(maxsize=16)
+def _jump_table(stride: int, lanes: int) -> np.ndarray:
+    """Row k holds the 64 columns of T**(k*stride), for k < lanes.
+
+    Built by doubling: rows [m, 2m) are T**(m*stride) times rows [0, m).
+    """
+    table = np.empty((lanes, 64), dtype=np.uint64)
+    table[0] = np.uint64(1) << _BITS
+    jump = _transition_power(stride)
+    filled = 1
+    while filled < lanes:
+        count = min(filled, lanes - filled)
+        table[filled : filled + count] = _gf2_apply(jump, table[:count])
+        filled += count
+        if filled < lanes:
+            jump = _gf2_apply(jump, jump)
+    table.flags.writeable = False
+    return table
 
 
 class Xorshift64Star:
@@ -53,6 +137,33 @@ class Xorshift64Star:
     def uniform01(self) -> float:
         """Uniform draw in [0, 1) with 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniform01_array(self, n: int) -> np.ndarray:
+        """The next n uniform01() draws as a float array, bit for bit.
+
+        Leaves the state where n scalar calls would. Lane k of the
+        (_LANES, s) block covers stream positions [k*s, (k+1)*s), so the
+        block read in row order is stream order.
+        """
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        stride = -(-n // _LANES)
+        table = _jump_table(stride, _LANES)
+        seed_bits = ((np.uint64(self.state) >> _BITS) & np.uint64(1)).astype(bool)
+        x = np.bitwise_xor.reduce(table[:, seed_bits], axis=1)
+        buffer = np.empty_like(x)
+        draws = np.empty((_LANES, stride))
+        last_lane, last_step = divmod(n - 1, stride)
+        multiplier = np.uint64(_MULTIPLIER)
+        for step in range(stride):
+            _step_lanes(x, buffer)
+            if step == last_step:
+                self.state = int(x[last_lane])
+            np.multiply(x, multiplier, out=buffer)
+            buffer >>= np.uint64(11)
+            draws[:, step] = buffer
+        draws *= 2.0**-53
+        return draws.reshape(-1)[:n]
 
     def gaussian(self) -> float:
         """Standard normal draw via Box-Muller.
@@ -133,13 +244,25 @@ def _sample(model: ErrorModel, count: int, rng: Xorshift64Star | None) -> np.nda
     if model.mode is ErrorMode.SYSTEMATIC:
         return np.full(count, model.delta0)
     assert rng is not None
-    values = np.empty(count)
+    # Same float operations, in the same order, as the scalar
+    # delta0 + (2u - 1) * s_max and delta0 + sigma0 * gaussian().
     if model.mode is ErrorMode.UNIFORM:
-        for i in range(count):
-            values[i] = model.delta0 + (2.0 * rng.uniform01() - 1.0) * model.s_max
-    else:
-        for i in range(count):
-            values[i] = model.delta0 + model.sigma0 * rng.gaussian()
+        values = rng.uniform01_array(count)
+        values *= 2.0
+        values -= 1.0
+        values *= model.s_max
+        values += model.delta0
+        return values
+    pairs = rng.uniform01_array(2 * count).reshape(count, 2)
+    radial, angle = pairs[:, 0], pairs[:, 1]
+    np.subtract(1.0, radial, out=radial)
+    angle *= 2.0 * math.pi
+    values = np.fromiter(map(math.log, memoryview(radial)), np.float64, count)
+    values *= -2.0
+    np.sqrt(values, out=values)
+    values *= np.fromiter(map(math.cos, memoryview(angle)), np.float64, count)
+    values *= model.sigma0
+    values += model.delta0
     return values
 
 

@@ -203,8 +203,12 @@ def success_probability(
 class SweepResult:
     """Success probability versus error magnitude, with the threshold.
 
-    threshold is the largest magnitude whose success stays at or above
-    eta * baseline, or None when the baseline itself is zero.
+    threshold is the last magnitude of the leading run whose success
+    stays at or above eta * baseline, that is, the magnitude just before
+    recovery first breaks down. Later magnitudes that pass again (a
+    systematic error that shifts peaks by whole grid spacings revives
+    recovery) do not count. It is None when the baseline itself is zero
+    or the first magnitude already fails.
     """
 
     mode: ErrorMode
@@ -235,7 +239,7 @@ def threshold_sweep(
     master_seed: int = 42,
     multiplier_bound: int = DEFAULT_MULTIPLIER_BOUND,
 ) -> SweepResult:
-    """Sweep the error magnitude and report the largest safe value.
+    """Sweep the error magnitude and report where recovery first breaks down.
 
     For each magnitude the mode's width parameter is set to it
     (systematic: delta0, uniform: s_max, gaussian: sigma0) and the
@@ -273,15 +277,12 @@ def threshold_sweep(
     success_probs = [
         mean_success(magnitude, index) for index, magnitude in enumerate(magnitudes)
     ]
-    if baseline == 0.0:
-        threshold = None
-    else:
-        passing = [
-            magnitude
-            for magnitude, success in zip(magnitudes, success_probs)
-            if success >= eta * baseline
-        ]
-        threshold = max(passing) if passing else None
+    threshold = None
+    if baseline != 0.0:
+        for magnitude, success in zip(magnitudes, success_probs):
+            if success < eta * baseline:
+                break
+            threshold = magnitude
     return SweepResult(
         mode=mode,
         magnitudes=list(magnitudes),

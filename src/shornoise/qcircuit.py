@@ -172,15 +172,13 @@ class GateErrorPlan:
 
 
 def _bit_reversal_permutation(n_qubits: int) -> np.ndarray:
-    size = 1 << n_qubits
-    reversed_indices = np.zeros(size, dtype=np.int64)
-    for i in range(size):
-        rev = 0
-        x = i
-        for _ in range(n_qubits):
-            rev = (rev << 1) | (x & 1)
-            x >>= 1
-        reversed_indices[i] = rev
+    # The reversals of k + 1 bits are those of k bits shifted left, then
+    # the same with the new low bit set; build them in place by doubling.
+    reversed_indices = np.zeros(1 << n_qubits, dtype=np.int64)
+    for bit in range(n_qubits):
+        half = reversed_indices[: 1 << bit]
+        half <<= 1
+        np.bitwise_or(half, 1, out=reversed_indices[1 << bit : 2 << bit])
     return reversed_indices
 
 
@@ -252,7 +250,7 @@ def sample_outcomes(
     if abs(total - 1.0) > _NORM_TOLERANCE:
         raise ValueError(f"state norm deviates from 1 by {abs(total - 1.0):.3e}")
     cdf = np.cumsum(probabilities)
-    draws = np.array([rng.uniform01() for _ in range(shots)])
+    draws = rng.uniform01_array(shots)
     indices = np.searchsorted(cdf, draws, side="right")
     return np.minimum(indices, len(probabilities) - 1)
 

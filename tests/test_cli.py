@@ -280,6 +280,25 @@ class TestErrorHandling:
                   "--multiplier-bound", "0", "--out", str(tmp_path / "x.csv")])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["spectrum", "circuit"])
+    def test_single_spectrum_rejects_realizations(self, tmp_path, command) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--L", "7", "--r", "4", "--model", "none",
+                  "--realizations", "50", "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--realizations", "9"], ["--normalize"], ["--L", "9"], ["--r", "3"]],
+    )
+    def test_factor_rejects_flags_it_ignores(self, extra, capsys) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["factor", "--N", "15", "--y", "7", "--shots", "10"] + extra)
+        assert info.value.code == 2
+        assert "factor:" not in capsys.readouterr().out
+
     def test_factor_multiplier_bound_below_one_is_usage_error(self) -> None:
         with pytest.raises(SystemExit) as info:
             main(["factor", "--N", "15", "--y", "7", "--multiplier-bound", "0"])

@@ -270,6 +270,19 @@ class TestThresholdSweep:
         assert sweep.success_probs[2] >= floor
         assert sweep.success_probs[3] < floor
 
+    def test_threshold_is_first_breakdown_not_revival(self) -> None:
+        # A systematic error shifts the peaks by whole grid spacings, so
+        # recovery revives near 1.835 after first failing at 0.27.
+        magnitudes = [0.005 * i for i in range(401)]
+        sweep = threshold_sweep(
+            RECOVERABLE, ErrorMode.SYSTEMATIC, magnitudes, eta=0.5, multiplier_bound=1
+        )
+        assert sweep.threshold == 0.265
+        floor = sweep.eta * sweep.baseline
+        assert all(success >= floor for success in sweep.success_probs[:54])
+        assert sweep.success_probs[54] < floor
+        assert sweep.success_probs[367] >= floor
+
     def test_zero_baseline_gives_no_threshold(self) -> None:
         # Order 3 never appears among the continued-fraction denominators
         # of c/4, so recovery fails for every outcome.

@@ -16,6 +16,7 @@ from shornoise.qcircuit import (
     MAX_QUBITS,
     GateErrorPlan,
     StateVector,
+    _bit_reversal_permutation,
     apply_controlled_phase_noisy,
     apply_hadamard_noisy,
     circuit_spectrum,
@@ -219,6 +220,20 @@ class TestQftNoisy:
             qft_noisy(StateVector.from_basis(4, 0), GateErrorPlan.exact(3))
 
 
+def reverse_bits(value: int, width: int) -> int:
+    out = 0
+    for _ in range(width):
+        out = (out << 1) | (value & 1)
+        value >>= 1
+    return out
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 13))
+def test_bit_reversal_matches_scalar_oracle(n_qubits: int) -> None:
+    expected = [reverse_bits(i, n_qubits) for i in range(1 << n_qubits)]
+    assert _bit_reversal_permutation(n_qubits).tolist() == expected
+
+
 class TestPreparePeriodState:
     def test_uniform_support(self) -> None:
         inst = ShorInstance.from_factoring(15, 7)
@@ -274,6 +289,15 @@ class TestMeasurement:
         counts = np.bincount(outcomes, minlength=4) / shots
         sigma = np.sqrt(0.25 * 0.75 / shots)
         np.testing.assert_allclose(counts, 0.25, atol=3 * sigma)
+
+    def test_sampling_matches_repeated_measurement(self) -> None:
+        amps = np.sqrt(np.arange(1, 9) / 36.0).astype(complex)
+        state = StateVector(3, amps)
+        batch = Xorshift64Star(21)
+        scalar = Xorshift64Star(21)
+        outcomes = sample_outcomes(state, 300, batch)
+        assert outcomes.tolist() == [measure_all(state, scalar) for _ in range(300)]
+        assert batch.state == scalar.state
 
     def test_sampling_is_reproducible(self) -> None:
         state = StateVector(2, np.full(4, 0.5, dtype=complex))
