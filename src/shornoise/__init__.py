@@ -3,102 +3,52 @@
 The package computes the probability distribution of the final register
 measurement in the order-finding pipeline (the quantum core of integer
 factoring) when the Fourier-readout gates carry calibration errors.  Three
-routes to the same distribution are provided: an analytic closed form for
-constant phase errors, direct summation over the period-state support for
-arbitrary per-term errors, and a gate-level state-vector simulation.  On
-top of those sit ensemble averaging, peak-shift reports, order-recovery
-success rates, and error-threshold sweeps.
+routes are provided: an analytic closed form for constant phase errors and
+direct summation over the period-state support for arbitrary per-term
+errors, which evaluate the same effective model, and a gate-level
+state-vector simulation, which puts an error on every gate and agrees
+with the other two only at zero error.  On top of those sit ensemble
+averaging, peak-shift reports, order-recovery success rates,
+error-threshold sweeps, and the end-to-end factoring run.
 """
 from __future__ import annotations
 
-from .numth import (
-    ShorInstance,
-    convergents,
-    find_order,
-    gcd,
-    mod_pow,
-    popcount,
-    recover_order,
-)
-from .errmodel import (
-    ErrorMode,
-    ErrorModel,
-    Xorshift64Star,
-    derive_stream_seed,
-    sample_amplitude_errors,
-    sample_phase_errors,
-)
+from .numth import ShorInstance, recover_order
+from .errmodel import ErrorMode, ErrorModel
 from .spectrum import (
     Spectrum,
     SpectrumMethod,
-    combined_spectrum,
     direct_spectrum,
-    init_error_weights,
-    noiseless_spectrum,
+    model_spectrum,
     systematic_spectrum_closed_form,
     total_variation_distance,
-    write_spectrum_csv,
 )
-from .qcircuit import (
-    GateErrorPlan,
-    StateVector,
-    apply_controlled_phase_noisy,
-    apply_hadamard_noisy,
-    circuit_spectrum,
-    measure_all,
-    prepare_period_state,
-    qft_noisy,
-    sample_outcomes,
-)
+from .qcircuit import circuit_spectrum
 from .experiment import (
-    PeakReport,
-    SweepResult,
     ensemble_spectrum,
+    factor,
     peak_report,
     success_probability,
     threshold_sweep,
-    write_sweep_csv,
 )
 
 __all__ = [
     "ShorInstance",
-    "convergents",
-    "find_order",
-    "gcd",
-    "mod_pow",
-    "popcount",
     "recover_order",
     "ErrorMode",
     "ErrorModel",
-    "Xorshift64Star",
-    "derive_stream_seed",
-    "sample_amplitude_errors",
-    "sample_phase_errors",
     "Spectrum",
     "SpectrumMethod",
-    "combined_spectrum",
     "direct_spectrum",
-    "init_error_weights",
-    "noiseless_spectrum",
+    "model_spectrum",
     "systematic_spectrum_closed_form",
     "total_variation_distance",
-    "write_spectrum_csv",
-    "GateErrorPlan",
-    "StateVector",
-    "apply_controlled_phase_noisy",
-    "apply_hadamard_noisy",
     "circuit_spectrum",
-    "measure_all",
-    "prepare_period_state",
-    "qft_noisy",
-    "sample_outcomes",
-    "PeakReport",
-    "SweepResult",
     "ensemble_spectrum",
+    "factor",
     "peak_report",
     "success_probability",
     "threshold_sweep",
-    "write_sweep_csv",
 ]
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Commands:
     spectrum   effective-model readout distribution (closed form for
                systematic errors, direct summation otherwise)
-    circuit    gate-level simulation of the same distribution
+    circuit    gate-level simulation, with an error on every gate
     ensemble   mean and spread over many quenched realizations
     sweep      success probability versus error magnitude, with threshold
     factor     full pipeline: measure, recover the order, split the modulus
@@ -17,30 +17,22 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
+from .errmodel import ErrorMode, ErrorModel
 from .experiment import (
     DEFAULT_ETA,
     ensemble_spectrum,
+    factor,
     peak_report,
     threshold_sweep,
     write_sweep_csv,
 )
-from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, gcd, recover_order
-from .qcircuit import circuit_spectrum, prepare_period_state, qft_noisy, sample_outcomes
-from .qcircuit import GateErrorPlan
-from .spectrum import (
-    Spectrum,
-    combined_spectrum,
-    noiseless_spectrum,
-    spectrum_metadata,
-    systematic_spectrum_closed_form,
-    write_spectrum_csv,
-)
+from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance
+from .qcircuit import circuit_spectrum
+from .spectrum import Spectrum, model_spectrum, spectrum_metadata, write_spectrum_csv
 
 DEFAULT_SEED = 42
 
@@ -131,7 +123,10 @@ def _add_run_options(
     )
     if realizations:
         group.add_argument(
-            "--realizations", type=int, default=1, help="realization count (default 1)"
+            "--realizations",
+            type=_parse_positive_int,
+            default=1,
+            help="realization count (default 1)",
         )
     if normalize:
         group.add_argument(
@@ -230,17 +225,7 @@ def _peak_summary(spec: Spectrum) -> str:
 
 def _run_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
-    model = _model_from_args(args)
-    if model.mode is ErrorMode.NONE and model.init_delta == 0.0:
-        spec = noiseless_spectrum(inst)
-    elif (
-        model.mode is ErrorMode.SYSTEMATIC
-        and not model.include_amplitude_errors
-        and model.init_delta == 0.0
-    ):
-        spec = systematic_spectrum_closed_form(inst, model.delta0)
-    else:
-        spec = combined_spectrum(inst, model, args.seed)
+    spec = model_spectrum(inst, _model_from_args(args), args.seed)
     spec = _write_spectrum_outputs(spec, args.out, args.seed, args.normalize)
     print(f"spectrum: {_peak_summary(spec)}")
     return 0
@@ -277,6 +262,8 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("--mag-start must be >= 0")
     if args.mag_stop < args.mag_start:
         parser.error("--mag-stop must be >= --mag-start")
+    if not 0.0 < args.eta <= 1.0:
+        parser.error("--eta must be in (0, 1]")
     count = int(round((args.mag_stop - args.mag_start) / args.mag_step)) + 1
     magnitudes = [args.mag_start + i * args.mag_step for i in range(count)]
     result = threshold_sweep(
@@ -302,27 +289,12 @@ def _run_factor(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("factor needs --N and --y")
     inst = ShorInstance.from_factoring(args.N, args.y, offset=args.l)
     model = _model_from_args(args)
-    state = prepare_period_state(inst, model.init_delta)
-    plan = GateErrorPlan.sample(model, inst.n_qubits, args.seed)
-    qft_noisy(state, plan)
-    rng = Xorshift64Star(derive_stream_seed(args.seed, 0))
-    outcomes = sample_outcomes(state, args.shots, rng)
-    for c in outcomes:
-        order = recover_order(
-            int(c), inst.register_size, args.N, args.y, args.multiplier_bound
-        )
-        if order is None or order % 2 == 1:
-            continue
-        half = pow(args.y, order // 2, args.N)
-        if half == args.N - 1:
-            continue
-        f1 = gcd(half - 1, args.N)
-        f2 = gcd(half + 1, args.N)
-        factors = sorted({f for f in (f1, f2) if 1 < f < args.N})
-        if factors:
-            print(f"factor: recovered r={order}; factors {factors}")
-            return 0
-    print("factor: no nontrivial factor found; retry with new y")
+    result = factor(inst, model, args.seed, args.shots, args.multiplier_bound)
+    if result is None:
+        print("factor: no nontrivial factor found; retry with new y")
+    else:
+        order, factors = result
+        print(f"factor: recovered r={order}; factors {factors}")
     return 0
 
 

@@ -1,19 +1,23 @@
-"""Ensembles, peak reports, recovery success, and threshold sweeps."""
+"""Ensembles, peak reports, recovery success, threshold sweeps, factoring."""
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errmodel import ErrorMode, ErrorModel, derive_stream_seed
+from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
 from .numth import (
     DEFAULT_MULTIPLIER_BOUND,
     ShorInstance,
     _check_recovery_inputs,
     find_order,
+    recover_order,
 )
+from .qcircuit import run_circuit, sample_outcomes
 from .spectrum import Spectrum, SpectrumMethod, combined_spectrum
 
 DEFAULT_HEIGHT_FLOOR_FRACTION = 0.1
@@ -47,8 +51,6 @@ def _cyclic_shift(position: int, reference: float, size: int) -> float:
 def reference_positions(inst: ShorInstance) -> list[float]:
     q = inst.register_size
     r = inst.order
-    if q % r == 0:
-        return [float(k * (q // r)) for k in range(r)]
     return [k * q / r for k in range(r)]
 
 
@@ -88,6 +90,19 @@ def peak_report(
     return PeakReport(peaks=peaks, reference_positions=references, shifts=shifts)
 
 
+def _realizations(
+    inst: ShorInstance, model: ErrorModel, count: int, master_seed: int
+) -> Iterator[Spectrum]:
+    """Quenched realizations i = 0 .. count-1, in index order.
+
+    Realization i draws from the seed derived from (master_seed, i).
+    Deterministic models yield a single realization since every draw
+    would repeat it.
+    """
+    for i in range(1 if model.deterministic else count):
+        yield combined_spectrum(inst, model, derive_stream_seed(master_seed, i))
+
+
 def ensemble_spectrum(
     inst: ShorInstance,
     model: ErrorModel,
@@ -106,12 +121,10 @@ def ensemble_spectrum(
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    effective = 1 if model.deterministic else n_realizations
     total = np.zeros(inst.register_size)
     total_sq = np.zeros(inst.register_size)
-    for i in range(effective):
-        seed_i = derive_stream_seed(master_seed, i)
-        spec = combined_spectrum(inst, model, seed_i)
+    realizations = _realizations(inst, model, n_realizations, master_seed)
+    for effective, spec in enumerate(realizations, start=1):
         total += spec.values
         total_sq += spec.values**2
     mean = total / effective
@@ -263,12 +276,11 @@ def threshold_sweep(
 
     def mean_success(magnitude: float, magnitude_index: int) -> float:
         model = _model_at_magnitude(mode, magnitude)
-        effective = 1 if model.deterministic or magnitude == 0.0 else n_realizations
+        count = 1 if magnitude == 0.0 else n_realizations
         magnitude_seed = derive_stream_seed(master_seed, magnitude_index)
         acc = 0.0
-        for i in range(effective):
-            seed_i = derive_stream_seed(magnitude_seed, i)
-            spec = combined_spectrum(inst, model, seed_i)
+        realizations = _realizations(inst, model, count, magnitude_seed)
+        for effective, spec in enumerate(realizations, start=1):
             acc += success_probability(spec, multiplier_bound)
         return acc / effective
 
@@ -304,3 +316,38 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
         f"# threshold={threshold} eta={result.eta!r} baseline={result.baseline:.12e}"
     )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def factor(
+    inst: ShorInstance,
+    model: ErrorModel,
+    seed: int,
+    shots: int,
+    multiplier_bound: int = DEFAULT_MULTIPLIER_BOUND,
+) -> tuple[int, list[int]] | None:
+    """Run the whole pipeline: one noisy circuit, shots, order, factors.
+
+    Runs the circuit with the gate errors drawn from seed, samples shots
+    outcomes from the stream derived from (seed, 0), and takes them in
+    order. The first outcome whose recovered order r is even, with
+    base**(r/2) != -1 mod modulus and a nontrivial divisor among
+    gcd(base**(r/2) -+ 1, modulus), gives (r, sorted divisors). Returns
+    None when no outcome does, so the caller should retry with a new base.
+    """
+    if inst.modulus is None or inst.base is None:
+        raise ValueError("factor needs an instance with modulus and base")
+    q, modulus, base = inst.register_size, inst.modulus, inst.base
+    state = run_circuit(inst, model, seed)
+    rng = Xorshift64Star(derive_stream_seed(seed, 0))
+    for c in sample_outcomes(state, shots, rng):
+        order = recover_order(int(c), q, modulus, base, multiplier_bound)
+        if order is None or order % 2 == 1:
+            continue
+        half = pow(base, order // 2, modulus)
+        if half == modulus - 1:
+            continue
+        pair = (math.gcd(half - 1, modulus), math.gcd(half + 1, modulus))
+        factors = sorted({f for f in pair if 1 < f < modulus})
+        if factors:
+            return order, factors
+    return None

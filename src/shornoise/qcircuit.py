@@ -109,15 +109,12 @@ def apply_controlled_phase_noisy(
     if control == target:
         raise ValueError("control and target must differ")
     n = state.n_qubits
-    mask = (1 << (n - 1 - control)) | (1 << (n - 1 - target))
-    indices = np.arange(1 << n)
-    active = (indices & mask) == mask
-    state.amplitudes[active] *= np.exp(1j * (theta + delta))
+    hi, lo = sorted((control, target))
+    view = state.amplitudes.reshape(
+        1 << hi, 2, 1 << (lo - hi - 1), 2, 1 << (n - 1 - lo)
+    )
+    view[:, 1, :, 1, :] *= np.exp(1j * (theta + delta))
     return state
-
-
-def _pair_index(n_qubits: int) -> list[tuple[int, int]]:
-    return [(j, k) for j in range(n_qubits) for k in range(j + 1, n_qubits)]
 
 
 @dataclass(frozen=True)
@@ -192,12 +189,12 @@ def qft_noisy(state: StateVector, plan: GateErrorPlan) -> StateVector:
     n = state.n_qubits
     if plan.n_qubits != n:
         raise ValueError("plan was sampled for a different register width")
-    pair_deltas = dict(zip(_pair_index(n), plan.phase_deltas))
+    phase_deltas = iter(plan.phase_deltas)
     for j in range(n):
         apply_hadamard_noisy(state, j, float(plan.hadamard_deltas[j]))
         for k in range(j + 1, n):
             theta = math.pi / (1 << (k - j))
-            apply_controlled_phase_noisy(state, j, k, theta, pair_deltas[(j, k)])
+            apply_controlled_phase_noisy(state, j, k, theta, next(phase_deltas))
     state.amplitudes = state.amplitudes[_bit_reversal_permutation(n)]
     return state
 
@@ -219,30 +216,14 @@ def prepare_period_state(inst: ShorInstance, init_delta: float = 0.0) -> StateVe
     return StateVector(inst.n_qubits, amplitudes)
 
 
-def outcome_from_uniform(probabilities: np.ndarray, u: float) -> int:
-    """Inverse-CDF lookup: the outcome whose cumulative bin contains u."""
-    cdf = np.cumsum(probabilities)
-    index = int(np.searchsorted(cdf, u, side="right"))
-    return min(index, len(probabilities) - 1)
-
-
-def measure_all(state: StateVector, rng: Xorshift64Star) -> int:
-    """Sample one full-register measurement outcome.
-
-    Consumes exactly one uniform draw. Rejects states whose norm is off
-    by more than 1e-6.
-    """
-    probabilities = state.probabilities()
-    total = float(np.sum(probabilities))
-    if abs(total - 1.0) > _NORM_TOLERANCE:
-        raise ValueError(f"state norm deviates from 1 by {abs(total - 1.0):.3e}")
-    return outcome_from_uniform(probabilities, rng.uniform01())
-
-
 def sample_outcomes(
     state: StateVector, shots: int, rng: Xorshift64Star
 ) -> np.ndarray:
-    """Sample repeated measurements of the same prepared state."""
+    """Sample repeated full-register measurements of the same state.
+
+    Consumes exactly `shots` uniform draws from rng, one per outcome, in
+    order. Rejects states whose norm is off by more than 1e-6.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probabilities = state.probabilities()
@@ -255,17 +236,24 @@ def sample_outcomes(
     return np.minimum(indices, len(probabilities) - 1)
 
 
+def run_circuit(inst: ShorInstance, model: ErrorModel, seed: int) -> StateVector:
+    """The register state after one noisy readout circuit.
+
+    Prepares the period state (with preparation weights when the model
+    sets init_delta), samples one GateErrorPlan from the seed, and runs
+    the noisy circuit on it.
+    """
+    state = prepare_period_state(inst, model.init_delta)
+    return qft_noisy(state, GateErrorPlan.sample(model, inst.n_qubits, seed))
+
+
 def circuit_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectrum:
     """Readout distribution from the full gate-level simulation.
 
-    Prepares the period state (with preparation weights when the model
-    sets init_delta), samples one GateErrorPlan, runs the noisy circuit,
-    and returns |amplitude|**2. The circuit is exactly unitary, so the
-    result is a normalized distribution.
+    Returns |amplitude|**2 of the run_circuit state. The circuit is
+    exactly unitary, so the result is a normalized distribution.
     """
-    state = prepare_period_state(inst, model.init_delta)
-    plan = GateErrorPlan.sample(model, inst.n_qubits, seed)
-    qft_noisy(state, plan)
+    state = run_circuit(inst, model, seed)
     return Spectrum(
         values=state.probabilities(),
         method=SpectrumMethod.CIRCUIT,

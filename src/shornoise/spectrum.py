@@ -24,7 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errmodel import ErrorModel, sample_amplitude_errors, sample_phase_errors
+from .errmodel import (
+    ErrorMode,
+    ErrorModel,
+    sample_amplitude_errors,
+    sample_phase_errors,
+)
 from .numth import ShorInstance
 
 # Below this magnitude the closed-form denominator is treated as singular
@@ -242,6 +247,25 @@ def combined_spectrum(
     )
 
 
+def model_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectrum:
+    """The effective-model readout distribution by the route exact for the model.
+
+    Exact gates without preparation error give the noiseless spectrum, a
+    systematic phase error with neither amplitude nor preparation error
+    gives the closed form, and every other model gives one direct-sum
+    realization drawn from seed.
+    """
+    if model.mode is ErrorMode.NONE and model.init_delta == 0.0:
+        return noiseless_spectrum(inst)
+    if (
+        model.mode is ErrorMode.SYSTEMATIC
+        and not model.include_amplitude_errors
+        and model.init_delta == 0.0
+    ):
+        return systematic_spectrum_closed_form(inst, model.delta0)
+    return combined_spectrum(inst, model, seed)
+
+
 def total_variation_distance(first: Spectrum, second: Spectrum) -> float:
     """Total-variation distance between two spectra, normalizing both."""
     p = first.normalize().values
@@ -276,7 +300,7 @@ def spectrum_metadata(spec: Spectrum, seed: int | None = None) -> str:
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     """Write `c,probability` rows with 12 significant digits after the header."""
     lines = ["c,probability"]
-    for c, value in enumerate(spec.values):
+    for c, value in enumerate(map(float, spec.values)):
         lines.append(f"{c},{value:.12e}")
     Path(path).write_text("\n".join(lines) + "\n")
 

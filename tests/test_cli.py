@@ -280,6 +280,33 @@ class TestErrorHandling:
                   "--multiplier-bound", "0", "--out", str(tmp_path / "x.csv")])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_ensemble_realizations_below_one_is_usage_error(
+        self, tmp_path, count
+    ) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["ensemble", "--L", "7", "--r", "4", "--model", "uniform",
+                  "--smax", "0.01", "--realizations", count, "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--realizations", "0"], ["--realizations", "-2"],
+         ["--eta", "0"], ["--eta", "-0.5"], ["--eta", "1.5"]],
+    )
+    def test_sweep_bad_realizations_or_eta_is_usage_error(
+        self, tmp_path, extra
+    ) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", "uniform",
+                  "--mag-start", "0", "--mag-stop", "0.1", "--mag-step", "0.05",
+                  "--out", str(out)] + extra)
+        assert info.value.code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["spectrum", "circuit"])
     def test_single_spectrum_rejects_realizations(self, tmp_path, command) -> None:
         out = tmp_path / "x.csv"

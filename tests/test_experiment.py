@@ -1,4 +1,4 @@
-"""Tests for peak analysis, ensembles, order recovery, and threshold sweeps."""
+"""Tests for peak analysis, ensembles, order recovery, sweeps, and factoring."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from shornoise.experiment import (
     SweepResult,
     _recovery_mask,
     ensemble_spectrum,
+    factor,
     peak_report,
     reference_positions,
     success_probability,
@@ -364,3 +365,18 @@ class TestSweepCsv:
         path = tmp_path / "sweep.csv"
         write_sweep_csv(sweep, path)
         assert "threshold=none" in path.read_text().splitlines()[-1]
+
+
+class TestFactor:
+    def test_factors_fifteen(self) -> None:
+        inst = ShorInstance.from_factoring(15, 7)
+        assert factor(inst, ErrorModel(), seed=1, shots=100) == (4, [3, 5])
+
+    def test_trivial_square_root_gives_none(self) -> None:
+        # 14 has order 2 and 14**1 == -1 mod 15 on every outcome.
+        inst = ShorInstance.from_factoring(15, 14)
+        assert factor(inst, ErrorModel(), seed=1, shots=100) is None
+
+    def test_needs_attached_problem(self) -> None:
+        with pytest.raises(ValueError):
+            factor(STANDARD, ErrorModel(), seed=1, shots=10)

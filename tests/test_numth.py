@@ -1,4 +1,4 @@
-"""Tests for modular arithmetic, continued fractions, and problem instances."""
+"""Tests for order finding, continued fractions, and problem instances."""
 
 from __future__ import annotations
 
@@ -6,58 +6,7 @@ import math
 
 import pytest
 
-from shornoise.numth import (
-    ShorInstance,
-    convergents,
-    find_order,
-    gcd,
-    mod_pow,
-    popcount,
-    recover_order,
-)
-
-
-class TestModPow:
-    def test_known_values(self) -> None:
-        assert mod_pow(7, 4, 15) == 1
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(3, 0, 7) == 1
-        assert mod_pow(5, 1, 3) == 2
-
-    def test_matches_builtin(self) -> None:
-        for base in range(1, 20):
-            for exp in range(0, 12):
-                for mod in range(2, 9):
-                    assert mod_pow(base, exp, mod) == pow(base, exp, mod)
-
-    def test_rejects_bad_arguments(self) -> None:
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 5)
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
-
-
-class TestGcd:
-    @pytest.mark.parametrize(
-        "a, b, expected",
-        [(12, 18, 6), (7, 15, 1), (0, 5, 5), (5, 0, 5), (21, 14, 7)],
-    )
-    def test_known_values(self, a: int, b: int, expected: int) -> None:
-        assert gcd(a, b) == expected
-
-    def test_rejects_double_zero(self) -> None:
-        with pytest.raises(ValueError):
-            gcd(0, 0)
-
-
-class TestPopcount:
-    @pytest.mark.parametrize("a, expected", [(0, 0), (1, 1), (0b1011, 3), (255, 8)])
-    def test_known_values(self, a: int, expected: int) -> None:
-        assert popcount(a) == expected
-
-    def test_rejects_negative(self) -> None:
-        with pytest.raises(ValueError):
-            popcount(-1)
+from shornoise.numth import ShorInstance, convergents, find_order, recover_order
 
 
 class TestFindOrder:

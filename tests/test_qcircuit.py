@@ -20,10 +20,9 @@ from shornoise.qcircuit import (
     apply_controlled_phase_noisy,
     apply_hadamard_noisy,
     circuit_spectrum,
-    measure_all,
-    outcome_from_uniform,
     prepare_period_state,
     qft_noisy,
+    run_circuit,
     sample_outcomes,
 )
 from shornoise.spectrum import init_error_weights, noiseless_spectrum
@@ -132,6 +131,21 @@ class TestControlledPhaseGate:
         rng = np.random.default_rng(10)
         out = apply_controlled_phase_noisy(random_state(3, rng), 1, 2, 1.3, -0.4)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_masked_oracle_for_every_pair(self) -> None:
+        n = 4
+        rng = np.random.default_rng(11)
+        index = np.arange(1 << n)
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                state = random_state(n, rng)
+                mask = (1 << (n - 1 - control)) | (1 << (n - 1 - target))
+                expected = state.amplitudes.copy()
+                expected[(index & mask) == mask] *= np.exp(1j * (0.7 + 0.1))
+                out = apply_controlled_phase_noisy(state, control, target, 0.7, 0.1)
+                assert np.array_equal(out.amplitudes, expected)
 
     def test_rejects_equal_control_and_target(self) -> None:
         with pytest.raises(ValueError):
@@ -260,18 +274,27 @@ class TestPreparePeriodState:
         assert list(nonzero) == [2, 5]
 
 
+class FixedDraws:
+    """Stands in for the generator: hands out the given uniform draws."""
+
+    def __init__(self, draws: list[float]) -> None:
+        self.draws = np.array(draws)
+
+    def uniform01_array(self, n: int) -> np.ndarray:
+        assert n == len(self.draws)
+        return self.draws
+
+
 class TestMeasurement:
     def test_outcome_bins(self) -> None:
-        probs = np.full(4, 0.25)
-        assert outcome_from_uniform(probs, 0.3) == 1
-        assert outcome_from_uniform(probs, 0.0) == 0
-        assert outcome_from_uniform(probs, 0.999) == 3
-        assert outcome_from_uniform(probs, 0.25) == 1
+        state = StateVector(2, np.full(4, 0.5, dtype=complex))
+        outcomes = sample_outcomes(state, 4, FixedDraws([0.3, 0.0, 0.999, 0.25]))
+        assert outcomes.tolist() == [1, 0, 3, 1]
 
     def test_measure_consumes_one_draw(self) -> None:
         state = StateVector(2, np.full(4, 0.5, dtype=complex))
         rng = Xorshift64Star(9)
-        measure_all(state, rng)
+        sample_outcomes(state, 1, rng)
         advanced = Xorshift64Star(9)
         advanced.next_u64()
         assert rng.state == advanced.state
@@ -279,7 +302,7 @@ class TestMeasurement:
     def test_measure_rejects_unnormalized_state(self) -> None:
         bad = StateVector(1, np.array([1.0, 1.0], dtype=complex))
         with pytest.raises(ValueError):
-            measure_all(bad, Xorshift64Star(1))
+            sample_outcomes(bad, 1, Xorshift64Star(1))
 
     def test_sampling_matches_probabilities(self) -> None:
         state = StateVector(2, np.full(4, 0.5, dtype=complex))
@@ -296,7 +319,12 @@ class TestMeasurement:
         batch = Xorshift64Star(21)
         scalar = Xorshift64Star(21)
         outcomes = sample_outcomes(state, 300, batch)
-        assert outcomes.tolist() == [measure_all(state, scalar) for _ in range(300)]
+        cdf = np.cumsum(state.probabilities())
+        expected = [
+            min(int(np.searchsorted(cdf, scalar.uniform01(), side="right")), 7)
+            for _ in range(300)
+        ]
+        assert outcomes.tolist() == expected
         assert batch.state == scalar.state
 
     def test_sampling_is_reproducible(self) -> None:
@@ -307,6 +335,19 @@ class TestMeasurement:
 
 
 class TestCircuitSpectrum:
+    def test_run_circuit_is_prepare_plan_transform(self) -> None:
+        inst = ShorInstance.synthetic_instance(5, 3, offset=1)
+        model = ErrorModel(
+            ErrorMode.GAUSSIAN, sigma0=0.05, include_amplitude_errors=True,
+            init_delta=0.02,
+        )
+        state = prepare_period_state(inst, 0.02)
+        expected = qft_noisy(state, GateErrorPlan.sample(model, 5, seed=8))
+        out = run_circuit(inst, model, seed=8)
+        assert np.array_equal(out.amplitudes, expected.amplitudes)
+        circ = circuit_spectrum(inst, model, seed=8)
+        assert np.array_equal(circ.values, out.probabilities())
+
     def test_zero_error_matches_noiseless(self) -> None:
         inst = ShorInstance.synthetic_instance(5, 4)
         circ = circuit_spectrum(inst, ErrorModel(), seed=0)

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star
 from shornoise.numth import ShorInstance
@@ -23,6 +25,7 @@ from shornoise.spectrum import (
     combined_spectrum,
     direct_spectrum,
     init_error_weights,
+    model_spectrum,
     noiseless_spectrum,
     read_spectrum_csv,
     spectrum_metadata,
@@ -163,7 +166,51 @@ class TestDirectSpectrum:
             )
 
 
+@st.composite
+def closed_form_cases(draw) -> tuple[ShorInstance, float]:
+    """Register shapes with L <= 12, r <= min(q, 300), any offset < r.
+
+    The constant error is zero, a whole number of grid steps 2*pi*k/q, or
+    of magnitude 1e-6 to 10 with either sign.
+    """
+    n_qubits = draw(st.integers(1, 12))
+    q = 1 << n_qubits
+    order = draw(st.integers(1, min(q, 300)))
+    offset = draw(st.integers(0, order - 1))
+    delta = draw(
+        st.one_of(
+            st.just(0.0),
+            st.integers(-q, q).map(lambda k: 2.0 * math.pi * k / q),
+            st.builds(
+                math.copysign, st.floats(1e-6, 10.0), st.sampled_from([1.0, -1.0])
+            ),
+        )
+    )
+    return ShorInstance.synthetic_instance(n_qubits, order, offset=offset), delta
+
+
 class TestClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(case=closed_form_cases())
+    def test_agrees_with_direct_sum_property(self, case) -> None:
+        inst, delta = case
+        closed = systematic_spectrum_closed_form(inst, delta)
+        direct = direct_spectrum(inst, np.full(inst.support_count, delta))
+        assert total_variation_distance(closed, direct) <= 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="below |delta| ~ 1e-7 the rounding error of theta = pi*c*r/q "
+        "dominates sin(theta) near the peaks, yet |sin(theta)| stays above "
+        "SINGULAR_SIN_FLOOR, so no entry falls back to the direct sum",
+    )
+    def test_agrees_with_direct_sum_at_tiny_delta(self) -> None:
+        inst = ShorInstance.synthetic_instance(12, 24, offset=2)
+        delta = 1.582385132569706e-10
+        closed = systematic_spectrum_closed_form(inst, delta)
+        direct = direct_spectrum(inst, np.full(inst.support_count, delta))
+        assert total_variation_distance(closed, direct) <= 1e-9
+
     @pytest.mark.parametrize("delta", [0.02, 0.03, 0.05, 0.1, 0.33])
     @pytest.mark.parametrize("offset", [0, 1, 2, 3])
     def test_agrees_with_direct_sum(self, delta: float, offset: int) -> None:
@@ -269,6 +316,38 @@ class TestCombinedSpectrum:
         weights = init_error_weights(SMALL.n_qubits, 0.01)
         expected = reference_distribution(SMALL, phase, amp, weights)
         np.testing.assert_allclose(spec.values, expected, rtol=1e-10, atol=1e-13)
+
+
+class TestModelSpectrum:
+    @pytest.mark.parametrize(
+        "model, method",
+        [
+            (ErrorModel(), SpectrumMethod.NOISELESS),
+            (ErrorModel(include_amplitude_errors=True), SpectrumMethod.NOISELESS),
+            (ErrorModel(init_delta=0.01), SpectrumMethod.DIRECT_SUM),
+            (ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05), SpectrumMethod.CLOSED_FORM),
+            (
+                ErrorModel(
+                    ErrorMode.SYSTEMATIC, delta0=0.05, include_amplitude_errors=True
+                ),
+                SpectrumMethod.DIRECT_SUM,
+            ),
+            (
+                ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05, init_delta=0.01),
+                SpectrumMethod.DIRECT_SUM,
+            ),
+            (ErrorModel(ErrorMode.UNIFORM, s_max=0.02), SpectrumMethod.DIRECT_SUM),
+            (ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.02), SpectrumMethod.DIRECT_SUM),
+        ],
+    )
+    def test_picks_route(self, model: ErrorModel, method: SpectrumMethod) -> None:
+        assert model_spectrum(STANDARD, model, seed=5).method is method
+
+    def test_direct_route_is_the_seeded_realization(self) -> None:
+        model = ErrorModel(ErrorMode.UNIFORM, s_max=0.02, init_delta=0.01)
+        spec = model_spectrum(STANDARD, model, seed=5)
+        assert np.array_equal(spec.values, combined_spectrum(STANDARD, model, 5).values)
+        assert spec.realization_seed == 5
 
 
 class TestSpectrumContainer:
