@@ -15,6 +15,9 @@ ORDER_SEARCH_CAP = 1 << 20
 
 DEFAULT_MULTIPLIER_BOUND = 64
 
+# Widest register: every route holds 2**MAX_QUBITS values in memory.
+MAX_QUBITS = 24
+
 
 def find_order(y: int, modulus: int) -> int:
     """Least r >= 1 with y**r == 1 mod modulus, by brute-force stepping.
@@ -143,29 +146,29 @@ class ShorInstance:
     modulus: int | None
     base: int | None
     n_qubits: int
-    register_size: int
     order: int
     offset: int
-    support_count: int
     synthetic: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1 or self.n_qubits > 24:
-            raise ValueError(f"n_qubits must be in [1, 24], got {self.n_qubits}")
-        if self.register_size != 1 << self.n_qubits:
-            raise ValueError("register_size must equal 2**n_qubits")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(
+                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
+            )
         if not 1 <= self.order <= self.register_size:
             raise ValueError(f"order must be in [1, register_size], got {self.order}")
         if not 0 <= self.offset < self.order:
             raise ValueError(
                 f"offset must satisfy 0 <= offset < order, got {self.offset}"
             )
-        expected = (self.register_size - 1 - self.offset) // self.order + 1
-        if self.support_count != expected:
-            raise ValueError(
-                f"support_count {self.support_count} does not match the "
-                f"register arithmetic (expected {expected})"
-            )
+
+    @property
+    def register_size(self) -> int:
+        return 1 << self.n_qubits
+
+    @property
+    def support_count(self) -> int:
+        return (self.register_size - 1 - self.offset) // self.order + 1
 
     @classmethod
     def from_factoring(cls, modulus: int, base: int, offset: int = 0) -> ShorInstance:
@@ -176,18 +179,12 @@ class ShorInstance:
         """
         if not 2 <= base < modulus:
             raise ValueError(f"need 2 <= base < modulus, got base={base}")
-        order = find_order(base, modulus)
-        n_qubits = _register_width(modulus)
-        register_size = 1 << n_qubits
-        support = (register_size - 1 - offset) // order + 1
         return cls(
             modulus=modulus,
             base=base,
-            n_qubits=n_qubits,
-            register_size=register_size,
-            order=order,
+            n_qubits=_register_width(modulus),
+            order=find_order(base, modulus),
             offset=offset,
-            support_count=support,
         )
 
     @classmethod
@@ -206,7 +203,6 @@ class ShorInstance:
         (modulus, base) pair may be attached for order recovery, in which
         case the order of base mod modulus must equal the given order.
         """
-        register_size = 1 << n_qubits
         if (modulus is None) != (base is None):
             raise ValueError("modulus and base must be given together")
         if modulus is not None and base is not None:
@@ -215,17 +211,12 @@ class ShorInstance:
                 raise ValueError(
                     f"base {base} has order {actual} mod {modulus}, not {order}"
                 )
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        support = (register_size - 1 - offset) // order + 1
         return cls(
             modulus=modulus,
             base=base,
             n_qubits=n_qubits,
-            register_size=register_size,
             order=order,
             offset=offset,
-            support_count=support,
             synthetic=True,
         )
 

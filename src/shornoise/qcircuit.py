@@ -25,10 +25,8 @@ from .errmodel import (
     sample_amplitude_errors,
     sample_phase_errors,
 )
-from .numth import ShorInstance
+from .numth import MAX_QUBITS, ShorInstance
 from .spectrum import Spectrum, SpectrumMethod, init_error_weights
-
-MAX_QUBITS = 24
 
 _NORM_TOLERANCE = 1e-6
 
@@ -128,7 +126,6 @@ class GateErrorPlan:
     n_qubits: int
     hadamard_deltas: np.ndarray
     phase_deltas: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -165,7 +162,7 @@ class GateErrorPlan:
             phase = sample_phase_errors(model, n_pairs, seed)
         else:
             phase = np.zeros(0)
-        return cls(n_qubits, hadamard, phase, seed=seed)
+        return cls(n_qubits, hadamard, phase)
 
 
 def _bit_reversal_permutation(n_qubits: int) -> np.ndarray:

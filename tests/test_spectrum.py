@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star
 from shornoise.numth import ShorInstance
 from shornoise.spectrum import (
-    SINGULAR_SIN_FLOOR,
     Spectrum,
     SpectrumMethod,
     combined_spectrum,
@@ -171,7 +170,7 @@ def closed_form_cases(draw) -> tuple[ShorInstance, float]:
     """Register shapes with L <= 12, r <= min(q, 300), any offset < r.
 
     The constant error is zero, a whole number of grid steps 2*pi*k/q, or
-    of magnitude 1e-6 to 10 with either sign.
+    of magnitude 1e-12 to 10 with either sign.
     """
     n_qubits = draw(st.integers(1, 12))
     q = 1 << n_qubits
@@ -182,7 +181,7 @@ def closed_form_cases(draw) -> tuple[ShorInstance, float]:
             st.just(0.0),
             st.integers(-q, q).map(lambda k: 2.0 * math.pi * k / q),
             st.builds(
-                math.copysign, st.floats(1e-6, 10.0), st.sampled_from([1.0, -1.0])
+                math.copysign, st.floats(1e-12, 10.0), st.sampled_from([1.0, -1.0])
             ),
         )
     )
@@ -196,20 +195,16 @@ class TestClosedForm:
         inst, delta = case
         closed = systematic_spectrum_closed_form(inst, delta)
         direct = direct_spectrum(inst, np.full(inst.support_count, delta))
-        assert total_variation_distance(closed, direct) <= 1e-9
+        assert total_variation_distance(closed, direct) <= 1e-10
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="below |delta| ~ 1e-7 the rounding error of theta = pi*c*r/q "
-        "dominates sin(theta) near the peaks, yet |sin(theta)| stays above "
-        "SINGULAR_SIN_FLOOR, so no entry falls back to the direct sum",
-    )
     def test_agrees_with_direct_sum_at_tiny_delta(self) -> None:
+        # Near the peaks sin(theta) ~ delta*r/2 ~ 2e-9, so theta may carry
+        # no absolute rounding error from pi*c*r/q.
         inst = ShorInstance.synthetic_instance(12, 24, offset=2)
         delta = 1.582385132569706e-10
         closed = systematic_spectrum_closed_form(inst, delta)
         direct = direct_spectrum(inst, np.full(inst.support_count, delta))
-        assert total_variation_distance(closed, direct) <= 1e-9
+        assert total_variation_distance(closed, direct) <= 1e-10
 
     @pytest.mark.parametrize("delta", [0.02, 0.03, 0.05, 0.1, 0.33])
     @pytest.mark.parametrize("offset", [0, 1, 2, 3])
@@ -240,16 +235,14 @@ class TestClosedForm:
                 systematic_spectrum_closed_form(inst, 0.05).values, base, atol=1e-12
             )
 
-    def test_zero_delta_falls_back_and_flags(self) -> None:
+    def test_zero_delta_equals_noiseless(self) -> None:
         spec = systematic_spectrum_closed_form(STANDARD, 0.0)
-        assert spec.singular_fallback
         np.testing.assert_allclose(
             spec.values, noiseless_spectrum(STANDARD).values, atol=1e-15
         )
 
     def test_tiny_delta_stays_on_closed_form(self) -> None:
         spec = systematic_spectrum_closed_form(STANDARD, 1e-8)
-        assert not spec.singular_fallback
         for k in range(4):
             assert spec.values[32 * k] == pytest.approx(0.25, abs=1e-6)
 
@@ -272,9 +265,6 @@ class TestClosedForm:
                 window = [(k * q // r + d) % q for d in range(-half_window, half_window)]
                 best = max(window, key=lambda c: values[c])
                 assert best == expected, (delta, k, best, expected)
-
-    def test_singular_floor_is_tiny(self) -> None:
-        assert SINGULAR_SIN_FLOOR <= 1e-8
 
 
 class TestCombinedSpectrum:
@@ -445,8 +435,8 @@ class TestMetadata:
         meta = spectrum_metadata(spec, seed=42)
         assert "seed=42" in meta
         assert "method=direct_sum" in meta
-        fallback = systematic_spectrum_closed_form(STANDARD, 0.0)
-        assert "singular_fallback=true" in spectrum_metadata(fallback)
+        exact = systematic_spectrum_closed_form(STANDARD, 0.0)
+        assert "singular_fallback" not in spectrum_metadata(exact)
 
     def test_partial_support_recorded(self) -> None:
         inst = ShorInstance.synthetic_instance(3, 3)
