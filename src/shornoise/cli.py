@@ -294,7 +294,8 @@ def _run_factor(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         print("factor: no nontrivial factor found; retry with new y")
     else:
         order, factors = result
-        print(f"factor: recovered r={order}; factors {factors}")
+        found = f"r={order}" if order == inst.order else f"order multiple {order}"
+        print(f"factor: recovered {found}; factors {factors}")
     return 0
 
 

@@ -17,7 +17,7 @@ from .numth import (
     find_order,
     recover_order,
 )
-from .qcircuit import run_circuit, sample_outcomes
+from .qcircuit import circuit_spectrum, sample_outcomes
 from .spectrum import Spectrum, SpectrumMethod, combined_spectrum
 
 DEFAULT_HEIGHT_FLOOR_FRACTION = 0.1
@@ -337,9 +337,9 @@ def factor(
     if inst.modulus is None or inst.base is None:
         raise ValueError("factor needs an instance with modulus and base")
     q, modulus, base = inst.register_size, inst.modulus, inst.base
-    state = run_circuit(inst, model, seed)
+    probabilities = circuit_spectrum(inst, model, seed).values
     rng = Xorshift64Star(derive_stream_seed(seed, 0))
-    for c in sample_outcomes(state, shots, rng):
+    for c in sample_outcomes(probabilities, shots, rng):
         order = recover_order(int(c), q, modulus, base, multiplier_bound)
         if order is None or order % 2 == 1:
             continue

@@ -63,7 +63,11 @@ class Spectrum:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) != self.instance.register_size:
             raise ValueError("values must have one entry per register value")
-        if np.any(values < -1e-15):
+        # Reductions, not masks, so no register-size temporary; both keep NaN.
+        low, high = values.min(), values.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("probabilities must be finite")
+        if low < -1e-15:
             raise ValueError("probabilities must be nonnegative")
 
     @property
@@ -297,11 +301,3 @@ def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
     for c, value in enumerate(map(float, spec.values)):
         lines.append(f"{c},{value:.12e}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_spectrum_csv(path: str | Path) -> np.ndarray:
-    """Parse a spectrum CSV back into its probability column."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != "c,probability":
-        raise ValueError(f"{path} is not a spectrum CSV")
-    return np.array([float(line.split(",")[1]) for line in lines[1:]])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from shornoise.cli import main
-from shornoise.spectrum import read_spectrum_csv
+from spectrum_csv import read_spectrum_csv
 
 
 def run_spectrum(tmp_path, name: str, *args: str) -> tuple[int, str]:
@@ -188,6 +188,16 @@ class TestFactorCommand:
         printed = capsys.readouterr().out
         assert "recovered r=4" in printed
         assert "[3, 5]" in printed
+
+    def test_multiple_of_the_order_is_not_called_the_order(self, capsys) -> None:
+        # At 3 rad per gate the outcome that splits 221 recovers 168, a
+        # multiple of the order 24 of 2 mod 221.
+        code = main(["factor", "--N", "221", "--y", "2", "--shots", "100",
+                     "--model", "gaussian", "--sigma", "3",
+                     "--multiplier-bound", "1", "--seed", "1"])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert printed == "factor: recovered order multiple 168; factors [13, 17]\n"
 
     def test_trivial_root_asks_for_retry(self, capsys) -> None:
         # y = 14 has order 2 with 14^1 = -1 mod 15, which never yields a

@@ -1,28 +1,31 @@
 """Tests for the gate-level state-vector simulator.
 
-The oracle for the transform is a dense matrix F[c, a] = exp(2i*pi*c*a/q)/sqrt(q)
-built directly with numpy outer products, against which the gate sequence is
-checked column by column and on random states.
+Three oracles check the transform: the dense matrix
+F[c, a] = exp(2i*pi*c*a/q)/sqrt(q) built from numpy outer products; a
+dense gate-by-gate reference that multiplies out every A_j as a
+Kronecker product and every B_jk as a diagonal, for random errors on
+all gates; and the closed error kernel
+U[c, a] = F[c, a] * exp(i * sum_{j<k} delta_jk * c_j * a_k) for plans
+with phase errors only. Gate behaviour is checked through `qft_noisy`
+on one- and two-qubit registers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shornoise import qcircuit
 from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star
 from shornoise.numth import ShorInstance
 from shornoise.qcircuit import (
-    MAX_QUBITS,
     GateErrorPlan,
-    StateVector,
     _bit_reversal_permutation,
-    apply_controlled_phase_noisy,
-    apply_hadamard_noisy,
     circuit_spectrum,
     prepare_period_state,
     qft_noisy,
-    run_circuit,
     sample_outcomes,
 )
 from shornoise.spectrum import init_error_weights, noiseless_spectrum
@@ -34,132 +37,177 @@ def dft_matrix(n_qubits: int) -> np.ndarray:
     return np.exp(2j * np.pi * c * a / q) / np.sqrt(q)
 
 
-def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
+def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     q = 1 << n_qubits
     amps = rng.normal(size=q) + 1j * rng.normal(size=q)
-    amps /= np.linalg.norm(amps)
-    return StateVector(n_qubits, amps)
+    return amps / np.linalg.norm(amps)
 
 
-class TestStateVector:
-    def test_from_basis(self) -> None:
-        state = StateVector.from_basis(3, 5)
-        assert state.amplitudes[5] == 1.0
-        assert state.norm() == pytest.approx(1.0)
-        assert np.count_nonzero(state.amplitudes) == 1
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
-    def test_probabilities(self) -> None:
-        state = StateVector(1, np.array([0.6, 0.8j]))
-        np.testing.assert_allclose(state.probabilities(), [0.36, 0.64])
 
-    def test_copy_is_independent(self) -> None:
-        state = StateVector.from_basis(2, 0)
-        clone = state.copy()
-        clone.amplitudes[0] = 0.0
-        assert state.amplitudes[0] == 1.0
+def zero_plan(n_qubits: int) -> GateErrorPlan:
+    n_pairs = n_qubits * (n_qubits - 1) // 2
+    return GateErrorPlan(n_qubits, np.zeros(n_qubits), np.zeros(n_pairs))
 
-    def test_register_width_limits(self) -> None:
-        with pytest.raises(ValueError):
-            StateVector.from_basis(MAX_QUBITS + 1, 0)
-        with pytest.raises(ValueError):
-            StateVector.from_basis(3, 8)
+
+def phase_plan(n_qubits: int, phase_deltas) -> GateErrorPlan:
+    return GateErrorPlan(n_qubits, np.zeros(n_qubits), phase_deltas)
+
+
+def circuit_matrix(plan: GateErrorPlan) -> np.ndarray:
+    """The noisy circuit as a matrix, one qft_noisy run per column."""
+    n = plan.n_qubits
+    return np.column_stack([qft_noisy(basis_state(n, a), plan) for a in range(1 << n)])
+
+
+def reverse_bits(value: int, width: int) -> int:
+    out = 0
+    for _ in range(width):
+        out = (out << 1) | (value & 1)
+        value >>= 1
+    return out
+
+
+def gate_by_gate_matrix(plan: GateErrorPlan) -> np.ndarray:
+    """Multiply out the circuit one dense gate at a time.
+
+    A_j is the reflection matrix on qubit j (qubit 0 is the most
+    significant index bit) in a Kronecker product with identities, B_jk
+    a diagonal with its phase on the indices where qubits j and k are
+    both 1, and the final rows are bit-reversed.
+    """
+    n = plan.n_qubits
+    q = 1 << n
+    index = np.arange(q)
+    bits = [(index >> (n - 1 - j)) & 1 for j in range(n)]
+    pair_deltas = iter(plan.phase_deltas)
+    unitary = np.eye(q, dtype=complex)
+    for j in range(n):
+        c, s = np.cos(plan.hadamard_deltas[j]), np.sin(plan.hadamard_deltas[j])
+        reflection = np.array([[c - s, c + s], [c + s, s - c]]) / np.sqrt(2.0)
+        gate = np.kron(np.kron(np.eye(1 << j), reflection), np.eye(1 << (n - 1 - j)))
+        unitary = gate @ unitary
+        for k in range(j + 1, n):
+            angle = np.pi / 2 ** (k - j) + next(pair_deltas)
+            diagonal = np.where(bits[j] & bits[k], np.exp(1j * angle), 1.0)
+            unitary = diagonal[:, None] * unitary
+    return unitary[[reverse_bits(c, n) for c in range(q)]]
+
+
+def error_kernel(plan: GateErrorPlan) -> np.ndarray:
+    """F[c, a] * exp(i * sum_{j<k} delta_jk * c_j * a_k) for a phase-only plan.
+
+    c_j is bit j of c from the least significant bit; a_k is bit
+    L-1-k of a.
+    """
+    n = plan.n_qubits
+    index = np.arange(1 << n)
+    phase = np.zeros((1 << n, 1 << n))
+    pair_deltas = iter(plan.phase_deltas)
+    for j in range(n):
+        for k in range(j + 1, n):
+            c_j = (index >> j) & 1
+            a_k = (index >> (n - 1 - k)) & 1
+            phase += next(pair_deltas) * np.outer(c_j, a_k)
+    return dft_matrix(n) * np.exp(1j * phase)
 
 
 class TestHadamardGate:
+    """A_j seen through the one- and two-qubit circuits."""
+
     def test_exact_columns(self) -> None:
         s = 1.0 / np.sqrt(2.0)
-        plus = apply_hadamard_noisy(StateVector.from_basis(1, 0), 0, 0.0)
-        np.testing.assert_allclose(plus.amplitudes, [s, s], atol=1e-15)
-        minus = apply_hadamard_noisy(StateVector.from_basis(1, 1), 0, 0.0)
-        np.testing.assert_allclose(minus.amplitudes, [s, -s], atol=1e-15)
+        plus = qft_noisy(basis_state(1, 0), zero_plan(1))
+        np.testing.assert_allclose(plus, [s, s], atol=1e-15)
+        minus = qft_noisy(basis_state(1, 1), zero_plan(1))
+        np.testing.assert_allclose(minus, [s, -s], atol=1e-15)
 
     def test_quarter_turn_sends_zero_to_one(self) -> None:
-        out = apply_hadamard_noisy(StateVector.from_basis(1, 0), 0, np.pi / 4)
-        np.testing.assert_allclose(out.amplitudes, [0.0, 1.0], atol=1e-15)
+        out = qft_noisy(basis_state(1, 0), GateErrorPlan(1, [np.pi / 4], []))
+        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
     def test_acts_on_selected_qubit(self) -> None:
-        # Qubit 0 is the most significant bit of the outcome index.
+        # A quarter turn on one qubit sends it from |0> to |1> while the
+        # other qubit's exact gate spreads it; qubit j lands on bit j of c.
         s = 1.0 / np.sqrt(2.0)
-        out0 = apply_hadamard_noisy(StateVector.from_basis(2, 0), 0, 0.0)
-        np.testing.assert_allclose(out0.amplitudes, [s, 0, s, 0], atol=1e-15)
-        out1 = apply_hadamard_noisy(StateVector.from_basis(2, 0), 1, 0.0)
-        np.testing.assert_allclose(out1.amplitudes, [s, s, 0, 0], atol=1e-15)
+        out0 = qft_noisy(basis_state(2, 0), GateErrorPlan(2, [np.pi / 4, 0.0], [0.0]))
+        np.testing.assert_allclose(out0, [0, s, 0, s], atol=1e-15)
+        out1 = qft_noisy(basis_state(2, 0), GateErrorPlan(2, [0.0, np.pi / 4], [0.0]))
+        np.testing.assert_allclose(out1, [0, 0, s, s], atol=1e-15)
 
     def test_preserves_norm_for_any_angle_error(self) -> None:
         rng = np.random.default_rng(7)
         for delta in (-1.0, -0.3, 0.1, 0.9):
             for qubit in range(4):
-                out = apply_hadamard_noisy(random_state(4, rng), qubit, delta)
-                assert out.norm() == pytest.approx(1.0, abs=1e-12)
+                deltas = np.zeros(4)
+                deltas[qubit] = delta
+                plan = GateErrorPlan(4, deltas, np.zeros(6))
+                out = qft_noisy(random_state(4, rng), plan)
+                assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_involution_at_zero_error(self) -> None:
+        # One qubit: the circuit is A_0 alone, a reflection.
         rng = np.random.default_rng(8)
-        state = random_state(3, rng)
-        before = state.amplitudes.copy()
-        apply_hadamard_noisy(apply_hadamard_noisy(state, 1, 0.0), 1, 0.0)
-        np.testing.assert_allclose(state.amplitudes, before, atol=1e-12)
+        state = random_state(1, rng)
+        before = state.copy()
+        qft_noisy(qft_noisy(state, zero_plan(1)), zero_plan(1))
+        np.testing.assert_allclose(state, before, atol=1e-12)
 
     def test_updates_state_in_place(self) -> None:
-        state = StateVector.from_basis(1, 0)
-        out = apply_hadamard_noisy(state, 0, 0.0)
+        state = basis_state(1, 0)
+        out = qft_noisy(state, zero_plan(1))
         assert out is state
-
-    def test_rejects_bad_qubit(self) -> None:
-        with pytest.raises(ValueError):
-            apply_hadamard_noisy(StateVector.from_basis(2, 0), 2, 0.0)
 
 
 class TestControlledPhaseGate:
-    def test_only_double_one_branch_rotates(self) -> None:
-        theta, delta = np.pi / 2, 0.05
-        for index in range(4):
-            out = apply_controlled_phase_noisy(
-                StateVector.from_basis(2, index), 0, 1, theta, delta
-            )
-            expected = np.zeros(4, dtype=complex)
-            expected[index] = np.exp(1j * (theta + delta)) if index == 3 else 1.0
-            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
+    """B_jk seen through the circuit: a phase on its |11> branch."""
 
-    def test_symmetric_in_control_and_target(self) -> None:
-        rng = np.random.default_rng(9)
-        state = random_state(3, rng)
-        a = apply_controlled_phase_noisy(state.copy(), 0, 2, 0.7, 0.1)
-        b = apply_controlled_phase_noisy(state.copy(), 2, 0, 0.7, 0.1)
-        np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-15)
+    def test_only_double_one_branch_rotates(self) -> None:
+        # B_01 meets output bit c_0 and input bit a_1 (the low bit of a).
+        delta = 0.05
+        for a in range(4):
+            exact = qft_noisy(basis_state(2, a), zero_plan(2))
+            noisy = qft_noisy(basis_state(2, a), phase_plan(2, [delta]))
+            expected = np.ones(4, dtype=complex)
+            if a & 1:
+                expected[1::2] = np.exp(1j * delta)
+            np.testing.assert_allclose(noisy / exact, expected, atol=1e-14)
 
     def test_preserves_norm(self) -> None:
         rng = np.random.default_rng(10)
-        out = apply_controlled_phase_noisy(random_state(3, rng), 1, 2, 1.3, -0.4)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        out = qft_noisy(random_state(3, rng), phase_plan(3, [1.3, -0.4, 0.7]))
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_masked_oracle_for_every_pair(self) -> None:
         n = 4
-        rng = np.random.default_rng(11)
+        dense = dft_matrix(n)
         index = np.arange(1 << n)
-        for control in range(n):
-            for target in range(n):
-                if control == target:
-                    continue
-                state = random_state(n, rng)
-                mask = (1 << (n - 1 - control)) | (1 << (n - 1 - target))
-                expected = state.amplitudes.copy()
-                expected[(index & mask) == mask] *= np.exp(1j * (0.7 + 0.1))
-                out = apply_controlled_phase_noisy(state, control, target, 0.7, 0.1)
-                assert np.array_equal(out.amplitudes, expected)
-
-    def test_rejects_equal_control_and_target(self) -> None:
-        with pytest.raises(ValueError):
-            apply_controlled_phase_noisy(StateVector.from_basis(2, 3), 1, 1, 0.1, 0.0)
+        pair = 0
+        for j in range(n):
+            for k in range(j + 1, n):
+                deltas = np.zeros(n * (n - 1) // 2)
+                deltas[pair] = 0.1
+                pair += 1
+                mask = np.outer((index >> j) & 1, (index >> (n - 1 - k)) & 1)
+                expected = dense * np.where(mask == 1, np.exp(0.1j), 1.0)
+                got = circuit_matrix(phase_plan(n, deltas))
+                np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 class TestGateErrorPlan:
     def test_exact_plan_counts(self) -> None:
         for n in (1, 3, 5, 8):
-            plan = GateErrorPlan.exact(n)
+            plan = zero_plan(n)
             assert len(plan.hadamard_deltas) == n
             assert len(plan.phase_deltas) == n * (n - 1) // 2
-            assert not plan.hadamard_deltas.any()
-            assert not plan.phase_deltas.any()
+            with pytest.raises(ValueError):
+                GateErrorPlan(n, np.zeros(n + 1), np.zeros(n * (n - 1) // 2))
+            with pytest.raises(ValueError):
+                GateErrorPlan(n, np.zeros(n), np.zeros(n * (n - 1) // 2 + 1))
 
     def test_systematic_sample(self) -> None:
         model = ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.01)
@@ -182,29 +230,60 @@ class TestGateErrorPlan:
         assert len(plan.phase_deltas) == 0
 
 
+@st.composite
+def phase_only_plans(draw) -> GateErrorPlan:
+    n = draw(st.integers(1, 8))
+    deltas = draw(
+        st.lists(
+            st.floats(-np.pi, np.pi),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        )
+    )
+    return phase_plan(n, deltas)
+
+
 class TestQftNoisy:
     def test_matches_dense_transform_on_basis_states(self) -> None:
         n = 3
         dense = dft_matrix(n)
-        plan = GateErrorPlan.exact(n)
+        plan = zero_plan(n)
         for a in range(8):
-            out = qft_noisy(StateVector.from_basis(n, a), plan)
-            np.testing.assert_allclose(out.amplitudes, dense[:, a], atol=1e-12)
+            out = qft_noisy(basis_state(n, a), plan)
+            np.testing.assert_allclose(out, dense[:, a], atol=1e-12)
 
     def test_matches_dense_transform_on_random_states(self) -> None:
         n = 7
         dense = dft_matrix(n)
-        plan = GateErrorPlan.exact(n)
+        plan = zero_plan(n)
         rng = np.random.default_rng(123)
         for _ in range(5):
             state = random_state(n, rng)
-            expected = dense @ state.amplitudes
+            expected = dense @ state
             out = qft_noisy(state, plan)
-            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-10)
+            np.testing.assert_allclose(out, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 5, 7])
+    def test_matches_gate_by_gate_reference(self, n_qubits: int) -> None:
+        rng = np.random.default_rng(600 + n_qubits)
+        n_pairs = n_qubits * (n_qubits - 1) // 2
+        for _ in range(3):
+            plan = GateErrorPlan(
+                n_qubits, rng.uniform(-1, 1, n_qubits), rng.uniform(-1, 1, n_pairs)
+            )
+            expected = gate_by_gate_matrix(plan)
+            got = circuit_matrix(plan)
+            assert np.abs(got - expected).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=phase_only_plans())
+    def test_phase_errors_follow_the_error_kernel(self, plan: GateErrorPlan) -> None:
+        got = circuit_matrix(plan)
+        assert np.abs(got - error_kernel(plan)).max() <= 1e-12
 
     def test_transforms_in_place(self) -> None:
-        state = StateVector.from_basis(3, 2)
-        out = qft_noisy(state, GateErrorPlan.exact(3))
+        state = basis_state(3, 2)
+        out = qft_noisy(state, zero_plan(3))
         assert out is state
 
     def test_pure_frequency_concentrates(self) -> None:
@@ -212,9 +291,9 @@ class TestQftNoisy:
         n, k = 3, 5
         q = 1 << n
         amps = np.exp(2j * np.pi * k * np.arange(q) / q) / np.sqrt(q)
-        out = qft_noisy(StateVector(n, amps), GateErrorPlan.exact(n))
-        assert int(np.argmax(np.abs(out.amplitudes))) == 3
-        assert abs(out.amplitudes[3]) == pytest.approx(1.0, abs=1e-12)
+        out = qft_noisy(amps, zero_plan(n))
+        assert int(np.argmax(np.abs(out))) == 3
+        assert abs(out[3]) == pytest.approx(1.0, abs=1e-12)
 
     def test_unitary_under_large_gate_errors(self) -> None:
         rng = np.random.default_rng(77)
@@ -225,21 +304,14 @@ class TestQftNoisy:
                 hadamard_deltas=rng.uniform(-1, 1, n),
                 phase_deltas=rng.uniform(-1, 1, n * (n - 1) // 2),
             )
-            state = random_state(n, rng)
-            out = qft_noisy(state, plan)
-            assert out.norm() == pytest.approx(1.0, abs=1e-12)
+            out = qft_noisy(random_state(n, rng), plan)
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_mismatched_plan(self) -> None:
         with pytest.raises(ValueError):
-            qft_noisy(StateVector.from_basis(4, 0), GateErrorPlan.exact(3))
-
-
-def reverse_bits(value: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
+            qft_noisy(basis_state(4, 0), zero_plan(3))
+        with pytest.raises(ValueError):
+            qft_noisy(np.zeros(8), zero_plan(3))
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 13))
@@ -252,10 +324,10 @@ class TestPreparePeriodState:
     def test_uniform_support(self) -> None:
         inst = ShorInstance.from_factoring(15, 7)
         state = prepare_period_state(inst)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
         expected = np.zeros(256, dtype=complex)
         expected[::4] = 1.0 / np.sqrt(64)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(state, expected, atol=1e-15)
 
     def test_weighted_support(self) -> None:
         inst = ShorInstance.synthetic_instance(3, 2)
@@ -264,13 +336,13 @@ class TestPreparePeriodState:
         expected = np.zeros(8)
         expected[[0, 2, 4, 6]] = weights[[0, 2, 4, 6]]
         expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(state.amplitudes.real, expected, atol=1e-12)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(state.real, expected, atol=1e-12)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_offset_support(self) -> None:
         inst = ShorInstance.synthetic_instance(3, 3, offset=2)
         state = prepare_period_state(inst)
-        nonzero = np.nonzero(state.amplitudes)[0]
+        nonzero = np.nonzero(state)[0]
         assert list(nonzero) == [2, 5]
 
 
@@ -285,41 +357,41 @@ class FixedDraws:
         return self.draws
 
 
+UNIFORM_TWO_QUBITS = np.full(4, 0.25)
+
+
 class TestMeasurement:
     def test_outcome_bins(self) -> None:
-        state = StateVector(2, np.full(4, 0.5, dtype=complex))
-        outcomes = sample_outcomes(state, 4, FixedDraws([0.3, 0.0, 0.999, 0.25]))
+        draws = FixedDraws([0.3, 0.0, 0.999, 0.25])
+        outcomes = sample_outcomes(UNIFORM_TWO_QUBITS, 4, draws)
         assert outcomes.tolist() == [1, 0, 3, 1]
 
     def test_measure_consumes_one_draw(self) -> None:
-        state = StateVector(2, np.full(4, 0.5, dtype=complex))
         rng = Xorshift64Star(9)
-        sample_outcomes(state, 1, rng)
+        sample_outcomes(UNIFORM_TWO_QUBITS, 1, rng)
         advanced = Xorshift64Star(9)
         advanced.next_u64()
         assert rng.state == advanced.state
 
     def test_measure_rejects_unnormalized_state(self) -> None:
-        bad = StateVector(1, np.array([1.0, 1.0], dtype=complex))
-        with pytest.raises(ValueError):
-            sample_outcomes(bad, 1, Xorshift64Star(1))
+        for second in (1.0, np.nan):
+            with pytest.raises(ValueError):
+                sample_outcomes(np.array([1.0, second]), 1, Xorshift64Star(1))
 
     def test_sampling_matches_probabilities(self) -> None:
-        state = StateVector(2, np.full(4, 0.5, dtype=complex))
         rng = Xorshift64Star(314)
         shots = 100_000
-        outcomes = sample_outcomes(state, shots, rng)
+        outcomes = sample_outcomes(UNIFORM_TWO_QUBITS, shots, rng)
         counts = np.bincount(outcomes, minlength=4) / shots
         sigma = np.sqrt(0.25 * 0.75 / shots)
         np.testing.assert_allclose(counts, 0.25, atol=3 * sigma)
 
     def test_sampling_matches_repeated_measurement(self) -> None:
-        amps = np.sqrt(np.arange(1, 9) / 36.0).astype(complex)
-        state = StateVector(3, amps)
+        probabilities = np.arange(1, 9) / 36.0
         batch = Xorshift64Star(21)
         scalar = Xorshift64Star(21)
-        outcomes = sample_outcomes(state, 300, batch)
-        cdf = np.cumsum(state.probabilities())
+        outcomes = sample_outcomes(probabilities, 300, batch)
+        cdf = np.cumsum(probabilities)
         expected = [
             min(int(np.searchsorted(cdf, scalar.uniform01(), side="right")), 7)
             for _ in range(300)
@@ -328,9 +400,8 @@ class TestMeasurement:
         assert batch.state == scalar.state
 
     def test_sampling_is_reproducible(self) -> None:
-        state = StateVector(2, np.full(4, 0.5, dtype=complex))
-        a = sample_outcomes(state, 50, Xorshift64Star(1))
-        b = sample_outcomes(state, 50, Xorshift64Star(1))
+        a = sample_outcomes(UNIFORM_TWO_QUBITS, 50, Xorshift64Star(1))
+        b = sample_outcomes(UNIFORM_TWO_QUBITS, 50, Xorshift64Star(1))
         assert np.array_equal(a, b)
 
 
@@ -341,12 +412,10 @@ class TestCircuitSpectrum:
             ErrorMode.GAUSSIAN, sigma0=0.05, include_amplitude_errors=True,
             init_delta=0.02,
         )
-        state = prepare_period_state(inst, 0.02)
-        expected = qft_noisy(state, GateErrorPlan.sample(model, 5, seed=8))
-        out = run_circuit(inst, model, seed=8)
-        assert np.array_equal(out.amplitudes, expected.amplitudes)
+        plan = GateErrorPlan.sample(model, 5, seed=8)
+        amplitudes = qft_noisy(prepare_period_state(inst, 0.02), plan)
         circ = circuit_spectrum(inst, model, seed=8)
-        assert np.array_equal(circ.values, out.probabilities())
+        assert np.array_equal(circ.values, np.abs(amplitudes) ** 2)
 
     def test_zero_error_matches_noiseless(self) -> None:
         inst = ShorInstance.synthetic_instance(5, 4)
@@ -374,6 +443,18 @@ class TestCircuitSpectrum:
         inst = ShorInstance.synthetic_instance(4, 3, offset=1)
         circ = circuit_spectrum(inst, ErrorModel(), seed=0)
         assert circ.values.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("gate", ["hadamard", "phase"])
+    def test_rejects_non_finite_gate_errors(self, gate, monkeypatch) -> None:
+        inst = ShorInstance.synthetic_instance(5, 4)
+        deltas = {"hadamard": np.zeros(5), "phase": np.zeros(10)}
+        deltas[gate][2] = np.nan
+        plan = GateErrorPlan(5, deltas["hadamard"], deltas["phase"])
+        monkeypatch.setattr(
+            qcircuit.GateErrorPlan, "sample", staticmethod(lambda *args: plan)
+        )
+        with pytest.raises(ValueError, match="finite"):
+            circuit_spectrum(inst, ErrorModel(), seed=0)
 
     def test_pure_phase_gate_errors_cannot_move_comb_probabilities(self) -> None:
         # On a power-of-two comb each qubit collapses to a definite basis

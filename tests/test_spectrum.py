@@ -26,12 +26,12 @@ from shornoise.spectrum import (
     init_error_weights,
     model_spectrum,
     noiseless_spectrum,
-    read_spectrum_csv,
     spectrum_metadata,
     systematic_spectrum_closed_form,
     total_variation_distance,
     write_spectrum_csv,
 )
+from spectrum_csv import read_spectrum_csv
 
 
 def reference_distribution(
@@ -353,6 +353,25 @@ class TestSpectrumContainer:
         spec = noiseless_spectrum(SMALL)
         assert spec.register_size == 64
         assert len(spec.values) == 64
+
+    def test_rejects_non_finite_values(self) -> None:
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.full(64, 1.0 / 64)
+            values[5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Spectrum(values, SpectrumMethod.DIRECT_SUM, SMALL)
+
+    def test_closed_form_rejects_nan_error(self) -> None:
+        with pytest.raises(ValueError, match="finite"):
+            systematic_spectrum_closed_form(SMALL, float("nan"))
+
+    @pytest.mark.parametrize("channel", ["phase", "amplitude"])
+    def test_direct_sum_rejects_nan_errors(self, channel: str) -> None:
+        m = SMALL.support_count
+        errors = {"phase": np.zeros(m), "amplitude": np.zeros(m)}
+        errors[channel][1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            direct_spectrum(SMALL, errors["phase"], errors["amplitude"])
 
 
 class TestTotalVariationDistance:
