@@ -41,11 +41,9 @@ class PeakReport:
         return [position for position, _ in self.peaks]
 
 
-def _cyclic_shift(position: int, reference: float, size: int) -> float:
-    raw = (position - reference) % size
-    if raw > size / 2:
-        raw -= size
-    return raw
+def _cyclic_shift(positions: np.ndarray, refs: np.ndarray, size: int) -> np.ndarray:
+    raw = np.remainder(positions - refs, size)
+    return np.where(raw > size / 2, raw - size, raw)
 
 
 def reference_positions(inst: ShorInstance) -> list[float]:
@@ -80,13 +78,18 @@ def peak_report(
     positions = np.nonzero(is_peak)[0]
     references = reference_positions(spec.instance)
     size = spec.register_size
-    peaks = [(int(p), float(values[p])) for p in positions]
-    shifts = []
-    for position, _ in peaks:
-        nearest = min(
-            references, key=lambda ref: abs(_cyclic_shift(position, ref, size))
-        )
-        shifts.append(int(round(_cyclic_shift(position, nearest, size))))
+    order = spec.instance.order
+    peaks = list(zip(positions.tolist(), values[positions].tolist()))
+    # The nearest reference is one of the two that bracket the position;
+    # a tie goes to the lower index.
+    grid = np.array(references)
+    low = positions * order // size
+    high = (low + 1) % order
+    below = _cyclic_shift(positions, grid[low], size)
+    above = _cyclic_shift(positions, grid[high], size)
+    nearer = np.abs(above) - np.abs(below)
+    take_above = (nearer < 0.0) | ((nearer == 0.0) & (high < low))
+    shifts = np.rint(np.where(take_above, above, below)).astype(int).tolist()
     return PeakReport(peaks=peaks, reference_positions=references, shifts=shifts)
 
 

@@ -36,7 +36,7 @@ from .errmodel import (
     sample_amplitude_errors,
     sample_phase_errors,
 )
-from .numth import ShorInstance
+from .numth import MAX_QUBITS, ShorInstance
 from .spectrum import Spectrum, SpectrumMethod, init_error_weights
 
 _NORM_TOLERANCE = 1e-6
@@ -58,6 +58,8 @@ class GateErrorPlan:
         for name in ("hadamard_deltas", "phase_deltas"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.n_qubits
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
         if self.hadamard_deltas.shape != (n,):
             raise ValueError(f"hadamard_deltas must have length {n}")
         if self.phase_deltas.shape != (n * (n - 1) // 2,):

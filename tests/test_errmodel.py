@@ -81,7 +81,7 @@ class TestXorshift64Star:
 class TestUniformArray:
     """The lane-stepped batch against the scalar stream it replaces."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
         n=st.integers(min_value=1, max_value=3 * _LANES + 1).filter(

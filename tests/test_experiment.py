@@ -42,6 +42,47 @@ def constant_spectrum(inst: ShorInstance, value: float) -> Spectrum:
     )
 
 
+def scalar_shifts(
+    positions: list[int], references: list[float], size: int
+) -> list[int]:
+    """Per peak, the rounded cyclic shift to the first nearest reference."""
+
+    def cyclic_shift(position: int, reference: float) -> float:
+        raw = (position - reference) % size
+        if raw > size / 2:
+            raw -= size
+        return raw
+
+    shifts = []
+    for position in positions:
+        nearest = min(references, key=lambda ref: abs(cyclic_shift(position, ref)))
+        shifts.append(int(round(cyclic_shift(position, nearest))))
+    return shifts
+
+
+@st.composite
+def peak_cases(draw) -> tuple[ShorInstance, list[int]]:
+    """Registers with L <= 12 and 1 <= r <= q, and up to 40 marked positions.
+
+    Half the positions are drawn next to midpoints between references, so
+    ties between the two bracketing references occur.
+    """
+    n_qubits = draw(st.integers(1, 12))
+    q = 1 << n_qubits
+    order = draw(
+        st.one_of(
+            st.integers(1, q), st.sampled_from([1 << k for k in range(n_qubits + 1)])
+        )
+    )
+    midpoints = st.tuples(st.integers(0, order - 1), st.integers(-1, 1)).map(
+        lambda kd: ((2 * kd[0] + 1) * q // (2 * order) + kd[1]) % q
+    )
+    positions = draw(
+        st.lists(st.one_of(st.integers(0, q - 1), midpoints), min_size=1, max_size=40)
+    )
+    return ShorInstance.synthetic_instance(n_qubits, order), positions
+
+
 class TestReferencePositions:
     def test_full_period(self) -> None:
         assert reference_positions(STANDARD) == [0.0, 32.0, 64.0, 96.0]
@@ -93,6 +134,32 @@ class TestPeakReport:
         report = peak_report(spec)
         assert report.positions() == [63]
         assert report.shifts == [-1]
+
+    @settings(max_examples=150)
+    @given(peak_cases())
+    def test_shifts_match_scalar_loop(self, case) -> None:
+        inst, marked = case
+        values = np.zeros(inst.register_size)
+        values[marked] = 1.0
+        spec = Spectrum(values=values, method=SpectrumMethod.DIRECT_SUM, instance=inst)
+        report = peak_report(spec, height_floor_fraction=0.0)
+        expected = scalar_shifts(
+            report.positions(), report.reference_positions, inst.register_size
+        )
+        assert report.shifts == expected
+        assert all(type(shift) is int for shift in report.shifts)
+
+    def test_shifts_match_scalar_loop_on_noise_floor(self) -> None:
+        # The benchmark's `floor` spectrum: tens of thousands of peaks.
+        inst = ShorInstance.synthetic_instance(18, 4)
+        spec = combined_spectrum(inst, ErrorModel(ErrorMode.UNIFORM, s_max=1e-3), 1)
+        report = peak_report(spec)
+        assert len(report.peaks) > 40_000
+        assert all(type(p) is int and type(h) is float for p, h in report.peaks)
+        expected = scalar_shifts(
+            report.positions(), report.reference_positions, inst.register_size
+        )
+        assert report.shifts == expected
 
 
 class TestEnsembleSpectrum:
@@ -210,7 +277,7 @@ class TestRecoveryMask:
         assert inst.register_size == 65536
         assert _recovery_mask(*args) == scalar_mask(*args)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         problem=COPRIME_PAIRS,
         n_qubits=st.integers(1, 12),

@@ -209,6 +209,11 @@ class TestGateErrorPlan:
             with pytest.raises(ValueError):
                 GateErrorPlan(n, np.zeros(n), np.zeros(n * (n - 1) // 2 + 1))
 
+    @pytest.mark.parametrize("n_qubits", [0, -1])
+    def test_rejects_width_below_one(self, n_qubits: int) -> None:
+        with pytest.raises(ValueError, match=r"n_qubits must be in \[1, 24\]"):
+            GateErrorPlan(n_qubits, [], [])
+
     def test_systematic_sample(self) -> None:
         model = ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.01)
         plan = GateErrorPlan.sample(model, 4, seed=5)
@@ -275,7 +280,7 @@ class TestQftNoisy:
             got = circuit_matrix(plan)
             assert np.abs(got - expected).max() <= 1e-12
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(plan=phase_only_plans())
     def test_phase_errors_follow_the_error_kernel(self, plan: GateErrorPlan) -> None:
         got = circuit_matrix(plan)

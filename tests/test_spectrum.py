@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import tempfile
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from shornoise.numth import ShorInstance
 from shornoise.spectrum import (
     Spectrum,
     SpectrumMethod,
+    _csv_rows,
     combined_spectrum,
     direct_spectrum,
     init_error_weights,
@@ -31,7 +35,7 @@ from shornoise.spectrum import (
     total_variation_distance,
     write_spectrum_csv,
 )
-from spectrum_csv import read_spectrum_csv
+from spectrum_csv import format_spectrum_csv_reference, read_spectrum_csv
 
 
 def reference_distribution(
@@ -189,7 +193,7 @@ def closed_form_cases(draw) -> tuple[ShorInstance, float]:
 
 
 class TestClosedForm:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(case=closed_form_cases())
     def test_agrees_with_direct_sum_property(self, case) -> None:
         inst, delta = case
@@ -373,6 +377,29 @@ class TestSpectrumContainer:
         with pytest.raises(ValueError, match="finite"):
             direct_spectrum(SMALL, errors["phase"], errors["amplitude"])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_closed_form_rejects_infinite_delta(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="delta must be finite"):
+            systematic_spectrum_closed_form(SMALL, bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_init_error_weights_reject_infinite_delta(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="delta must be finite"):
+            init_error_weights(SMALL.n_qubits, bad)
+
+    @pytest.mark.parametrize("name", ["phase_errors", "amp_errors", "init_weights"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_direct_sum_names_infinite_input(self, name: str, bad: float) -> None:
+        m = SMALL.support_count
+        inputs = {
+            "phase_errors": np.zeros(m),
+            "amp_errors": np.zeros(m),
+            "init_weights": np.ones(SMALL.register_size),
+        }
+        inputs[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            direct_spectrum(SMALL, **inputs)
+
 
 class TestTotalVariationDistance:
     def _make(self, values: list[float]) -> Spectrum:
@@ -434,6 +461,97 @@ class TestCsvRoundTrip:
         first = lines[1].split(",")
         assert first[0] == "0"
         float(first[1])
+
+
+def written_csv(values: np.ndarray) -> bytes:
+    """write_spectrum_csv's bytes for one value per register outcome."""
+    inst = ShorInstance.synthetic_instance(len(values).bit_length() - 1, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.csv"
+        write_spectrum_csv(Spectrum(values, SpectrumMethod.DIRECT_SUM, inst), path)
+        return path.read_bytes()
+
+
+def assert_csv_matches_reference(values: np.ndarray) -> None:
+    """Zero-pad values to a register; both writers must give the same bytes."""
+    padded = np.zeros(1 << max(1, (len(values) - 1).bit_length()))
+    padded[: len(values)] = values
+    assert written_csv(padded) == format_spectrum_csv_reference(padded)
+
+
+def near_half_digit(digits: int, exponent: int, offset: str) -> float:
+    """The float nearest (digits + 1/2 + offset) * 10**(exponent - 12)."""
+    exact = Decimal(digits) + Decimal("0.5") + Decimal(offset)
+    return float(exact.scaleb(exponent - 12))
+
+
+# Short decimals ending in 5 at the 14th digit: their scaled fraction is
+# within a rounding of 1/2, so the writer must defer to `%.12e`.
+near_ties = st.builds(
+    lambda digits, exponent: float(f"{digits}5e{exponent - 13}"),
+    st.integers(10**12, 10**13 - 1),
+    st.integers(-320, 295),
+)
+csv_values = st.one_of(
+    st.floats(min_value=-1e-15, allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    ),
+    near_ties,
+)
+
+
+class TestCsvWriter:
+    """Byte-for-byte agreement with the f-string row formatter."""
+
+    @settings(max_examples=300)
+    @given(st.lists(csv_values, min_size=1, max_size=40))
+    def test_matches_reference_property(self, values: list[float]) -> None:
+        assert_csv_matches_reference(np.array(values))
+
+    def test_pinned_values(self) -> None:
+        pinned = [
+            2.0**-20,  # exact tie 9.5367431640625e-07, rounds to even
+            9.9999999999995,
+            9.99999999999949,
+            9.99999999999951,
+            0.0,
+            -0.0,
+            -1e-15,
+            5e-324,
+            np.nextafter(1e-280, 0.0),
+            1e-280,
+            1e280,
+            np.nextafter(1e280, np.inf),
+            1.7976931348623157e308,
+        ]
+        for digits, exponent in [
+            (1234567890123, -5),
+            (9999999999999, 0),
+            (1000000000000, 7),
+            (5000000000000, -200),
+            (3141592653589, 250),
+        ]:
+            for offset in ("-1e-3", "-3e-4", "-1e-4", "0", "1e-4", "3e-4", "1e-3"):
+                pinned.append(near_half_digit(digits, exponent, offset))
+        assert_csv_matches_reference(np.array(pinned))
+
+    def test_every_chunk_and_c_width_boundary(self) -> None:
+        # q = 2**17 rows: four chunks, and c from one to six digits.
+        rng = np.random.default_rng(17)
+        values = 10.0 ** rng.uniform(-330.0, 300.0, 1 << 17)
+        values[rng.integers(0, 1 << 17, 1000)] = 0.0
+        assert_csv_matches_reference(values)
+
+    @pytest.mark.parametrize("first_c", [999_990, 9_999_990, (1 << 24) - 10])
+    def test_seven_and_eight_digit_c(self, first_c: int) -> None:
+        values = np.array([0.25, 0.0, 1e-300, 3e-7, 1.5, 0.1, 7e100, 2e-5, 0.5, 1.0])
+        rows = b"c,probability\n" + _csv_rows(values, first_c).tobytes()
+        assert rows == format_spectrum_csv_reference(values, first_c)
+
+    def test_benchmark_closed_form_spectrum(self) -> None:
+        inst = ShorInstance.synthetic_instance(18, 5, offset=3)
+        assert_csv_matches_reference(systematic_spectrum_closed_form(inst, 1e-5).values)
 
 
 class TestMetadata:
