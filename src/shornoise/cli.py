@@ -213,7 +213,7 @@ def _write_spectrum_outputs(
     if normalize:
         spec = spec.normalize()
     write_spectrum_csv(spec, out)
-    Path(out + ".meta").write_text(spectrum_metadata(spec, seed=seed))
+    Path(out + ".meta").write_text(spectrum_metadata(spec, seed=seed), newline="\n")
     return spec
 
 

@@ -126,10 +126,11 @@ def ensemble_spectrum(
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     total = np.zeros(inst.register_size)
     total_sq = np.zeros(inst.register_size)
+    square = np.empty(inst.register_size)
     realizations = _realizations(inst, model, n_realizations, master_seed)
     for effective, spec in enumerate(realizations, start=1):
         total += spec.values
-        total_sq += spec.values**2
+        total_sq += np.square(spec.values, out=square)
     mean = total / effective
     variance = np.maximum(total_sq / effective - mean**2, 0.0)
     std = np.sqrt(variance)
@@ -148,8 +149,8 @@ def ensemble_spectrum(
 @lru_cache(maxsize=32)
 def _recovery_mask(
     q: int, modulus: int, base: int, order: int, multiplier_bound: int
-) -> tuple[bool, ...]:
-    """Per outcome c in range(q), whether recover_order(c, ...) == order.
+) -> bytes:
+    """Per outcome c in range(q), one byte: 1 if recover_order(c, ...) == order.
 
     recover_order returns the least candidate lam*d with base**(lam*d) == 1,
     that is, the least multiple of the true order r among them. Built on
@@ -161,12 +162,13 @@ def _recovery_mask(
     The continued-fraction expansion of c/q runs for all c in lockstep.
     A lane stops when its expansion ends or its denominator reaches
     modulus, since denominators never decrease. Every value stays at or
-    below q <= 2**24, so the lanes are int32.
+    below q <= 2**24, so the lanes are int32. The mask is immutable bytes,
+    so the cached value can be viewed as a bool array without a copy.
     """
     _check_recovery_inputs(modulus, base, multiplier_bound)
     r = find_order(base, modulus)
     if order % r:
-        return (False,) * q
+        return bytes(q)
     bound = min(multiplier_bound, r)
     # Per outcome, the least lcm(d, r) / r over the reachable d so far.
     least = np.full(q, np.iinfo(np.int32).max, dtype=np.int32)
@@ -184,7 +186,7 @@ def _recovery_mask(
         keep = below & (rem != 0)
         lane, num, den = lane[keep], den[keep], rem[keep]
         k_prev, k = k_prev[keep], k[keep]
-    return tuple((least == order // r).tolist())
+    return (least == order // r).tobytes()
 
 
 def success_probability(
@@ -205,14 +207,14 @@ def success_probability(
     inst = spec.instance
     if inst.modulus is None or inst.base is None:
         raise ValueError("success_probability needs an instance with modulus and base")
-    mask = np.array(
+    mask = np.frombuffer(
         _recovery_mask(
             inst.register_size, inst.modulus, inst.base, inst.order, multiplier_bound
         ),
         dtype=bool,
     )
-    normalized = spec.normalize().values
-    return float(np.sum(normalized[mask]))
+    # Dividing only the gathered entries gives normalize().values[mask] exactly.
+    return float(np.sum(spec.values[mask] / spec.positive_total()))
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,7 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
     lines.append(
         f"# threshold={threshold} eta={result.eta!r} baseline={result.baseline:.12e}"
     )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def factor(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Brute-force order search walks up to N multiplications; keep N bounded.
 ORDER_SEARCH_CAP = 1 << 20
 
@@ -220,10 +222,9 @@ class ShorInstance:
             synthetic=True,
         )
 
-    def support_values(self) -> range:
+    def support_values(self) -> np.ndarray:
         """Basis values offset, offset+order, ... that carry amplitude."""
-        stop = self.offset + self.support_count * self.order
-        return range(self.offset, stop, self.order)
+        return np.arange(self.offset, self.register_size, self.order)
 
     @property
     def order_divides_register(self) -> bool:

@@ -149,7 +149,7 @@ def prepare_period_state(inst: ShorInstance, init_delta: float = 0.0) -> np.ndar
     1 + init_delta*(2*popcount(a) - n) before normalization.
     """
     amplitudes = np.zeros(inst.register_size, dtype=complex)
-    support = np.asarray(inst.support_values(), dtype=np.int64)
+    support = inst.support_values()
     amplitudes[support] = 1.0
     if init_delta != 0.0:
         amplitudes[support] = init_error_weights(inst.n_qubits, init_delta)[support]

@@ -78,11 +78,16 @@ class Spectrum:
     def total(self) -> float:
         return float(np.sum(self.values))
 
-    def normalize(self) -> Spectrum:
-        """Return a copy scaled to unit total."""
+    def positive_total(self) -> float:
+        """The total, which normalization divides by; it must be positive."""
         total = self.total()
         if total <= 0.0:
             raise ValueError("cannot normalize an all-zero spectrum")
+        return total
+
+    def normalize(self) -> Spectrum:
+        """Return a copy scaled to unit total."""
+        total = self.positive_total()
         return replace(self, values=self.values / total, normalized=True)
 
 
@@ -123,7 +128,7 @@ def _assemble(
 ) -> np.ndarray:
     """Per-term complex coefficients placed on the support positions."""
     m = inst.support_count
-    support = np.asarray(inst.support_values(), dtype=np.int64)
+    support = inst.support_values()
     phase_errors = _checked("phase_errors", phase_errors, m)
     if amp_errors is None:
         amp_errors = np.zeros(m)
@@ -162,9 +167,12 @@ def direct_spectrum(
     """
     placed = _assemble(inst, phase_errors, amp_errors, init_weights)
     q = inst.register_size
-    # sum_j z_j exp(2 pi i c a_j / q) for every c at once
-    transform = q * np.fft.ifft(placed)
-    values = (inst.order / q**2) * np.abs(transform) ** 2
+    # sum_j z_j exp(2 pi i c a_j / q) for every c at once, in place. The
+    # unscaled ("forward") inverse equals q * ifft exactly: q is a power of 2.
+    np.fft.ifft(placed, norm="forward", out=placed)
+    values = np.abs(placed)
+    values *= values
+    values *= inst.order / q**2
     return Spectrum(
         values=values,
         method=method,

@@ -7,6 +7,8 @@ returns 0.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,25 @@ class TestSweepCommand:
         assert len(mags) == 61
         assert mags[0] == 0.0
         assert mags[-1] == pytest.approx(0.3, abs=1e-12)
+
+
+class TestLineEnds:
+    def test_every_output_file_has_bare_newlines(self, tmp_path) -> None:
+        code, spectrum_out = run_spectrum(
+            tmp_path, "s.csv", "spectrum", "--L", "5", "--r", "4",
+            "--model", "systematic", "--delta0", "0.01",
+        )
+        assert code == 0
+        code, sweep_out = run_spectrum(
+            tmp_path, "w.csv", "sweep", "--N", "15", "--y", "7",
+            "--model", "systematic", "--mag-start", "0", "--mag-stop", "0.1",
+            "--mag-step", "0.05",
+        )
+        assert code == 0
+        for path in (spectrum_out, spectrum_out + ".meta", sweep_out):
+            data = Path(path).read_bytes()
+            assert b"\n" in data
+            assert b"\r" not in data
 
 
 class TestFactorCommand:

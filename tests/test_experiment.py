@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from shornoise.spectrum import (
     Spectrum,
     SpectrumMethod,
     combined_spectrum,
+    direct_spectrum,
     noiseless_spectrum,
     systematic_spectrum_closed_form,
 )
@@ -240,6 +242,10 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             success_probability(noiseless_spectrum(STANDARD), 1)
 
+    def test_all_zero_spectrum_raises(self) -> None:
+        with pytest.raises(ValueError, match="cannot normalize an all-zero spectrum"):
+            success_probability(constant_spectrum(RECOVERABLE, 0.0), 1)
+
     def test_bound_widening_never_hurts(self) -> None:
         spec = systematic_spectrum_closed_form(RECOVERABLE, 0.15)
         values = [success_probability(spec, b) for b in (1, 2, 4, 8)]
@@ -268,14 +274,14 @@ class TestRecoveryMask:
         inst = ShorInstance.from_factoring(modulus, base)
         args = (inst.register_size, modulus, base, inst.order, bound)
         mask = _recovery_mask(*args)
-        assert mask == scalar_mask(*args)
-        assert all(type(hit) is bool for hit in mask)
+        assert list(mask) == [int(hit) for hit in scalar_mask(*args)]
+        assert isinstance(mask, bytes)
 
     def test_matches_scalar_recovery_at_full_size(self) -> None:
         inst = ShorInstance.from_factoring(221, 2)
         args = (65536, 221, 2, inst.order, 1)
         assert inst.register_size == 65536
-        assert _recovery_mask(*args) == scalar_mask(*args)
+        assert list(_recovery_mask(*args)) == [int(hit) for hit in scalar_mask(*args)]
 
     @settings(max_examples=60)
     @given(
@@ -286,21 +292,44 @@ class TestRecoveryMask:
     def test_matches_scalar_recovery_property(self, problem, n_qubits, bound) -> None:
         modulus, base = problem
         args = (1 << n_qubits, modulus, base, find_order(base, modulus), bound)
-        assert _recovery_mask(*args) == scalar_mask(*args)
+        assert list(_recovery_mask(*args)) == [int(hit) for hit in scalar_mask(*args)]
 
     def test_wrong_order_fails_everywhere(self) -> None:
         # 7 has order 4 mod 15; no candidate is ever 3.
         inst = ShorInstance(modulus=15, base=7, n_qubits=8, order=3, offset=0)
         assert success_probability(noiseless_spectrum(inst), 64) == 0.0
-        assert not any(_recovery_mask(256, 15, 7, 3, 64))
+        assert _recovery_mask(256, 15, 7, 3, 64) == bytes(256)
 
     def test_multiple_of_order_matches_scalar(self) -> None:
         # Order 8 is a multiple of the true order 4, and recover_order
         # returns 8 where the expansion of c/q reaches denominator 8 but
         # none dividing 4 within the bound.
         mask = _recovery_mask(256, 15, 7, 8, 1)
-        assert mask == scalar_mask(256, 15, 7, 8, 1)
+        assert list(mask) == [int(hit) for hit in scalar_mask(256, 15, 7, 8, 1)]
         assert any(mask)
+
+    def test_hit_count_is_a_json_int(self) -> None:
+        # The benchmark tracer sums the cached mask and writes it as JSON.
+        hits = sum(_recovery_mask(256, 15, 7, 4, 1))
+        assert type(hits) is int
+        assert json.loads(json.dumps({"hits": hits})) == {"hits": 44}
+
+    def test_is_one_bounded_cache(self) -> None:
+        assert _recovery_mask.cache_parameters()["maxsize"] == 32
+
+    def test_success_probability_views_the_cached_mask(self, monkeypatch) -> None:
+        frombuffer = np.frombuffer
+        views = []
+
+        def recording_frombuffer(*args, **kwargs):
+            views.append(frombuffer(*args, **kwargs))
+            return views[-1]
+
+        monkeypatch.setattr(np, "frombuffer", recording_frombuffer)
+        success_probability(noiseless_spectrum(RECOVERABLE), 1)
+        (view,) = views
+        assert not view.flags.writeable
+        assert view.base is _recovery_mask(128, 15, 7, 4, 1)
 
     def test_rejects_inputs_recover_order_rejects(self) -> None:
         for args in [(256, 15, 7, 4, 0), (256, 15, 1, 4, 1),
@@ -312,6 +341,53 @@ class TestRecoveryMask:
         spec = noiseless_spectrum(ShorInstance.from_factoring(15, 7))
         with pytest.raises(ValueError):
             success_probability(spec, 0)
+
+
+def former_success(spec: Spectrum, bound: int) -> float:
+    """success_probability as computed before: gathered from a normalized copy."""
+    inst = spec.instance
+    key = (inst.register_size, inst.modulus, inst.base, inst.order, bound)
+    tuple_mask = tuple(bool(hit) for hit in _recovery_mask(*key))
+    return float(np.sum(spec.normalize().values[np.array(tuple_mask, dtype=bool)]))
+
+
+@st.composite
+def recovery_spectra(draw) -> Spectrum:
+    """Direct-sum spectra of instances with 3 <= modulus <= 60 and L <= 12.
+
+    The phase errors have width 0 (noiseless) up to 1 rad.
+    """
+    modulus, base = draw(COPRIME_PAIRS)
+    order = find_order(base, modulus)
+    n_qubits = draw(st.integers(max(1, (order - 1).bit_length()), 12))
+    inst = ShorInstance.synthetic_instance(
+        n_qubits, order, offset=draw(st.integers(0, order - 1)),
+        modulus=modulus, base=base,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([0.0, 1e-4, 1e-2, 1.0]))
+    return direct_spectrum(inst, rng.normal(0.0, width, inst.support_count))
+
+
+class TestSuccessBitIdentity:
+    """Gathering before dividing gives the former normalized sum's bits."""
+
+    @settings(max_examples=100)
+    @given(spec=recovery_spectra(), bound=st.sampled_from([1, 2, 64]))
+    def test_matches_former_expression_property(self, spec, bound) -> None:
+        got = np.float64(success_probability(spec, bound))
+        expected = np.float64(former_success(spec, bound))
+        assert got.view(np.uint64) == expected.view(np.uint64)
+
+    @pytest.mark.parametrize("bound", [1, 64])
+    def test_matches_former_expression_on_benchmark_sweep(self, bound) -> None:
+        inst = ShorInstance.from_factoring(221, 2)
+        for seed in range(3):
+            model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=2e-5)
+            spec = combined_spectrum(inst, model, seed)
+            got = np.float64(success_probability(spec, bound))
+            expected = np.float64(former_success(spec, bound))
+            assert got.view(np.uint64) == expected.view(np.uint64)
 
 
 class TestThresholdSweep:

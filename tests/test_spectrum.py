@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star
+from shornoise.errmodel import (
+    ErrorMode,
+    ErrorModel,
+    Xorshift64Star,
+    sample_amplitude_errors,
+    sample_phase_errors,
+)
 from shornoise.numth import ShorInstance
 from shornoise.spectrum import (
     Spectrum,
@@ -169,6 +175,94 @@ class TestDirectSpectrum:
             )
 
 
+def former_direct_values(
+    inst: ShorInstance,
+    phase_errors: np.ndarray,
+    amp_errors: np.ndarray | None = None,
+    init_weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """The direct sum as it was computed before the in-place transform.
+
+    The support is converted from a range, the transform is q times the
+    normalized inverse FFT, and the square goes through two temporaries.
+    """
+    support = np.asarray(
+        range(inst.offset, inst.register_size, inst.order), dtype=np.int64
+    )
+    if amp_errors is None:
+        amp_errors = np.zeros(inst.support_count)
+    coeff = (1.0 + amp_errors) * np.exp(1j * phase_errors * support)
+    if init_weights is not None:
+        coeff = coeff * init_weights[support]
+    placed = np.zeros(inst.register_size, dtype=complex)
+    placed[support] = coeff
+    q = inst.register_size
+    transform = q * np.fft.ifft(placed)
+    return (inst.order / q**2) * np.abs(transform) ** 2
+
+
+@st.composite
+def direct_sum_cases(draw) -> tuple:
+    """Register shapes with L <= 12, 1 <= r <= q, any offset < r, and errors.
+
+    Phase errors have a width from 1e-6 to 1 rad; amplitude errors and
+    preparation weights are each present or absent.
+    """
+    n_qubits = draw(st.integers(1, 12))
+    q = 1 << n_qubits
+    order = draw(st.integers(1, q))
+    offset = draw(st.integers(0, order - 1))
+    inst = ShorInstance.synthetic_instance(n_qubits, order, offset=offset)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+    phase = rng.normal(0.0, width, inst.support_count)
+    amp = rng.normal(0.0, 1e-2, inst.support_count) if draw(st.booleans()) else None
+    weights = None
+    if draw(st.booleans()):
+        weights = init_error_weights(n_qubits, draw(st.floats(-0.05, 0.05)))
+    return inst, phase, amp, weights
+
+
+class TestDirectSumBitIdentity:
+    """The in-place transform gives the former expression's bits exactly."""
+
+    @settings(max_examples=200)
+    @given(case=direct_sum_cases())
+    def test_matches_former_expression_property(self, case) -> None:
+        inst, phase, amp, weights = case
+        got = direct_spectrum(inst, phase, amp_errors=amp, init_weights=weights)
+        expected = former_direct_values(inst, phase, amp, weights)
+        assert np.array_equal(got.values.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "n_qubits, order, offset, sigma",
+        [(18, 5, 3, 3e-6), (16, 97, 5, 3e-5)],
+        ids=["direct", "wide"],
+    )
+    def test_matches_former_expression_on_benchmark_instances(
+        self, n_qubits, order, offset, sigma
+    ) -> None:
+        inst = ShorInstance.synthetic_instance(n_qubits, order, offset=offset)
+        model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=sigma)
+        phase = sample_phase_errors(model, inst.support_count, 1)
+        got = direct_spectrum(inst, phase)
+        expected = former_direct_values(inst, phase)
+        assert np.array_equal(got.values.view(np.uint64), expected.view(np.uint64))
+
+    def test_sampled_amplitude_errors_match_former_expression(self) -> None:
+        model = ErrorModel(
+            ErrorMode.UNIFORM, s_max=0.1, include_amplitude_errors=True,
+            init_delta=0.02,
+        )
+        inst = ShorInstance.synthetic_instance(10, 7, offset=3)
+        phase = sample_phase_errors(model, inst.support_count, 5)
+        amp = sample_amplitude_errors(model, inst.support_count, 5)
+        weights = init_error_weights(inst.n_qubits, 0.02)
+        got = combined_spectrum(inst, model, seed=5)
+        expected = former_direct_values(inst, phase, amp, weights)
+        assert np.array_equal(got.values.view(np.uint64), expected.view(np.uint64))
+
+
 @st.composite
 def closed_form_cases(draw) -> tuple[ShorInstance, float]:
     """Register shapes with L <= 12, r <= min(q, 300), any offset < r.
@@ -298,8 +392,6 @@ class TestCombinedSpectrum:
         assert not np.array_equal(a.values, b.values)
 
     def test_matches_reference_for_sampled_errors(self) -> None:
-        from shornoise.errmodel import sample_amplitude_errors, sample_phase_errors
-
         model = ErrorModel(
             ErrorMode.GAUSSIAN, sigma0=0.05, include_amplitude_errors=True,
             init_delta=0.01,
