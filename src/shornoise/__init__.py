@@ -13,7 +13,7 @@ error-threshold sweeps, and the end-to-end factoring run.
 """
 from __future__ import annotations
 
-from .numth import ShorInstance, recover_order
+from .numth import ShorInstance, recover_orders
 from .errmodel import ErrorMode, ErrorModel
 from .spectrum import (
     Spectrum,
@@ -34,7 +34,7 @@ from .experiment import (
 
 __all__ = [
     "ShorInstance",
-    "recover_order",
+    "recover_orders",
     "ErrorMode",
     "ErrorModel",
     "Spectrum",

@@ -196,15 +196,20 @@ def _instance_from_args(
     return ShorInstance.synthetic_instance(args.L, args.r, offset=args.l)
 
 
-def _model_from_args(args: argparse.Namespace) -> ErrorModel:
-    return ErrorModel(
-        mode=ErrorMode(args.model),
-        delta0=args.delta0,
-        s_max=args.smax,
-        sigma0=args.sigma,
-        include_amplitude_errors=args.amp_errors,
-        init_delta=args.init_delta,
-    )
+def _model_from_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> ErrorModel:
+    try:
+        return ErrorModel(
+            mode=ErrorMode(args.model),
+            delta0=args.delta0,
+            s_max=args.smax,
+            sigma0=args.sigma,
+            include_amplitude_errors=args.amp_errors,
+            init_delta=args.init_delta,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _write_spectrum_outputs(
@@ -225,7 +230,7 @@ def _peak_summary(spec: Spectrum) -> str:
 
 def _run_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
-    spec = model_spectrum(inst, _model_from_args(args), args.seed)
+    spec = model_spectrum(inst, _model_from_args(parser, args), args.seed)
     spec = _write_spectrum_outputs(spec, args.out, args.seed, args.normalize)
     print(f"spectrum: {_peak_summary(spec)}")
     return 0
@@ -233,7 +238,7 @@ def _run_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def _run_circuit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
-    model = _model_from_args(args)
+    model = _model_from_args(parser, args)
     spec = circuit_spectrum(inst, model, args.seed)
     spec = _write_spectrum_outputs(spec, args.out, args.seed, args.normalize)
     print(f"circuit: {_peak_summary(spec)}")
@@ -242,7 +247,7 @@ def _run_circuit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _run_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
-    model = _model_from_args(args)
+    model = _model_from_args(parser, args)
     mean_spec, std = ensemble_spectrum(inst, model, args.realizations, args.seed)
     mean_spec = _write_spectrum_outputs(mean_spec, args.out, args.seed, args.normalize)
     print(f"ensemble: {_peak_summary(mean_spec)}; max std {float(np.max(std)):.3e}")
@@ -288,7 +293,7 @@ def _run_factor(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.N is None or args.y is None:
         parser.error("factor needs --N and --y")
     inst = ShorInstance.from_factoring(args.N, args.y, offset=args.l)
-    model = _model_from_args(args)
+    model = _model_from_args(parser, args)
     result = factor(inst, model, args.seed, args.shots, args.multiplier_bound)
     if result is None:
         print("factor: no nontrivial factor found; retry with new y")

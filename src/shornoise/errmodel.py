@@ -212,7 +212,9 @@ class ErrorModel:
     sigma0 * z with z standard normal (no cutoff). Amplitude errors
     default to off, in which case the amplitude sampler returns zeros
     without touching any stream. init_delta feeds the preparation-stage
-    weights and is not sampled.
+    weights and is not sampled. A magnitude the mode does not read
+    (delta0 under none, s_max outside uniform, sigma0 outside gaussian)
+    must be zero.
     """
 
     mode: ErrorMode = ErrorMode.NONE
@@ -231,6 +233,13 @@ class ErrorModel:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
         if self.sigma0 < 0.0:
             raise ValueError(f"sigma0 must be >= 0, got {self.sigma0}")
+        mode = self.mode.value
+        if self.mode is ErrorMode.NONE and self.delta0 != 0.0:
+            raise ValueError(f"mode {mode} reads no delta0, got {self.delta0}")
+        if self.mode is not ErrorMode.UNIFORM and self.s_max != 0.0:
+            raise ValueError(f"mode {mode} reads no s_max, got {self.s_max}")
+        if self.mode is not ErrorMode.GAUSSIAN and self.sigma0 != 0.0:
+            raise ValueError(f"mode {mode} reads no sigma0, got {self.sigma0}")
 
     @property
     def deterministic(self) -> bool:

@@ -10,13 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
-from .numth import (
-    DEFAULT_MULTIPLIER_BOUND,
-    ShorInstance,
-    _check_recovery_inputs,
-    find_order,
-    recover_order,
-)
+from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, recover_orders
 from .qcircuit import circuit_spectrum, sample_outcomes
 from .spectrum import Spectrum, SpectrumMethod, combined_spectrum
 
@@ -150,43 +144,14 @@ def ensemble_spectrum(
 def _recovery_mask(
     q: int, modulus: int, base: int, order: int, multiplier_bound: int
 ) -> bytes:
-    """Per outcome c in range(q), one byte: 1 if recover_order(c, ...) == order.
+    """Per outcome c in range(q), one byte: 1 if recover_orders gives order.
 
-    recover_order returns the least candidate lam*d with base**(lam*d) == 1,
-    that is, the least multiple of the true order r among them. Built on
-    a convergent denominator d, that multiple is lcm(d, r), reachable when
-    r/gcd(d, r) <= multiplier_bound; c succeeds when the least reachable
-    lcm(d, r) over its denominators d < modulus equals order. For
-    order == r this reads: some d divides r with r/d <= multiplier_bound.
-
-    The continued-fraction expansion of c/q runs for all c in lockstep.
-    A lane stops when its expansion ends or its denominator reaches
-    modulus, since denominators never decrease. Every value stays at or
-    below q <= 2**24, so the lanes are int32. The mask is immutable bytes,
-    so the cached value can be viewed as a bool array without a copy.
+    The mask is immutable bytes, so the cached value can be viewed as a
+    bool array without a copy.
     """
-    _check_recovery_inputs(modulus, base, multiplier_bound)
-    r = find_order(base, modulus)
-    if order % r:
-        return bytes(q)
-    bound = min(multiplier_bound, r)
-    # Per outcome, the least lcm(d, r) / r over the reachable d so far.
-    least = np.full(q, np.iinfo(np.int32).max, dtype=np.int32)
-    lane = np.arange(q, dtype=np.int32)
-    num, den = lane.copy(), np.full(q, q, dtype=np.int32)
-    k_prev, k = np.ones(q, dtype=np.int32), np.zeros(q, dtype=np.int32)
-    while lane.size:
-        a, rem = np.divmod(num, den)
-        k_prev, k = k, a * k + k_prev
-        below = k < modulus
-        g = np.gcd(k, r)
-        reachable = below & (r // g <= bound)
-        at = lane[reachable]
-        least[at] = np.minimum(least[at], k[reachable] // g[reachable])
-        keep = below & (rem != 0)
-        lane, num, den = lane[keep], den[keep], rem[keep]
-        k_prev, k = k_prev[keep], k[keep]
-    return (least == order // r).tobytes()
+    outcomes = np.arange(q, dtype=np.int32)
+    orders = recover_orders(outcomes, q, modulus, base, multiplier_bound)
+    return (orders == order).tobytes()
 
 
 def success_probability(
@@ -195,11 +160,9 @@ def success_probability(
 ) -> float:
     """Probability mass on register values whose recovery yields the order.
 
-    Outcome c counts when recover_order(c, ...) returns the order r, that
-    is, when some continued-fraction convergent denominator d < modulus
-    of c/q satisfies d | r and r/d <= multiplier_bound. Since d = 1 always
-    qualifies once multiplier_bound >= r, such a bound gives success 1.0
-    whatever the spectrum; multiplier_bound=1 demands d == r.
+    Outcome c counts when `numth.recover_orders` recovers the order r
+    from it. A multiplier_bound >= r gives success 1.0 whatever the
+    spectrum; multiplier_bound=1 demands the convergent denominator r.
 
     The spectrum is normalized internally, so relative spectra are fine.
     The instance must carry (modulus, base) for recovery to be defined.
@@ -344,9 +307,9 @@ def factor(
     q, modulus, base = inst.register_size, inst.modulus, inst.base
     probabilities = circuit_spectrum(inst, model, seed).values
     rng = Xorshift64Star(derive_stream_seed(seed, 0))
-    for c in sample_outcomes(probabilities, shots, rng):
-        order = recover_order(int(c), q, modulus, base, multiplier_bound)
-        if order is None or order % 2 == 1:
+    outcomes = sample_outcomes(probabilities, shots, rng)
+    for order in recover_orders(outcomes, q, modulus, base, multiplier_bound).tolist():
+        if order == 0 or order % 2 == 1:
             continue
         half = pow(base, order // 2, modulus)
         if half == modulus - 1:

@@ -1,9 +1,8 @@
 """Integer arithmetic for the order-finding pipeline.
 
-Multiplicative orders, continued-fraction convergents, and order
-recovery from a measured register value. All functions work on plain
-Python integers, so they are exact at any size the brute-force order
-search can reach.
+Multiplicative orders by brute-force search on plain Python integers,
+order recovery from a whole array of measured register values at once,
+and the `ShorInstance` problem container.
 """
 from __future__ import annotations
 
@@ -59,31 +58,6 @@ def find_order(y: int, modulus: int) -> int:
     return order
 
 
-def convergents(c: int, q: int) -> list[tuple[int, int]]:
-    """Continued-fraction convergents of c/q as (numerator, denominator).
-
-    The list starts at the zeroth convergent and ends with the fraction
-    c/q itself in lowest terms. Denominators are strictly positive and
-    nondecreasing.
-    """
-    if q < 1:
-        raise ValueError(f"denominator must be >= 1, got {q}")
-    if not 0 <= c <= q:
-        raise ValueError(f"need 0 <= c <= q, got c={c}, q={q}")
-    result: list[tuple[int, int]] = []
-    h_prev, h = 0, 1
-    k_prev, k = 1, 0
-    num, den = c, q
-    while True:
-        a, rem = divmod(num, den)
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-        result.append((h, k))
-        if rem == 0:
-            return result
-        num, den = den, rem
-
-
 def _check_recovery_inputs(modulus: int, base: int, multiplier_bound: int) -> None:
     """Raise ValueError unless (modulus, base, multiplier_bound) admit recovery."""
     if multiplier_bound < 1:
@@ -94,35 +68,59 @@ def _check_recovery_inputs(modulus: int, base: int, multiplier_bound: int) -> No
         raise ValueError(f"base {base} shares a factor with modulus {modulus}")
 
 
-def recover_order(
-    c: int,
+def recover_orders(
+    outcomes: np.ndarray,
     q: int,
     modulus: int,
     base: int,
     multiplier_bound: int = DEFAULT_MULTIPLIER_BOUND,
-) -> int | None:
-    """Recover a candidate order from a measured register value c.
+) -> np.ndarray:
+    """Recover a candidate order from each register value c in outcomes.
 
-    Scans the convergent denominators d < modulus of c/q together with
-    their small multiples lam*d for lam up to multiplier_bound, and
-    returns the least candidate v with base**v == 1 mod modulus, or None
-    when no candidate works.
+    For each c of the 1-D integer array outcomes (0 <= c <= q), scans the
+    continued-fraction convergent denominators d < modulus of c/q with
+    their multiples lam*d for lam up to multiplier_bound, and returns the
+    least candidate v with base**v == 1 mod modulus, or 0 when none works.
 
-    Every v with base**v == 1 is a multiple of the true order r, so the
-    result is r exactly when some convergent denominator d < modulus
-    satisfies d | r and r/d <= multiplier_bound. In particular d = 1 is
-    always a convergent denominator, so any multiplier_bound >= r
-    recovers r from every outcome c.
+    Every such v is a multiple of the true order r, and the least one
+    built on d is lcm(d, r), reachable when r/gcd(d, r) <= multiplier_bound.
+    So the result is r exactly when some d divides r with
+    r/d <= multiplier_bound. d = 1 is always a convergent denominator, so
+    any multiplier_bound >= r recovers r from every c.
+
+    The expansions of all c/q run in lockstep. A lane stops when its
+    expansion ends or its denominator reaches modulus, since denominators
+    never decrease. Every value stays at or below q <= 2**MAX_QUBITS, so
+    the lanes are int32; only the returned orders are int64.
     """
     _check_recovery_inputs(modulus, base, multiplier_bound)
-    denominators = {d for _, d in convergents(c, q) if d < modulus}
-    candidates = sorted(
-        {lam * d for d in denominators for lam in range(1, multiplier_bound + 1)}
-    )
-    for v in candidates:
-        if pow(base, v, modulus) == 1:
-            return v
-    return None
+    if not 1 <= q <= 1 << MAX_QUBITS:
+        raise ValueError(f"need 1 <= q <= 2**{MAX_QUBITS}, got q={q}")
+    c = np.asarray(outcomes)
+    if c.ndim != 1 or (c.size and not np.issubdtype(c.dtype, np.integer)):
+        raise ValueError("outcomes must be a 1-D integer array")
+    if c.size and not (0 <= c.min() and c.max() <= q):
+        raise ValueError(f"need 0 <= c <= q, got c in [{c.min()}, {c.max()}], q={q}")
+    r = find_order(base, modulus)
+    # Per outcome, the least lcm(d, r) / r over the reachable d so far.
+    unreached = np.iinfo(np.int32).max
+    least = np.full(c.size, unreached, dtype=np.int32)
+    lane = np.arange(c.size, dtype=np.int32)
+    num, den = c.astype(np.int32, copy=False), np.full(c.size, q, dtype=np.int32)
+    k_prev, k = np.ones(c.size, dtype=np.int32), np.zeros(c.size, dtype=np.int32)
+    while lane.size:
+        a, rem = np.divmod(num, den)
+        k_prev, k = k, a * k + k_prev
+        below = k < modulus
+        g = np.gcd(k, r)
+        reachable = below & (r // g <= multiplier_bound)
+        at = lane[reachable]
+        least[at] = np.minimum(least[at], k[reachable] // g[reachable])
+        keep = below & (rem != 0)
+        lane, num, den = lane[keep], den[keep], rem[keep]
+        k_prev, k = k_prev[keep], k[keep]
+    least[least == unreached] = 0
+    return np.multiply(least, r, dtype=np.int64)
 
 
 def _register_width(modulus: int) -> int:
@@ -227,13 +225,6 @@ class ShorInstance:
         return np.arange(self.offset, self.register_size, self.order)
 
     @property
-    def order_divides_register(self) -> bool:
-        return self.register_size % self.order == 0
-
-    @property
     def full_period_support(self) -> bool:
-        """True when the support has exactly register_size/order points."""
-        return (
-            self.order_divides_register
-            and self.support_count == self.register_size // self.order
-        )
+        """True when order divides register_size, so the support has q/order points."""
+        return self.register_size % self.order == 0

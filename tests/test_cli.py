@@ -357,6 +357,34 @@ class TestErrorHandling:
         assert info.value.code == 2
         assert "factor:" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--model", "gaussian", "--smax", "0.1"],
+            ["spectrum", "--model", "none", "--delta0", "0.1"],
+            ["circuit", "--model", "uniform", "--sigma", "0.1"],
+            ["ensemble", "--model", "systematic", "--smax", "0.1"],
+            ["spectrum", "--model", "gaussian", "--sigma", "-1"],
+        ],
+    )
+    def test_unread_or_negative_magnitude_is_usage_error(
+        self, tmp_path, argv, capsys
+    ) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--L", "7", "--r", "4", "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+    def test_factor_sigma_without_gaussian_is_usage_error(self, capsys) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["factor", "--N", "15", "--y", "7", "--model", "none", "--sigma", "3"])
+        assert info.value.code == 2
+        printed = capsys.readouterr()
+        assert "factor:" not in printed.out
+        assert "mode none reads no sigma0" in printed.err
+
     def test_factor_multiplier_bound_below_one_is_usage_error(self) -> None:
         with pytest.raises(SystemExit) as info:
             main(["factor", "--N", "15", "--y", "7", "--multiplier-bound", "0"])

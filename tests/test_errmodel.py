@@ -176,6 +176,28 @@ class TestErrorModel:
         with pytest.raises(ValueError):
             ErrorModel(ErrorMode.GAUSSIAN, sigma0=-0.5)
 
+    @pytest.mark.parametrize(
+        "mode, field",
+        [
+            (ErrorMode.NONE, "delta0"),
+            (ErrorMode.NONE, "s_max"),
+            (ErrorMode.SYSTEMATIC, "s_max"),
+            (ErrorMode.GAUSSIAN, "s_max"),
+            (ErrorMode.NONE, "sigma0"),
+            (ErrorMode.SYSTEMATIC, "sigma0"),
+            (ErrorMode.UNIFORM, "sigma0"),
+        ],
+    )
+    def test_rejects_magnitude_the_mode_does_not_read(self, mode, field) -> None:
+        with pytest.raises(ValueError, match=f"mode {mode.value} reads no {field}"):
+            ErrorModel(mode, **{field: 0.1})
+
+    def test_accepts_every_magnitude_the_mode_reads(self) -> None:
+        ErrorModel(ErrorMode.NONE, init_delta=0.1)
+        ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.1, init_delta=0.1)
+        ErrorModel(ErrorMode.UNIFORM, delta0=0.1, s_max=0.1, init_delta=0.1)
+        ErrorModel(ErrorMode.GAUSSIAN, delta0=0.1, sigma0=0.1, init_delta=0.1)
+
     @pytest.mark.parametrize("field", ["delta0", "s_max", "sigma0", "init_delta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_magnitudes(self, field: str, value: float) -> None:

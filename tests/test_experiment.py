@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shornoise.errmodel import ErrorMode, ErrorModel, derive_stream_seed
+from recovery_oracle import COPRIME_PAIRS, recover_order
+
+from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
 from shornoise.experiment import (
     SweepResult,
     _recovery_mask,
@@ -22,7 +24,8 @@ from shornoise.experiment import (
     threshold_sweep,
     write_sweep_csv,
 )
-from shornoise.numth import ShorInstance, find_order, recover_order
+from shornoise.numth import ShorInstance, find_order
+from shornoise.qcircuit import circuit_spectrum, sample_outcomes
 from shornoise.spectrum import (
     Spectrum,
     SpectrumMethod,
@@ -251,14 +254,6 @@ class TestSuccessProbability:
         values = [success_probability(spec, b) for b in (1, 2, 4, 8)]
         for narrow, wide in zip(values, values[1:]):
             assert wide >= narrow - 1e-12
-
-
-COPRIME_PAIRS = st.integers(3, 60).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.sampled_from([y for y in range(2, n) if math.gcd(y, n) == 1]),
-    )
-)
 
 
 def scalar_mask(q: int, modulus: int, base: int, order: int, bound: int) -> tuple:
@@ -507,6 +502,27 @@ class TestSweepCsv:
         assert "threshold=none" in path.read_text().splitlines()[-1]
 
 
+def scalar_factor(
+    inst: ShorInstance, model: ErrorModel, seed: int, shots: int, bound: int
+) -> tuple[int, list[int]] | None:
+    """factor's loop with one scalar recovery per outcome, in shot order."""
+    q, modulus, base = inst.register_size, inst.modulus, inst.base
+    probabilities = circuit_spectrum(inst, model, seed).values
+    rng = Xorshift64Star(derive_stream_seed(seed, 0))
+    for c in sample_outcomes(probabilities, shots, rng).tolist():
+        order = recover_order(c, q, modulus, base, bound)
+        if order is None or order % 2 == 1:
+            continue
+        half = pow(base, order // 2, modulus)
+        if half == modulus - 1:
+            continue
+        pair = (math.gcd(half - 1, modulus), math.gcd(half + 1, modulus))
+        factors = sorted({f for f in pair if 1 < f < modulus})
+        if factors:
+            return order, factors
+    return None
+
+
 class TestFactor:
     def test_factors_fifteen(self) -> None:
         inst = ShorInstance.from_factoring(15, 7)
@@ -520,3 +536,24 @@ class TestFactor:
     def test_needs_attached_problem(self) -> None:
         with pytest.raises(ValueError):
             factor(STANDARD, ErrorModel(), seed=1, shots=10)
+
+    def test_matches_scalar_reference_loop(self) -> None:
+        configurations = [
+            (15, 7, ErrorModel(), 64),
+            (55, 2, ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.3), 1),
+            (91, 2, ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05), 2),
+            (221, 2, ErrorModel(ErrorMode.GAUSSIAN, sigma0=3.0), 1),
+            (221, 2, ErrorModel(ErrorMode.UNIFORM, s_max=0.5), 64),
+            # An even modulus: a failed recovery (0) would split off 2.
+            (14, 3, ErrorModel(ErrorMode.GAUSSIAN, sigma0=3.0), 1),
+        ]
+        kinds = set()
+        for modulus, base, model, bound in configurations:
+            inst = ShorInstance.from_factoring(modulus, base)
+            for seed in range(1, 41):
+                expected = scalar_factor(inst, model, seed, 100, bound)
+                assert factor(inst, model, seed, 100, bound) == expected
+                kinds.add("none" if expected is None else expected[0] == inst.order)
+        # The grid reaches every kind of result: the order, a multiple, none.
+        assert kinds == {True, False, "none"}
+

@@ -4,9 +4,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from recovery_oracle import COPRIME_PAIRS, convergents, recover_order
 
-from shornoise.numth import ShorInstance, convergents, find_order, recover_order
+from shornoise.numth import ShorInstance, find_order, recover_orders
+
+
+def recover_one(c: int, q: int, modulus: int, base: int, bound: int) -> int:
+    (order,) = recover_orders(np.array([c]), q, modulus, base, bound).tolist()
+    return order
 
 
 class TestFindOrder:
@@ -80,33 +89,99 @@ class TestConvergents:
 
 class TestRecoverOrder:
     def test_exact_peak(self) -> None:
-        assert recover_order(64, 256, 15, 7, multiplier_bound=1) == 4
+        assert recover_one(64, 256, 15, 7, 1) == 4
 
     def test_zero_outcome_fails_with_tight_bound(self) -> None:
-        assert recover_order(0, 256, 15, 7, multiplier_bound=1) is None
+        assert recover_one(0, 256, 15, 7, 1) == 0
 
     def test_zero_outcome_recovers_with_wide_bound(self) -> None:
-        assert recover_order(0, 256, 15, 7, multiplier_bound=4) == 4
+        assert recover_one(0, 256, 15, 7, 4) == 4
 
     def test_reduced_denominator_needs_multiplier(self) -> None:
         # c = 128 reduces to 1/2, so the order 4 only appears as the
         # multiple 2 * 2.
-        assert recover_order(128, 256, 15, 7, multiplier_bound=1) is None
-        assert recover_order(128, 256, 15, 7, multiplier_bound=2) == 4
+        assert recover_one(128, 256, 15, 7, 1) == 0
+        assert recover_one(128, 256, 15, 7, 2) == 4
 
     def test_other_exact_peak(self) -> None:
-        assert recover_order(192, 256, 15, 7, multiplier_bound=1) == 4
+        assert recover_one(192, 256, 15, 7, 1) == 4
 
     def test_returns_smallest_valid_candidate(self) -> None:
-        r = recover_order(64, 256, 15, 7, multiplier_bound=64)
+        r = recover_one(64, 256, 15, 7, 64)
         assert r == 4
         assert pow(7, r, 15) == 1
 
     def test_rejects_bad_arguments(self) -> None:
         with pytest.raises(ValueError):
-            recover_order(300, 256, 15, 7)
+            recover_orders(np.array([300]), 256, 15, 7)
         with pytest.raises(ValueError):
-            recover_order(0, 256, 15, 7, multiplier_bound=0)
+            recover_orders(np.array([-1]), 256, 15, 7)
+        with pytest.raises(ValueError):
+            recover_orders(np.array([0]), 256, 15, 7, multiplier_bound=0)
+
+    def test_outcome_equal_to_q_is_accepted(self) -> None:
+        # c = q expands to 1/1, the one convergent denominator 1.
+        assert recover_one(256, 256, 15, 7, 4) == 4
+        assert recover_one(256, 256, 15, 7, 3) == 0
+
+    def test_empty_outcomes_give_empty_orders(self) -> None:
+        orders = recover_orders(np.array([], dtype=np.int64), 256, 15, 7)
+        assert orders.shape == (0,)
+        assert orders.dtype == np.int64
+
+    def test_keeps_outcome_order(self) -> None:
+        orders = recover_orders(np.array([128, 64, 0, 192, 64]), 256, 15, 7, 1)
+        assert orders.tolist() == [0, 4, 0, 4, 4]
+
+    def test_orders_beyond_int32_at_large_modulus(self) -> None:
+        # 2 has order r = 1,048,572 mod the prime 1,048,573. From c = 1
+        # only d = 1 is below the modulus, out of reach at this bound; from
+        # c = 15,625,237 the least reachable multiple is 29,035 * r > 2**31.
+        modulus, q = 1_048_573, 1 << 24
+        orders = recover_orders(np.array([1, 15_625_237]), q, modulus, 2, 29_127)
+        assert orders.tolist() == [
+            recover_order(1, q, modulus, 2, 29_127) or 0,
+            recover_order(15_625_237, q, modulus, 2, 29_127),
+        ]
+        assert orders.tolist() == [0, 29_035 * 1_048_572]
+        assert orders[1] > 2**31
+
+    def test_rejects_non_integer_or_nested_outcomes(self) -> None:
+        with pytest.raises(ValueError):
+            recover_orders(np.array([1.0]), 256, 15, 7)
+        with pytest.raises(ValueError):
+            recover_orders(np.array([[1]]), 256, 15, 7)
+
+
+class TestRecoverOrdersMatchesScalarOracle:
+    @settings(max_examples=150)
+    @given(
+        problem=COPRIME_PAIRS,
+        n_qubits=st.integers(1, 12),
+        bound=st.sampled_from([1, 2, 3, 64, 1000]),
+        data=st.data(),
+    )
+    def test_every_outcome_matches(self, problem, n_qubits, bound, data) -> None:
+        modulus, base = problem
+        q = 1 << n_qubits
+        drawn = data.draw(st.lists(st.integers(0, q), max_size=40))
+        outcomes = np.array([0, q] + drawn, dtype=np.int64)
+        orders = recover_orders(outcomes, q, modulus, base, bound)
+        expected = [
+            recover_order(c, q, modulus, base, bound) or 0 for c in outcomes.tolist()
+        ]
+        assert orders.dtype == np.int64
+        assert orders.tolist() == expected
+
+    @pytest.mark.parametrize("modulus, base", [(15, 7), (21, 2), (55, 2), (221, 2)])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 64, 1000])
+    def test_every_outcome_of_a_small_register(self, modulus, base, bound) -> None:
+        q = 1 << 10
+        orders = recover_orders(np.arange(q + 1), q, modulus, base, bound)
+        expected = [
+            recover_order(c, q, modulus, base, bound) or 0 for c in range(q + 1)
+        ]
+        assert orders.tolist() == expected
 
 
 class TestShorInstance:
@@ -177,10 +252,8 @@ class TestShorInstance:
 
     def test_divisibility_flags(self) -> None:
         full = ShorInstance.from_factoring(15, 7)
-        assert full.order_divides_register
         assert full.full_period_support
         ragged = ShorInstance.synthetic_instance(3, 3)
-        assert not ragged.order_divides_register
         assert not ragged.full_period_support
 
     def test_rejects_bad_offsets_and_orders(self) -> None:
