@@ -211,10 +211,11 @@ class ErrorModel:
     (2u - 1) * s_max with u uniform in [0, 1); Gaussian mode adds
     sigma0 * z with z standard normal (no cutoff). Amplitude errors
     default to off, in which case the amplitude sampler returns zeros
-    without touching any stream. init_delta feeds the preparation-stage
-    weights and is not sampled. A magnitude the mode does not read
-    (delta0 under none, s_max outside uniform, sigma0 outside gaussian)
-    must be zero.
+    without touching any stream; mode none rejects them. init_delta feeds
+    the preparation-stage weights and is not sampled. A magnitude the
+    mode does not read (delta0 under none, s_max outside uniform, sigma0
+    outside gaussian) must be zero, so the model is deterministic exactly
+    when both widths are zero.
     """
 
     mode: ErrorMode = ErrorMode.NONE
@@ -236,6 +237,8 @@ class ErrorModel:
         mode = self.mode.value
         if self.mode is ErrorMode.NONE and self.delta0 != 0.0:
             raise ValueError(f"mode {mode} reads no delta0, got {self.delta0}")
+        if self.mode is ErrorMode.NONE and self.include_amplitude_errors:
+            raise ValueError(f"mode {mode} draws no amplitude errors")
         if self.mode is not ErrorMode.UNIFORM and self.s_max != 0.0:
             raise ValueError(f"mode {mode} reads no s_max, got {self.s_max}")
         if self.mode is not ErrorMode.GAUSSIAN and self.sigma0 != 0.0:
@@ -243,16 +246,13 @@ class ErrorModel:
 
     @property
     def deterministic(self) -> bool:
-        """True when sampling never consumes randomness."""
-        return self.mode in (ErrorMode.NONE, ErrorMode.SYSTEMATIC)
+        """True when sampling never consumes randomness: both widths are zero."""
+        return self.s_max == 0.0 and self.sigma0 == 0.0
 
 
 def _sample(model: ErrorModel, count: int, rng: Xorshift64Star | None) -> np.ndarray:
-    if model.mode is ErrorMode.NONE:
-        return np.zeros(count)
-    if model.mode is ErrorMode.SYSTEMATIC:
+    if rng is None:
         return np.full(count, model.delta0)
-    assert rng is not None
     # Same float operations, in the same order, as the scalar
     # delta0 + (2u - 1) * s_max and delta0 + sigma0 * gaussian().
     if model.mode is ErrorMode.UNIFORM:
@@ -278,7 +278,8 @@ def _sample(model: ErrorModel, count: int, rng: Xorshift64Star | None) -> np.nda
 def sample_phase_errors(model: ErrorModel, count: int, seed: int) -> np.ndarray:
     """Draw the per-term phase errors for one realization.
 
-    Deterministic modes (none, systematic) ignore the seed entirely.
+    Deterministic models (mode none or systematic, or a zero width) give
+    delta0 for every term and ignore the seed entirely.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

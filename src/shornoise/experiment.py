@@ -226,10 +226,10 @@ def threshold_sweep(
     (systematic: delta0, uniform: s_max, gaussian: sigma0) and the
     success probability is averaged over n_realizations quenched
     realizations with seeds derived from (master_seed, magnitude index,
-    realization index). Deterministic modes use one realization per
-    magnitude regardless of n_realizations. The baseline is the success
-    probability at zero error, computed through the same path, so a
-    leading magnitude of 0.0 reproduces it exactly.
+    realization index). Deterministic models (systematic, or magnitude
+    0.0) use one realization regardless of n_realizations. The baseline
+    is the success probability at zero error, computed through the same
+    path, so a leading magnitude of 0.0 reproduces it exactly.
     """
     if not magnitudes:
         raise ValueError("magnitudes must be nonempty")
@@ -244,10 +244,9 @@ def threshold_sweep(
 
     def mean_success(magnitude: float, magnitude_index: int) -> float:
         model = _model_at_magnitude(mode, magnitude)
-        count = 1 if magnitude == 0.0 else n_realizations
         magnitude_seed = derive_stream_seed(master_seed, magnitude_index)
         acc = 0.0
-        realizations = _realizations(inst, model, count, magnitude_seed)
+        realizations = _realizations(inst, model, n_realizations, magnitude_seed)
         for effective, spec in enumerate(realizations, start=1):
             acc += success_probability(spec, multiplier_bound)
         return acc / effective

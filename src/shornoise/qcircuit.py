@@ -145,14 +145,11 @@ def qft_noisy(amplitudes: np.ndarray, plan: GateErrorPlan) -> np.ndarray:
 def prepare_period_state(inst: ShorInstance, init_delta: float = 0.0) -> np.ndarray:
     """Normalized amplitudes over the support offset + j*order, j < support_count.
 
-    With init_delta nonzero the amplitudes carry the preparation weights
-    1 + init_delta*(2*popcount(a) - n) before normalization.
+    Before normalization the support amplitudes are the preparation
+    weights `init_error_weights(inst, init_delta)`, all one at init_delta 0.
     """
     amplitudes = np.zeros(inst.register_size, dtype=complex)
-    support = inst.support_values()
-    amplitudes[support] = 1.0
-    if init_delta != 0.0:
-        amplitudes[support] = init_error_weights(inst.n_qubits, init_delta)[support]
+    amplitudes[inst.support_values()] = init_error_weights(inst, init_delta)
     amplitudes /= np.sqrt(np.sum(np.abs(amplitudes) ** 2))
     return amplitudes
 

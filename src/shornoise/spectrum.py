@@ -34,7 +34,7 @@ from .errmodel import (
     sample_amplitude_errors,
     sample_phase_errors,
 )
-from .numth import MAX_QUBITS, ShorInstance
+from .numth import ShorInstance
 
 
 class SpectrumMethod(Enum):
@@ -91,23 +91,17 @@ class Spectrum:
         return replace(self, values=self.values / total, normalized=True)
 
 
-def init_error_weights(n_qubits: int, delta: float) -> np.ndarray:
-    """Preparation weights 1 + delta*(2*popcount(a) - n) for all a < 2**n.
+def init_error_weights(inst: ShorInstance, init_delta: float) -> np.ndarray:
+    """Preparation weights 1 + init_delta*(2*popcount(a) - n) at the support.
 
     Models a constant miscalibration of the state-preparation rotations:
-    each set bit pulls the weight up by delta, each clear bit down.
+    each set bit of a pulls its weight up by init_delta, each clear bit
+    down. Returns one weight per value of inst.support_values().
     """
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    a = np.arange(1 << n_qubits, dtype=np.uint32)
-    # vectorized popcount (SWAR)
-    v = a - ((a >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    bits = ((v * 0x01010101) >> 24).astype(np.int64)
-    return 1.0 + delta * (2.0 * bits - n_qubits)
+    if not math.isfinite(init_delta):
+        raise ValueError(f"init_delta must be finite, got {init_delta}")
+    bits = np.bitwise_count(inst.support_values())
+    return 1.0 + init_delta * (2.0 * bits - inst.n_qubits)
 
 
 def _checked(name: str, values: np.ndarray, length: int) -> np.ndarray:
@@ -124,7 +118,7 @@ def _assemble(
     inst: ShorInstance,
     phase_errors: np.ndarray,
     amp_errors: np.ndarray | None,
-    init_weights: np.ndarray | None,
+    init_delta: float,
 ) -> np.ndarray:
     """Per-term complex coefficients placed on the support positions."""
     m = inst.support_count
@@ -134,9 +128,8 @@ def _assemble(
         amp_errors = np.zeros(m)
     amp_errors = _checked("amp_errors", amp_errors, m)
     coeff = (1.0 + amp_errors) * np.exp(1j * phase_errors * support)
-    if init_weights is not None:
-        weights = _checked("init_weights", init_weights, inst.register_size)
-        coeff = coeff * weights[support]
+    if init_delta != 0.0:
+        coeff *= init_error_weights(inst, init_delta)
     placed = np.zeros(inst.register_size, dtype=complex)
     placed[support] = coeff
     return placed
@@ -146,7 +139,7 @@ def direct_spectrum(
     inst: ShorInstance,
     phase_errors: np.ndarray,
     amp_errors: np.ndarray | None = None,
-    init_weights: np.ndarray | None = None,
+    init_delta: float = 0.0,
     method: SpectrumMethod = SpectrumMethod.DIRECT_SUM,
     model_label: str = "custom",
     realization_seed: int | None = None,
@@ -158,14 +151,14 @@ def direct_spectrum(
         phase_errors: per-term phase errors d'_j, length support_count.
         amp_errors: per-term amplitude errors d_j, same length; zeros when
             omitted.
-        init_weights: optional preparation weights indexed by basis value,
-            length register_size; the support positions are picked out.
+        init_delta: preparation miscalibration; nonzero values weight each
+            term by `init_error_weights`.
 
     Returns:
         Spectrum of relative probabilities (exactly normalized only when
         all amplitude factors and weights are one).
     """
-    placed = _assemble(inst, phase_errors, amp_errors, init_weights)
+    placed = _assemble(inst, phase_errors, amp_errors, init_delta)
     q = inst.register_size
     # sum_j z_j exp(2 pi i c a_j / q) for every c at once, in place. The
     # unscaled ("forward") inverse equals q * ifft exactly: q is a power of 2.
@@ -248,14 +241,11 @@ def combined_spectrum(
     m = inst.support_count
     phase = sample_phase_errors(model, m, seed)
     amp = sample_amplitude_errors(model, m, seed)
-    weights = None
-    if model.init_delta != 0.0:
-        weights = init_error_weights(inst.n_qubits, model.init_delta)
     return direct_spectrum(
         inst,
         phase,
         amp,
-        weights,
+        model.init_delta,
         method=SpectrumMethod.DIRECT_SUM,
         model_label=model.mode.value,
         realization_seed=seed,

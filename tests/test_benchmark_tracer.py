@@ -1,4 +1,4 @@
-"""The benchmark's tracer runs a sweep and a factoring run on this package unchanged.
+"""The benchmark's tracer runs a sweep, a factoring run and a spectrum unchanged.
 
 perfbench/traced.py wraps every public library function from outside,
 runs hooks on some results and sums the cached recovery mask with
@@ -22,6 +22,10 @@ SWEEP = [
     "--realizations", "2", "--multiplier-bound", "1",
 ]
 FACTOR = ["factor", "--N", "15", "--y", "7", "--shots", "20", "--seed", "1"]
+PREPARED = [
+    "spectrum", "--L", "10", "--r", "3", "--l", "1", "--model", "systematic",
+    "--delta0", "0.01", "--init-delta", "0.02",
+]
 
 
 def run_traced(
@@ -58,3 +62,11 @@ def test_traced_factor_recovers_every_shot_in_one_call(tmp_path) -> None:
     assert record["exit"] == 0
     assert done.stdout == "factor: recovered r=4; factors [3, 5]\n"
     assert record["functions"]["numth.recover_orders"][0] == 1
+
+
+def test_traced_direct_sum_with_preparation_error(tmp_path) -> None:
+    # The tracer binds direct_spectrum's arguments by name and reads inst.
+    _, record = run_traced(tmp_path, PREPARED + ["--out", str(tmp_path / "s.csv")])
+    assert record["exit"] == 0
+    assert record["functions"]["spectrum.direct_spectrum"][0] == 1
+    assert record["counters"]["spectrum.fft_points"] == 1024

@@ -385,6 +385,26 @@ class TestErrorHandling:
         assert "factor:" not in printed.out
         assert "mode none reads no sigma0" in printed.err
 
+    def test_spectrum_amplitude_errors_without_model_is_usage_error(
+        self, tmp_path, capsys
+    ) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--L", "7", "--r", "4", "--model", "none",
+                  "--amp-errors", "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+        assert "mode none draws no amplitude errors" in capsys.readouterr().err
+
+    def test_factor_amplitude_errors_without_model_is_usage_error(self, capsys) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["factor", "--N", "15", "--y", "7", "--model", "none",
+                  "--amp-errors", "--seed", "1"])
+        assert info.value.code == 2
+        printed = capsys.readouterr()
+        assert "factor:" not in printed.out
+        assert "mode none draws no amplitude errors" in printed.err
+
     def test_factor_multiplier_bound_below_one_is_usage_error(self) -> None:
         with pytest.raises(SystemExit) as info:
             main(["factor", "--N", "15", "--y", "7", "--multiplier-bound", "0"])

@@ -10,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shornoise.errmodel import (
+    _AMPLITUDE_STREAM_SALT,
     _LANES,
     _PHASE_STREAM_SALT,
     ErrorMode,
     ErrorModel,
     Xorshift64Star,
+    _sample,
     _substream,
     derive_stream_seed,
     sample_amplitude_errors,
@@ -169,6 +171,32 @@ class TestErrorModel:
         assert ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.1).deterministic
         assert not ErrorModel(ErrorMode.UNIFORM, s_max=0.1).deterministic
         assert not ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.1).deterministic
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ErrorModel(ErrorMode.UNIFORM, include_amplitude_errors=True),
+            ErrorModel(ErrorMode.UNIFORM, delta0=0.01, include_amplitude_errors=True),
+            ErrorModel(ErrorMode.GAUSSIAN, delta0=-0.3, include_amplitude_errors=True),
+        ],
+    )
+    def test_zero_width_is_deterministic(self, model: ErrorModel) -> None:
+        assert model.deterministic
+        # Each value keeps the bits the random stream gave it: +-0 * width + delta0.
+        streams = (
+            (sample_phase_errors, _PHASE_STREAM_SALT),
+            (sample_amplitude_errors, _AMPLITUDE_STREAM_SALT),
+        )
+        for seed in (0, 1, 999):
+            for sample, salt in streams:
+                got = sample(model, 300, seed)
+                drawn = _sample(model, 300, _substream(seed, salt))
+                assert np.array_equal(got.view(np.uint64), drawn.view(np.uint64))
+                assert np.array_equal(got, np.full(300, model.delta0))
+
+    def test_none_rejects_amplitude_errors(self) -> None:
+        with pytest.raises(ValueError, match="mode none draws no amplitude errors"):
+            ErrorModel(include_amplitude_errors=True)
 
     def test_rejects_negative_spreads(self) -> None:
         with pytest.raises(ValueError):

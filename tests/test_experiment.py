@@ -176,6 +176,25 @@ class TestEnsembleSpectrum:
         closed = systematic_spectrum_closed_form(STANDARD, 0.05)
         np.testing.assert_allclose(mean.values, closed.values, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "model, fixed",
+        [
+            (ErrorModel(ErrorMode.UNIFORM), ErrorModel()),
+            (
+                ErrorModel(ErrorMode.GAUSSIAN, delta0=0.01),
+                ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.01),
+            ),
+        ],
+        ids=["uniform", "gaussian"],
+    )
+    def test_zero_width_model_collapses(self, model, fixed) -> None:
+        inst = ShorInstance.synthetic_instance(12, 5, offset=3)
+        mean, std = ensemble_spectrum(inst, model, 30, 1)
+        expected, _ = ensemble_spectrum(inst, fixed, 30, 1)
+        assert np.array_equal(std, np.zeros(inst.register_size))
+        assert mean.model_label.endswith("(deterministic, collapsed to 1 realization)")
+        assert np.array_equal(mean.values.view(np.uint64), expected.values.view(np.uint64))
+
     def test_single_realization_uses_first_substream(self) -> None:
         model = ErrorModel(ErrorMode.UNIFORM, s_max=0.05)
         mean, _ = ensemble_spectrum(STANDARD, model, 1, 42)

@@ -29,6 +29,7 @@ from shornoise.qcircuit import (
     sample_outcomes,
 )
 from shornoise.spectrum import init_error_weights, noiseless_spectrum
+from weights_oracle import full_register_weights
 
 
 def dft_matrix(n_qubits: int) -> np.ndarray:
@@ -337,7 +338,7 @@ class TestPreparePeriodState:
     def test_weighted_support(self) -> None:
         inst = ShorInstance.synthetic_instance(3, 2)
         state = prepare_period_state(inst, init_delta=0.1)
-        weights = init_error_weights(3, 0.1)
+        weights = init_error_weights(ShorInstance.synthetic_instance(3, 1), 0.1)
         expected = np.zeros(8)
         expected[[0, 2, 4, 6]] = weights[[0, 2, 4, 6]]
         expected /= np.linalg.norm(expected)
@@ -349,6 +350,26 @@ class TestPreparePeriodState:
         state = prepare_period_state(inst)
         nonzero = np.nonzero(state)[0]
         assert list(nonzero) == [2, 5]
+
+    @pytest.mark.parametrize(
+        "n_qubits, order, offset, init_delta",
+        [(3, 2, 0, 0.1), (7, 5, 3, -0.03), (10, 7, 6, 0.02), (12, 97, 5, 0.01)],
+    )
+    def test_weights_equal_the_former_full_register_gather(
+        self, n_qubits, order, offset, init_delta
+    ) -> None:
+        inst = ShorInstance.synthetic_instance(n_qubits, order, offset=offset)
+        support = inst.support_values()
+        expected = np.zeros(inst.register_size, dtype=complex)
+        expected[support] = full_register_weights(n_qubits, init_delta)[support]
+        expected /= np.sqrt(np.sum(np.abs(expected) ** 2))
+        state = prepare_period_state(inst, init_delta)
+        assert np.array_equal(state.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_init_delta(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="init_delta must be finite"):
+            prepare_period_state(ShorInstance.synthetic_instance(3, 2), bad)
 
 
 class FixedDraws:

@@ -42,6 +42,7 @@ from shornoise.spectrum import (
     write_spectrum_csv,
 )
 from spectrum_csv import format_spectrum_csv_reference, read_spectrum_csv
+from weights_oracle import full_register_weights
 
 
 def reference_distribution(
@@ -77,21 +78,47 @@ SMALL = ShorInstance.synthetic_instance(6, 4)
 STANDARD = ShorInstance.synthetic_instance(7, 4)
 
 
+def every_value(n_qubits: int) -> ShorInstance:
+    """Order 1 puts every basis value on the support, in order."""
+    return ShorInstance.synthetic_instance(n_qubits, 1)
+
+
+@st.composite
+def weight_cases(draw) -> tuple[ShorInstance, float]:
+    """Register shapes with L <= 12, 1 <= r <= q, any offset < r, |delta| <= 0.05."""
+    n_qubits = draw(st.integers(1, 12))
+    order = draw(st.integers(1, 1 << n_qubits))
+    offset = draw(st.integers(0, order - 1))
+    delta = draw(st.one_of(st.just(0.0), st.floats(-0.05, 0.05)))
+    return ShorInstance.synthetic_instance(n_qubits, order, offset=offset), delta
+
+
 class TestInitErrorWeights:
     def test_two_qubit_example(self) -> None:
-        np.testing.assert_allclose(init_error_weights(2, 0.1), [0.8, 1.0, 1.0, 1.2])
+        np.testing.assert_allclose(
+            init_error_weights(every_value(2), 0.1), [0.8, 1.0, 1.0, 1.2]
+        )
 
     def test_one_qubit(self) -> None:
-        np.testing.assert_allclose(init_error_weights(1, 0.25), [0.75, 1.25])
+        np.testing.assert_allclose(init_error_weights(every_value(1), 0.25), [0.75, 1.25])
 
     def test_zero_delta_gives_unit_weights(self) -> None:
-        assert np.array_equal(init_error_weights(5, 0.0), np.ones(32))
+        assert np.array_equal(init_error_weights(every_value(5), 0.0), np.ones(32))
 
     def test_weight_depends_only_on_bit_count(self) -> None:
-        weights = init_error_weights(4, 0.05)
+        weights = init_error_weights(every_value(4), 0.05)
         for a in range(16):
             expected = 1.0 + 0.05 * (2 * bin(a).count("1") - 4)
             assert weights[a] == pytest.approx(expected)
+
+    @settings(max_examples=200)
+    @given(case=weight_cases())
+    def test_equals_full_register_oracle_at_support(self, case) -> None:
+        inst, delta = case
+        got = init_error_weights(inst, delta)
+        expected = full_register_weights(inst.n_qubits, delta)[inst.support_values()]
+        assert got.shape == (inst.support_count,)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestNoiselessSpectrum:
@@ -139,8 +166,8 @@ class TestDirectSpectrum:
         m = SMALL.support_count
         phase = np.array([0.05 * rng.gaussian() for _ in range(m)])
         amp = np.array([0.02 * rng.gaussian() for _ in range(m)])
-        weights = init_error_weights(SMALL.n_qubits, 0.01)
-        spec = direct_spectrum(SMALL, phase, amp_errors=amp, init_weights=weights)
+        spec = direct_spectrum(SMALL, phase, amp_errors=amp, init_delta=0.01)
+        weights = full_register_weights(SMALL.n_qubits, 0.01)
         expected = reference_distribution(SMALL, phase, amp, weights)
         np.testing.assert_allclose(spec.values, expected, rtol=1e-10, atol=1e-13)
 
@@ -166,12 +193,6 @@ class TestDirectSpectrum:
                 SMALL,
                 np.zeros(SMALL.support_count),
                 amp_errors=np.zeros(3),
-            )
-        with pytest.raises(ValueError):
-            direct_spectrum(
-                SMALL,
-                np.zeros(SMALL.support_count),
-                init_weights=np.ones(7),
             )
 
 
@@ -206,7 +227,8 @@ def direct_sum_cases(draw) -> tuple:
     """Register shapes with L <= 12, 1 <= r <= q, any offset < r, and errors.
 
     Phase errors have a width from 1e-6 to 1 rad; amplitude errors and
-    preparation weights are each present or absent.
+    preparation error are each present or absent. The preparation error
+    comes as init_delta and as the full-register weights of the oracle.
     """
     n_qubits = draw(st.integers(1, 12))
     q = 1 << n_qubits
@@ -217,10 +239,11 @@ def direct_sum_cases(draw) -> tuple:
     width = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
     phase = rng.normal(0.0, width, inst.support_count)
     amp = rng.normal(0.0, 1e-2, inst.support_count) if draw(st.booleans()) else None
-    weights = None
+    init_delta, weights = 0.0, None
     if draw(st.booleans()):
-        weights = init_error_weights(n_qubits, draw(st.floats(-0.05, 0.05)))
-    return inst, phase, amp, weights
+        init_delta = draw(st.floats(-0.05, 0.05))
+        weights = full_register_weights(n_qubits, init_delta)
+    return inst, phase, amp, init_delta, weights
 
 
 class TestDirectSumBitIdentity:
@@ -229,8 +252,8 @@ class TestDirectSumBitIdentity:
     @settings(max_examples=200)
     @given(case=direct_sum_cases())
     def test_matches_former_expression_property(self, case) -> None:
-        inst, phase, amp, weights = case
-        got = direct_spectrum(inst, phase, amp_errors=amp, init_weights=weights)
+        inst, phase, amp, init_delta, weights = case
+        got = direct_spectrum(inst, phase, amp_errors=amp, init_delta=init_delta)
         expected = former_direct_values(inst, phase, amp, weights)
         assert np.array_equal(got.values.view(np.uint64), expected.view(np.uint64))
 
@@ -257,7 +280,7 @@ class TestDirectSumBitIdentity:
         inst = ShorInstance.synthetic_instance(10, 7, offset=3)
         phase = sample_phase_errors(model, inst.support_count, 5)
         amp = sample_amplitude_errors(model, inst.support_count, 5)
-        weights = init_error_weights(inst.n_qubits, 0.02)
+        weights = full_register_weights(inst.n_qubits, 0.02)
         got = combined_spectrum(inst, model, seed=5)
         expected = former_direct_values(inst, phase, amp, weights)
         assert np.array_equal(got.values.view(np.uint64), expected.view(np.uint64))
@@ -399,7 +422,7 @@ class TestCombinedSpectrum:
         spec = combined_spectrum(SMALL, model, seed=7)
         phase = sample_phase_errors(model, SMALL.support_count, 7)
         amp = sample_amplitude_errors(model, SMALL.support_count, 7)
-        weights = init_error_weights(SMALL.n_qubits, 0.01)
+        weights = full_register_weights(SMALL.n_qubits, 0.01)
         expected = reference_distribution(SMALL, phase, amp, weights)
         np.testing.assert_allclose(spec.values, expected, rtol=1e-10, atol=1e-13)
 
@@ -409,7 +432,7 @@ class TestModelSpectrum:
         "model, method",
         [
             (ErrorModel(), SpectrumMethod.NOISELESS),
-            (ErrorModel(include_amplitude_errors=True), SpectrumMethod.NOISELESS),
+            (ErrorModel(ErrorMode.UNIFORM), SpectrumMethod.DIRECT_SUM),
             (ErrorModel(init_delta=0.01), SpectrumMethod.DIRECT_SUM),
             (ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05), SpectrumMethod.CLOSED_FORM),
             (
@@ -476,21 +499,25 @@ class TestSpectrumContainer:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_init_error_weights_reject_infinite_delta(self, bad: float) -> None:
-        with pytest.raises(ValueError, match="delta must be finite"):
-            init_error_weights(SMALL.n_qubits, bad)
+        with pytest.raises(ValueError, match="init_delta must be finite"):
+            init_error_weights(SMALL, bad)
 
-    @pytest.mark.parametrize("name", ["phase_errors", "amp_errors", "init_weights"])
+    @pytest.mark.parametrize("name", ["phase_errors", "amp_errors", "init_delta"])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_direct_sum_names_infinite_input(self, name: str, bad: float) -> None:
         m = SMALL.support_count
-        inputs = {
-            "phase_errors": np.zeros(m),
-            "amp_errors": np.zeros(m),
-            "init_weights": np.ones(SMALL.register_size),
-        }
-        inputs[name][1] = bad
+        inputs = {"phase_errors": np.zeros(m), "amp_errors": np.zeros(m)}
+        if name == "init_delta":
+            inputs[name] = bad
+        else:
+            inputs[name][1] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             direct_spectrum(SMALL, **inputs)
+
+    def test_direct_sum_rejects_nan_init_delta(self) -> None:
+        m = SMALL.support_count
+        with pytest.raises(ValueError, match="init_delta must be finite"):
+            direct_spectrum(SMALL, np.zeros(m), init_delta=float("nan"))
 
 
 class TestTotalVariationDistance:
