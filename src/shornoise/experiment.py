@@ -229,7 +229,7 @@ def threshold_sweep(
     realization index). Deterministic models (systematic, or magnitude
     0.0) use one realization regardless of n_realizations. The baseline
     is the success probability at zero error, computed through the same
-    path, so a leading magnitude of 0.0 reproduces it exactly.
+    path; every magnitude of 0.0 reuses it rather than recomputing it.
     """
     if not magnitudes:
         raise ValueError("magnitudes must be nonempty")
@@ -254,7 +254,8 @@ def threshold_sweep(
     # Zero error is deterministic, so the magnitude index cannot matter.
     baseline = mean_success(0.0, 0)
     success_probs = [
-        mean_success(magnitude, index) for index, magnitude in enumerate(magnitudes)
+        baseline if magnitude == 0.0 else mean_success(magnitude, index)
+        for index, magnitude in enumerate(magnitudes)
     ]
     threshold = None
     if baseline != 0.0:

@@ -7,8 +7,13 @@ phase errors d'_j and amplitude errors d_j sends it to the distribution
     P_c = (r / q**2) * | sum_j w_j (1 + d_j) exp(i (2 pi c / q + d'_j) a_j) |**2
 
 where q is the register size, r the order, and w_j an optional
-preparation weight. For constant phase error d and full period support
-the sum telescopes into the closed form
+preparation weight. The support is an arithmetic progression, so with
+g = gcd(r, q), q' = q/g and r' = r/g the sum is a phase times
+Z[c r' mod q'], Z[k] = sum_j z_j exp(2 pi i k j / q'): only q' values
+are distinct, and P_c repeats with period q'. `direct_spectrum`
+evaluates Z by transforms of length W, the smallest power of two >= M,
+never on the whole register. For constant phase error d the geometric
+sum is exact for any M and gives the closed form
 
     P_c = (r / q**2) * sin(M th)**2 / sin(th)**2,   th = pi c r / q + d r / 2
 
@@ -120,7 +125,7 @@ def _assemble(
     amp_errors: np.ndarray | None,
     init_delta: float,
 ) -> np.ndarray:
-    """Per-term complex coefficients placed on the support positions."""
+    """The M per-term complex coefficients z_j, in support order."""
     m = inst.support_count
     support = inst.support_values()
     phase_errors = _checked("phase_errors", phase_errors, m)
@@ -130,9 +135,48 @@ def _assemble(
     coeff = (1.0 + amp_errors) * np.exp(1j * phase_errors * support)
     if init_delta != 0.0:
         coeff *= init_error_weights(inst, init_delta)
-    placed = np.zeros(inst.register_size, dtype=complex)
-    placed[support] = coeff
-    return placed
+    return coeff
+
+
+# At most one plan: at L = 24 its twiddles and index reach a register's size.
+@functools.lru_cache(maxsize=1)
+def _period_plan(q: int, r: int, m: int) -> tuple[int, np.ndarray | None, np.ndarray]:
+    """Width W, twiddles and gather index of the transform at the period.
+
+    With q' = q/gcd(r, q), W the smallest power of two >= m and B = q'/W,
+    Z[t*B + s] = sum_j (z_j exp(2 pi i s j / q')) exp(2 pi i t j / W), so
+    row s of a (B, W) complex array transforms z times twiddle row s.
+    Twiddles are None when B == 1. Index entry c < q' is the position of
+    the real part of Z[c r' mod q'] in that array viewed as floats. Both
+    arrays are read-only.
+    """
+    period = q // math.gcd(r, q)
+    width = 1 << (m - 1).bit_length()
+    blocks = period // width
+    twiddles = None
+    if blocks > 1:
+        # exp(2 pi i s j / q') for j = high + low, low < split, is the product
+        # of a high and a low factor, so only the two small tables take trig.
+        # s*j < B*m <= q', so the angles need no reduction.
+        split = 1 << (m.bit_length() + 1) // 2
+        s = np.arange(blocks)[:, None] * (2.0 * math.pi / period)
+        high = np.exp(1j * (s * np.arange(0, m, split)))
+        low = np.exp(1j * (s * np.arange(split)))
+        twiddles = (high[:, :, None] * low[:, None, :]).reshape(blocks, -1)[:, :m]
+        twiddles.flags.writeable = False
+    # c*r' wraps modulo 2**32, which q' divides, so the mask gives c*r' mod q'.
+    index = np.arange(period, dtype=np.uint32)
+    index *= r * period // q
+    index &= period - 1
+    # Z[k] sits at row k mod B, column k // B: float 2 * (row * W + column).
+    row = index & (blocks - 1)
+    index >>= blocks.bit_length() - 1
+    row *= width
+    index += row
+    index *= 2
+    index = index.view(np.int32)
+    index.flags.writeable = False
+    return width, twiddles, index
 
 
 def direct_spectrum(
@@ -146,6 +190,9 @@ def direct_spectrum(
 ) -> Spectrum:
     """Evaluate the readout distribution by direct summation.
 
+    It is evaluated at the period (module docstring): one batched inverse
+    FFT gives Z at all q' points, and P_c is gathered from them.
+
     Args:
         inst: register geometry (size, order, offset, support count).
         phase_errors: per-term phase errors d'_j, length support_count.
@@ -158,14 +205,28 @@ def direct_spectrum(
         Spectrum of relative probabilities (exactly normalized only when
         all amplitude factors and weights are one).
     """
-    placed = _assemble(inst, phase_errors, amp_errors, init_delta)
-    q = inst.register_size
-    # sum_j z_j exp(2 pi i c a_j / q) for every c at once, in place. The
-    # unscaled ("forward") inverse equals q * ifft exactly: q is a power of 2.
-    np.fft.ifft(placed, norm="forward", out=placed)
-    values = np.abs(placed)
-    values *= values
-    values *= inst.order / q**2
+    coeff = _assemble(inst, phase_errors, amp_errors, init_delta)
+    q, r, m = inst.register_size, inst.order, inst.support_count
+    width, twiddles, index = _period_plan(q, r, m)
+    period = len(index)
+    rows = np.empty((period // width, width), dtype=complex)
+    rows[:, m:] = 0.0
+    if twiddles is None:
+        rows[0, :m] = coeff
+    else:
+        np.multiply(twiddles, coeff, out=rows[:, :m])
+    # The unscaled ("forward") inverse equals W * ifft exactly: W is a power of 2.
+    np.fft.ifft(rows, norm="forward", axis=1, out=rows)
+    # |Z|**2 in place of the real parts, which the index addresses.
+    re, im = rows.real, rows.imag
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    re += im
+    values = np.empty(q)
+    head = values[:period]
+    np.take(rows.view(float).ravel(), index, out=head, mode="clip")
+    head *= r / q**2
+    values.reshape(-1, period)[1:] = head
     return Spectrum(
         values=values,
         method=method,
@@ -302,7 +363,9 @@ def spectrum_metadata(spec: Spectrum, seed: int | None = None) -> str:
 
 # A row `c,-d.dddddddddddde+0eee\n` at its widest, with eight c digits.
 _ROW_TEMPLATE = np.frombuffer(b"00000000,-0.000000000000e+0000\n", dtype=np.uint8)
-_CSV_CHUNK_ROWS = 1 << 15
+# 8,192 rows keep each chunk's temporaries at or below 254 KiB, small enough to
+# be reused from the heap rather than mapped and faulted in again per chunk.
+_CSV_CHUNK_ROWS = 1 << 13
 # |v| * fl(10**(12-e)) has two roundings of 2**-53 relative, so below 10**13 it
 # is within 2.3e-3 of exact, and rounds exactly if its fraction is this far from 1/2.
 _TIE_MARGIN = 5e-3

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from recovery_oracle import COPRIME_PAIRS, recover_order
 
+from shornoise import experiment
 from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
 from shornoise.experiment import (
     SweepResult,
@@ -447,6 +448,23 @@ class TestThresholdSweep:
         )
         assert sweep.baseline == 0.0
         assert sweep.threshold is None
+
+    @pytest.mark.parametrize("mode", [ErrorMode.SYSTEMATIC, ErrorMode.GAUSSIAN])
+    def test_zero_magnitudes_reuse_the_baseline(self, mode, monkeypatch) -> None:
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return combined_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "combined_spectrum", counting)
+        sweep = threshold_sweep(
+            RECOVERABLE, mode, [0.0, 0.0, 0.02], n_realizations=3,
+            multiplier_bound=1,
+        )
+        # The baseline, then the 0.02 point: one systematic or three random.
+        assert len(calls) == (2 if mode is ErrorMode.SYSTEMATIC else 4)
+        assert sweep.success_probs[:2] == [sweep.baseline, sweep.baseline]
 
     def test_deterministic_mode_ignores_realization_count(self) -> None:
         one = threshold_sweep(

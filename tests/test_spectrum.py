@@ -1,9 +1,10 @@
 """Tests for the measurement-distribution computations.
 
 The reference oracle used throughout is a naive per-outcome complex sum in
-pure Python. The production code evaluates the same finite sum through an
-inverse FFT, so agreement between the two is a real cross-check of the
-vectorized kernel, not a tautology.
+pure Python. The production code evaluates the same finite sum through
+batched inverse FFTs at the period of the support, so agreement between
+the two is a real cross-check of the vectorized kernel, not a tautology.
+The dense full-register transform it replaced stays as a second oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from shornoise.numth import ShorInstance
 from shornoise.spectrum import (
     Spectrum,
     SpectrumMethod,
+    _assemble,
     _csv_rows,
+    _period_plan,
     combined_spectrum,
     direct_spectrum,
     init_error_weights,
@@ -202,10 +205,11 @@ def former_direct_values(
     amp_errors: np.ndarray | None = None,
     init_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The direct sum as it was computed before the in-place transform.
+    """The direct sum by one dense transform over the whole register.
 
-    The support is converted from a range, the transform is q times the
-    normalized inverse FFT, and the square goes through two temporaries.
+    The coefficients are placed on the support of a length-q array and
+    the transform is q times the normalized inverse FFT, as before the
+    sum was reduced to its period.
     """
     support = np.asarray(
         range(inst.offset, inst.register_size, inst.order), dtype=np.int64
@@ -246,33 +250,86 @@ def direct_sum_cases(draw) -> tuple:
     return inst, phase, amp, init_delta, weights
 
 
-class TestDirectSumBitIdentity:
-    """The in-place transform gives the former expression's bits exactly."""
+# Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def coherent_peak(inst: ShorInstance, coeff_moduli: np.ndarray) -> float:
+    """S = (r/q**2) * (sum_j |z_j|)**2, which bounds every P_c."""
+    return inst.order / inst.register_size**2 * float(np.sum(coeff_moduli)) ** 2
+
+
+def transform_error_bound(inst: ShorInstance) -> float:
+    """Bound on max_c |P_c - P_c(dense)| in units of the coherent peak S.
+
+    Every output of a length-n radix-2 FFT passes through log2(n)
+    butterflies from every input with weight 1, and each butterfly adds
+    a relative error of at most eta = 4u, so to first order
+    |dY_c| <= eta * log2(n) * sum_j |z_j|. The dense oracle has n = q; the
+    period route has n = W <= q plus twiddles and their product, within
+    2 eta of |z_j|. Then |dP_c| <= (r/q**2) * 2 |Y_c| |dY_c|, and
+    |Y_c| <= sum_j |z_j|, so max |dP| / S <= 2 eta (2 log2(q) + 2), plus
+    4u for rounding the square and the scale.
+    """
+    eta = 4.0 * UNIT_ROUNDOFF
+    return 2.0 * eta * (2.0 * inst.n_qubits + 2.0) + 4.0 * UNIT_ROUNDOFF
+
+
+def assert_matches_dense_oracle(
+    inst: ShorInstance,
+    got: np.ndarray,
+    phase: np.ndarray,
+    amp: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+) -> None:
+    expected = former_direct_values(inst, phase, amp, weights)
+    moduli = np.ones(inst.support_count)
+    if amp is not None:
+        moduli = np.abs(1.0 + amp)
+    if weights is not None:
+        moduli = moduli * np.abs(weights[inst.support_values()])
+    error = float(np.max(np.abs(got - expected)))
+    assert error <= transform_error_bound(inst) * coherent_peak(inst, moduli)
+
+
+class TestDirectSumAccuracy:
+    """The transform at the period agrees with the dense oracle to roundoff."""
 
     @settings(max_examples=200)
     @given(case=direct_sum_cases())
-    def test_matches_former_expression_property(self, case) -> None:
+    def test_matches_dense_oracle_property(self, case) -> None:
         inst, phase, amp, init_delta, weights = case
         got = direct_spectrum(inst, phase, amp_errors=amp, init_delta=init_delta)
-        expected = former_direct_values(inst, phase, amp, weights)
-        assert np.array_equal(got.values.view(np.uint64), expected.view(np.uint64))
+        assert_matches_dense_oracle(inst, got.values, phase, amp, weights)
 
     @pytest.mark.parametrize(
-        "n_qubits, order, offset, sigma",
-        [(18, 5, 3, 3e-6), (16, 97, 5, 3e-5)],
-        ids=["direct", "wide"],
+        "inst, model",
+        [
+            (
+                ShorInstance.synthetic_instance(18, 5, offset=3),
+                ErrorModel(ErrorMode.GAUSSIAN, sigma0=3e-6),
+            ),
+            (
+                ShorInstance.synthetic_instance(16, 97, offset=5),
+                ErrorModel(ErrorMode.GAUSSIAN, sigma0=3e-5),
+            ),
+            (
+                ShorInstance.synthetic_instance(18, 4),
+                ErrorModel(ErrorMode.UNIFORM, s_max=1e-3),
+            ),
+            (
+                ShorInstance.from_factoring(221, 2),
+                ErrorModel(ErrorMode.GAUSSIAN, sigma0=2e-5),
+            ),
+        ],
+        ids=["direct", "wide", "floor", "N221"],
     )
-    def test_matches_former_expression_on_benchmark_instances(
-        self, n_qubits, order, offset, sigma
-    ) -> None:
-        inst = ShorInstance.synthetic_instance(n_qubits, order, offset=offset)
-        model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=sigma)
+    def test_matches_dense_oracle_on_benchmark_instances(self, inst, model) -> None:
         phase = sample_phase_errors(model, inst.support_count, 1)
         got = direct_spectrum(inst, phase)
-        expected = former_direct_values(inst, phase)
-        assert np.array_equal(got.values.view(np.uint64), expected.view(np.uint64))
+        assert_matches_dense_oracle(inst, got.values, phase)
 
-    def test_sampled_amplitude_errors_match_former_expression(self) -> None:
+    def test_sampled_amplitude_errors_match_dense_oracle(self) -> None:
         model = ErrorModel(
             ErrorMode.UNIFORM, s_max=0.1, include_amplitude_errors=True,
             init_delta=0.02,
@@ -282,8 +339,88 @@ class TestDirectSumBitIdentity:
         amp = sample_amplitude_errors(model, inst.support_count, 5)
         weights = full_register_weights(inst.n_qubits, 0.02)
         got = combined_spectrum(inst, model, seed=5)
-        expected = former_direct_values(inst, phase, amp, weights)
-        assert np.array_equal(got.values.view(np.uint64), expected.view(np.uint64))
+        assert_matches_dense_oracle(inst, got.values, phase, amp, weights)
+
+    @pytest.mark.parametrize(
+        "order, offset, width, blocks",
+        [
+            (1, 0, 1024, 1),  # every value: no twiddles
+            (1024, 0, 1, 1),  # M = 1 at q' = 1
+            (1024, 1023, 1, 1),
+            (512, 0, 2, 1),  # g = q/2
+            (512, 511, 2, 1),
+            (1023, 0, 2, 512),  # M = 2, B = q/2
+            (3, 2, 512, 2),  # ragged and offset
+            (96, 95, 16, 2),  # g = 32, ragged and offset
+        ],
+    )
+    def test_edge_plans(self, order, offset, width, blocks) -> None:
+        inst = ShorInstance.synthetic_instance(10, order, offset=offset)
+        plan_width, twiddles, index = _period_plan(1024, order, inst.support_count)
+        period = 1024 // math.gcd(order, 1024)
+        assert (plan_width, len(index)) == (width, period)
+        assert (twiddles is None) == (blocks == 1)
+        if twiddles is not None:
+            assert twiddles.shape == (blocks, inst.support_count)
+        phase = np.random.default_rng(order).normal(0.0, 0.1, inst.support_count)
+        got = direct_spectrum(inst, phase).values
+        assert np.array_equal(got, np.tile(got[:period], 1024 // period))
+        assert_matches_dense_oracle(inst, got, phase)
+
+    def test_plan_is_read_only(self) -> None:
+        _, twiddles, index = _period_plan(1 << 12, 97, 43)
+        assert not twiddles.flags.writeable
+        assert not index.flags.writeable
+
+
+def exact_angle_values(inst: ShorInstance, coeff: np.ndarray) -> np.ndarray:
+    """The direct sum of the given coefficients in long double, term by term.
+
+    Each angle 2 pi (c a_j mod q) / q is reduced in exact integers first,
+    so the only roundings are long double ones, far below float64's.
+    """
+    q = inst.register_size
+    support = inst.support_values().astype(np.int64)
+    terms = coeff.astype(np.clongdouble)
+    two_pi = 2 * np.arccos(np.longdouble(-1.0))
+    values = np.empty(q, dtype=np.longdouble)
+    for start in range(0, q, 256):
+        c = np.arange(start, min(q, start + 256), dtype=np.int64)[:, None]
+        angle = two_pi * ((c * support) % q).astype(np.longdouble) / q
+        sums = (terms * np.exp(1j * angle)).sum(axis=1)
+        values[start : start + len(sums)] = sums.real**2 + sums.imag**2
+    return values * inst.order / np.longdouble(q) ** 2
+
+
+class TestExactAngleSum:
+    """Against an exact-angle long double sum, the period route is as good as dense."""
+
+    @pytest.mark.parametrize(
+        "n_qubits, order, offset, width",
+        [(10, 1, 0, 1e-3), (10, 5, 3, 1.0), (11, 3, 2, 1e-6), (12, 97, 5, 1e-3),
+         (12, 24, 0, 1.0)],
+    )
+    def test_no_less_accurate_than_dense(self, n_qubits, order, offset, width) -> None:
+        assert np.finfo(np.longdouble).eps < 1e-18, "needs extended long double"
+        inst = ShorInstance.synthetic_instance(n_qubits, order, offset=offset)
+        phase = np.random.default_rng(n_qubits * order).normal(
+            0.0, width, inst.support_count
+        )
+        exact = exact_angle_values(inst, _assemble(inst, phase, None, 0.0))
+        peak = coherent_peak(inst, np.ones(inst.support_count))
+        period_error = float(np.max(np.abs(direct_spectrum(inst, phase).values - exact)))
+        dense_error = float(
+            np.max(np.abs(former_direct_values(inst, phase) - exact))
+        )
+        # Both routes transform the same z, so transform_error_bound's
+        # argument applies with log2(W) + 2 <= L + 1 butterflies for the
+        # period route (W < q whenever there are twiddles) and L for the dense.
+        bound = 2.0 * 4.0 * UNIT_ROUNDOFF * (n_qubits + 1) + 4.0 * UNIT_ROUNDOFF
+        assert dense_error <= bound * peak
+        assert period_error <= bound * peak
+        # Beyond the dense route's realized error by no more than the
+        # rounding of the final square and scale.
+        assert period_error <= dense_error + 4.0 * UNIT_ROUNDOFF * peak
 
 
 @st.composite
@@ -656,7 +793,7 @@ class TestCsvWriter:
         assert_csv_matches_reference(np.array(pinned))
 
     def test_every_chunk_and_c_width_boundary(self) -> None:
-        # q = 2**17 rows: four chunks, and c from one to six digits.
+        # q = 2**17 rows: sixteen chunks, and c from one to six digits.
         rng = np.random.default_rng(17)
         values = 10.0 ** rng.uniform(-330.0, 300.0, 1 << 17)
         values[rng.integers(0, 1 << 17, 1000)] = 0.0
