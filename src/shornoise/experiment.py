@@ -12,7 +12,7 @@ import numpy as np
 from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
 from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, recover_orders
 from .qcircuit import circuit_spectrum, sample_outcomes
-from .spectrum import Spectrum, SpectrumMethod, combined_spectrum
+from .spectrum import Spectrum, SpectrumMethod, realization_at_period, register_values
 
 DEFAULT_HEIGHT_FLOOR_FRACTION = 0.1
 DEFAULT_ETA = 0.5
@@ -61,19 +61,19 @@ def peak_report(
         raise ValueError("height_floor_fraction must be in [0, 1]")
     values = spec.values
     floor = height_floor_fraction * float(np.max(values))
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
+    # Only values at or above the floor are compared with their neighbors.
+    candidates = np.flatnonzero(values >= floor)
+    heights = values[candidates]
+    left = values[candidates - 1]  # -1 indexes the last value
+    right = values.take(candidates + 1, mode="wrap")
     is_peak = (
-        (values >= left)
-        & (values >= right)
-        & ((values > left) | (values > right))
-        & (values >= floor)
+        (heights >= left) & (heights >= right) & ((heights > left) | (heights > right))
     )
-    positions = np.nonzero(is_peak)[0]
+    positions = candidates[is_peak]
     references = reference_positions(spec.instance)
     size = spec.register_size
     order = spec.instance.order
-    peaks = list(zip(positions.tolist(), values[positions].tolist()))
+    peaks = list(zip(positions.tolist(), heights[is_peak].tolist()))
     # The nearest reference is one of the two that bracket the position;
     # a tie goes to the lower index.
     grid = np.array(references)
@@ -89,15 +89,16 @@ def peak_report(
 
 def _realizations(
     inst: ShorInstance, model: ErrorModel, count: int, master_seed: int
-) -> Iterator[Spectrum]:
-    """Quenched realizations i = 0 .. count-1, in index order.
+) -> Iterator[np.ndarray]:
+    """Quenched realizations i = 0 .. count-1, in index order, at the period.
 
-    Realization i draws from the seed derived from (master_seed, i).
+    Realization i draws from the seed derived from (master_seed, i) and
+    comes as P at the q' distinct points (`spectrum.period_values`).
     Deterministic models yield a single realization since every draw
     would repeat it.
     """
     for i in range(1 if model.deterministic else count):
-        yield combined_spectrum(inst, model, derive_stream_seed(master_seed, i))
+        yield realization_at_period(inst, model, derive_stream_seed(master_seed, i))
 
 
 def ensemble_spectrum(
@@ -110,34 +111,40 @@ def ensemble_spectrum(
 
     Realization i draws from the seed derived from (master_seed, i);
     accumulation runs in fixed index order so reruns are bit-identical.
-    Deterministic models collapse to a single realization since every
-    draw would repeat it.
+    Realizations and their squares are summed at the q' distinct points,
+    mean and std are formed there, and both are mapped onto the register
+    once. Deterministic models collapse to a single realization since
+    every draw would repeat it.
 
     Returns:
         (mean spectrum, population standard deviation per register value).
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    total = np.zeros(inst.register_size)
-    total_sq = np.zeros(inst.register_size)
-    square = np.empty(inst.register_size)
+    period = inst.register_size // math.gcd(inst.order, inst.register_size)
+    total = np.zeros(period)
+    total_sq = np.zeros(period)
+    square = np.empty(period)
     realizations = _realizations(inst, model, n_realizations, master_seed)
-    for effective, spec in enumerate(realizations, start=1):
-        total += spec.values
-        total_sq += np.square(spec.values, out=square)
-    mean = total / effective
-    variance = np.maximum(total_sq / effective - mean**2, 0.0)
-    std = np.sqrt(variance)
+    for effective, values in enumerate(realizations, start=1):
+        total += values
+        total_sq += np.square(values, out=square)
+    # In place: mean = total / n, std = sqrt(max(total_sq / n - mean**2, 0)).
+    total /= effective
+    total_sq /= effective
+    total_sq -= np.square(total, out=square)
+    np.maximum(total_sq, 0.0, out=total_sq)
+    np.sqrt(total_sq, out=total_sq)
     label = model.mode.value
     if effective != n_realizations:
         label += " (deterministic, collapsed to 1 realization)"
     mean_spec = Spectrum(
-        values=mean,
+        values=register_values(inst, total),
         method=SpectrumMethod.DIRECT_SUM,
         instance=inst,
         model_label=label,
     )
-    return mean_spec, std
+    return mean_spec, register_values(inst, total_sq)
 
 
 @lru_cache(maxsize=32)
@@ -247,7 +254,12 @@ def threshold_sweep(
         magnitude_seed = derive_stream_seed(master_seed, magnitude_index)
         acc = 0.0
         realizations = _realizations(inst, model, n_realizations, magnitude_seed)
-        for effective, spec in enumerate(realizations, start=1):
+        for effective, values in enumerate(realizations, start=1):
+            spec = Spectrum(
+                values=register_values(inst, values),
+                method=SpectrumMethod.DIRECT_SUM,
+                instance=inst,
+            )
             acc += success_probability(spec, multiplier_bound)
         return acc / effective
 

@@ -10,10 +10,13 @@ where q is the register size, r the order, and w_j an optional
 preparation weight. The support is an arithmetic progression, so with
 g = gcd(r, q), q' = q/g and r' = r/g the sum is a phase times
 Z[c r' mod q'], Z[k] = sum_j z_j exp(2 pi i k j / q'): only q' values
-are distinct, and P_c repeats with period q'. `direct_spectrum`
-evaluates Z by transforms of length W, the smallest power of two >= M,
-never on the whole register. For constant phase error d the geometric
-sum is exact for any M and gives the closed form
+are distinct, and P_c repeats with period q'. `period_values` evaluates
+Z by transforms of length W, the smallest power of two >= M, never on
+the whole register, and `register_values` maps the q' values onto it;
+`direct_spectrum` is the two in turn. Ensembles sum realizations at the
+q' points and map the mean and std onto the register once. For
+constant phase error d the geometric sum is exact for any M and gives
+the closed form
 
     P_c = (r / q**2) * sin(M th)**2 / sin(th)**2,   th = pi c r / q + d r / 2
 
@@ -147,8 +150,8 @@ def _period_plan(q: int, r: int, m: int) -> tuple[int, np.ndarray | None, np.nda
     Z[t*B + s] = sum_j (z_j exp(2 pi i s j / q')) exp(2 pi i t j / W), so
     row s of a (B, W) complex array transforms z times twiddle row s.
     Twiddles are None when B == 1. Index entry c < q' is the position of
-    the real part of Z[c r' mod q'] in that array viewed as floats. Both
-    arrays are read-only.
+    Z[c r' mod q'] in that array flattened, so also the position of
+    P_c in `period_values`. Both arrays are read-only.
     """
     period = q // math.gcd(r, q)
     width = 1 << (m - 1).bit_length()
@@ -168,15 +171,60 @@ def _period_plan(q: int, r: int, m: int) -> tuple[int, np.ndarray | None, np.nda
     index = np.arange(period, dtype=np.uint32)
     index *= r * period // q
     index &= period - 1
-    # Z[k] sits at row k mod B, column k // B: float 2 * (row * W + column).
+    # Z[k] sits at row k mod B, column k // B: entry row * W + column.
     row = index & (blocks - 1)
     index >>= blocks.bit_length() - 1
     row *= width
     index += row
-    index *= 2
     index = index.view(np.int32)
     index.flags.writeable = False
     return width, twiddles, index
+
+
+def period_values(
+    inst: ShorInstance,
+    phase_errors: np.ndarray,
+    amp_errors: np.ndarray | None = None,
+    init_delta: float = 0.0,
+) -> np.ndarray:
+    """P at the q' distinct points, in the order of the transform at the period.
+
+    One batched inverse FFT gives Z at all q' points (module docstring).
+    The result is one contiguous array of q' floats; `register_values`
+    maps it onto the register. Arguments are those of `direct_spectrum`.
+    """
+    coeff = _assemble(inst, phase_errors, amp_errors, init_delta)
+    q, r, m = inst.register_size, inst.order, inst.support_count
+    width, twiddles, index = _period_plan(q, r, m)
+    rows = np.empty((len(index) // width, width), dtype=complex)
+    rows[:, m:] = 0.0
+    if twiddles is None:
+        rows[0, :m] = coeff
+    else:
+        np.multiply(twiddles, coeff, out=rows[:, :m])
+    # The unscaled ("forward") inverse equals W * ifft exactly: W is a power of 2.
+    np.fft.ifft(rows, norm="forward", axis=1, out=rows)
+    # |Z|**2: both parts squared in place, then each pair added.
+    parts = rows.view(float).reshape(-1, 2)
+    np.square(parts, out=parts)
+    values = np.add(parts[:, 0], parts[:, 1])
+    values *= r / q**2
+    return values
+
+
+def register_values(inst: ShorInstance, at_period: np.ndarray) -> np.ndarray:
+    """The q register values of P from the q' of `period_values`.
+
+    The plan's index gathers P_c for c < q', and P_c repeats with period q'.
+    """
+    _, _, index = _period_plan(inst.register_size, inst.order, inst.support_count)
+    if at_period.shape != index.shape:
+        raise ValueError(f"at_period must have length {len(index)}")
+    values = np.empty(inst.register_size)
+    head = values[: len(index)]
+    np.take(at_period, index, out=head, mode="clip")
+    values.reshape(-1, len(index))[1:] = head
+    return values
 
 
 def direct_spectrum(
@@ -190,8 +238,8 @@ def direct_spectrum(
 ) -> Spectrum:
     """Evaluate the readout distribution by direct summation.
 
-    It is evaluated at the period (module docstring): one batched inverse
-    FFT gives Z at all q' points, and P_c is gathered from them.
+    It is evaluated at the period (`period_values`) and mapped onto the
+    register (`register_values`).
 
     Args:
         inst: register geometry (size, order, offset, support count).
@@ -202,33 +250,12 @@ def direct_spectrum(
             term by `init_error_weights`.
 
     Returns:
-        Spectrum of relative probabilities (exactly normalized only when
-        all amplitude factors and weights are one).
+        Spectrum of relative probabilities. When all amplitude factors and
+        weights are one they total r*M/q, which is one only when M*r == q.
     """
-    coeff = _assemble(inst, phase_errors, amp_errors, init_delta)
-    q, r, m = inst.register_size, inst.order, inst.support_count
-    width, twiddles, index = _period_plan(q, r, m)
-    period = len(index)
-    rows = np.empty((period // width, width), dtype=complex)
-    rows[:, m:] = 0.0
-    if twiddles is None:
-        rows[0, :m] = coeff
-    else:
-        np.multiply(twiddles, coeff, out=rows[:, :m])
-    # The unscaled ("forward") inverse equals W * ifft exactly: W is a power of 2.
-    np.fft.ifft(rows, norm="forward", axis=1, out=rows)
-    # |Z|**2 in place of the real parts, which the index addresses.
-    re, im = rows.real, rows.imag
-    np.multiply(re, re, out=re)
-    np.multiply(im, im, out=im)
-    re += im
-    values = np.empty(q)
-    head = values[:period]
-    np.take(rows.view(float).ravel(), index, out=head, mode="clip")
-    head *= r / q**2
-    values.reshape(-1, period)[1:] = head
+    at_period = period_values(inst, phase_errors, amp_errors, init_delta)
     return Spectrum(
-        values=values,
+        values=register_values(inst, at_period),
         method=method,
         instance=inst,
         realization_seed=realization_seed,
@@ -289,6 +316,21 @@ def systematic_spectrum_closed_form(inst: ShorInstance, delta: float) -> Spectru
     )
 
 
+def _draws(
+    inst: ShorInstance, model: ErrorModel, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The phase and amplitude errors of the realization drawn from seed."""
+    m = inst.support_count
+    return sample_phase_errors(model, m, seed), sample_amplitude_errors(model, m, seed)
+
+
+def realization_at_period(
+    inst: ShorInstance, model: ErrorModel, seed: int
+) -> np.ndarray:
+    """`period_values` of the `combined_spectrum` realization drawn from seed."""
+    return period_values(inst, *_draws(inst, model, seed), model.init_delta)
+
+
 def combined_spectrum(
     inst: ShorInstance, model: ErrorModel, seed: int
 ) -> Spectrum:
@@ -299,9 +341,7 @@ def combined_spectrum(
     per-shot fluctuation). Preparation weights enter when the model's
     init_delta is nonzero.
     """
-    m = inst.support_count
-    phase = sample_phase_errors(model, m, seed)
-    amp = sample_amplitude_errors(model, m, seed)
+    phase, amp = _draws(inst, model, seed)
     return direct_spectrum(
         inst,
         phase,

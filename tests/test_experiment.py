@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from recovery_oracle import COPRIME_PAIRS, recover_order
 
 from shornoise import experiment
-from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
+from shornoise.errmodel import (
+    ErrorMode,
+    ErrorModel,
+    Xorshift64Star,
+    derive_stream_seed,
+    sample_amplitude_errors,
+    sample_phase_errors,
+)
 from shornoise.experiment import (
     SweepResult,
     _recovery_mask,
@@ -33,6 +40,7 @@ from shornoise.spectrum import (
     combined_spectrum,
     direct_spectrum,
     noiseless_spectrum,
+    realization_at_period,
     systematic_spectrum_closed_form,
 )
 
@@ -87,6 +95,77 @@ def peak_cases(draw) -> tuple[ShorInstance, list[int]]:
         st.lists(st.one_of(st.integers(0, q - 1), midpoints), min_size=1, max_size=40)
     )
     return ShorInstance.synthetic_instance(n_qubits, order), positions
+
+
+def former_peaks(values: np.ndarray, height_floor_fraction: float) -> list:
+    """(position, height) of every peak, found by comparing whole rolled copies."""
+    left = np.roll(values, 1)
+    right = np.roll(values, -1)
+    is_peak = (
+        (values >= left)
+        & (values >= right)
+        & ((values > left) | (values > right))
+        & (values >= height_floor_fraction * float(np.max(values)))
+    )
+    positions = np.nonzero(is_peak)[0]
+    return list(zip(positions.tolist(), values[positions].tolist()))
+
+
+@st.composite
+def ensemble_cases(draw) -> tuple[ShorInstance, ErrorModel, int, int]:
+    """Register shapes with L <= 9 and models of every kind, for the ensemble.
+
+    Orders are multiples of 1, 2, 4 or 32 (so g = gcd(r, q) > 1 is common)
+    or q itself (M = 1), with any offset < r. Models are uniform, gaussian
+    or systematic (deterministic), with or without amplitude errors and a
+    preparation error.
+    """
+    n_qubits = draw(st.integers(1, 9))
+    q = 1 << n_qubits
+    step = draw(st.sampled_from([f for f in (1, 2, 4, 32) if f <= q]))
+    multiples = st.integers(1, q // step).map(lambda k: k * step)
+    order = draw(st.one_of(multiples, st.just(q)))
+    offset = draw(st.integers(0, order - 1))
+    inst = ShorInstance.synthetic_instance(n_qubits, order, offset=offset)
+    widths = {
+        ErrorMode.UNIFORM: "s_max",
+        ErrorMode.GAUSSIAN: "sigma0",
+        ErrorMode.SYSTEMATIC: "delta0",
+    }
+    mode = draw(st.sampled_from(list(widths)))
+    magnitude = draw(st.sampled_from([1e-4, 1e-2, 1.0]))
+    model = ErrorModel(
+        mode=mode,
+        include_amplitude_errors=draw(st.booleans()),
+        init_delta=draw(st.sampled_from([0.0, 0.03])),
+        **{widths[mode]: magnitude},
+    )
+    return inst, model, draw(st.integers(1, 6)), draw(st.integers(0, 2**64 - 1))
+
+
+def former_ensemble(
+    inst: ShorInstance, model: ErrorModel, n_realizations: int, master_seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std summed over the whole register, one direct sum per realization."""
+    count = 1 if model.deterministic else n_realizations
+    m = inst.support_count
+    total = np.zeros(inst.register_size)
+    total_sq = np.zeros(inst.register_size)
+    square = np.empty(inst.register_size)
+    for i in range(count):
+        seed = derive_stream_seed(master_seed, i)
+        phase = sample_phase_errors(model, m, seed)
+        amp = sample_amplitude_errors(model, m, seed)
+        values = direct_spectrum(inst, phase, amp, model.init_delta).values
+        total += values
+        total_sq += np.square(values, out=square)
+    mean = total / count
+    variance = np.maximum(total_sq / count - mean**2, 0.0)
+    return mean, np.sqrt(variance)
+
+
+def same_bits(first: np.ndarray, second: np.ndarray) -> bool:
+    return np.array_equal(first.view(np.uint64), second.view(np.uint64))
 
 
 class TestReferencePositions:
@@ -155,12 +234,27 @@ class TestPeakReport:
         assert report.shifts == expected
         assert all(type(shift) is int for shift in report.shifts)
 
+    @settings(max_examples=150)
+    @given(
+        n_qubits=st.integers(1, 8),
+        heights=st.lists(st.integers(0, 3), min_size=256, max_size=256),
+        fraction=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    def test_peaks_match_rolled_copies(self, n_qubits, heights, fraction) -> None:
+        # Small integer heights give plateaus, ties and peaks at 0 and q - 1.
+        inst = ShorInstance.synthetic_instance(n_qubits, 1)
+        values = np.array(heights[: inst.register_size], dtype=float)
+        spec = Spectrum(values=values, method=SpectrumMethod.DIRECT_SUM, instance=inst)
+        report = peak_report(spec, height_floor_fraction=fraction)
+        assert report.peaks == former_peaks(values, fraction)
+
     def test_shifts_match_scalar_loop_on_noise_floor(self) -> None:
         # The benchmark's `floor` spectrum: tens of thousands of peaks.
         inst = ShorInstance.synthetic_instance(18, 4)
         spec = combined_spectrum(inst, ErrorModel(ErrorMode.UNIFORM, s_max=1e-3), 1)
         report = peak_report(spec)
         assert len(report.peaks) > 40_000
+        assert report.peaks == former_peaks(spec.values, 0.1)
         assert all(type(p) is int and type(h) is float for p, h in report.peaks)
         expected = scalar_shifts(
             report.positions(), report.reference_positions, inst.register_size
@@ -228,6 +322,37 @@ class TestEnsembleSpectrum:
         top4 = sorted(np.argsort(mean.values)[-4:])
         for got, ref in zip(top4, (0, 32, 64, 96)):
             assert min(abs(got - ref), 128 - abs(got - ref)) <= 1
+
+    @settings(max_examples=120)
+    @given(case=ensemble_cases())
+    def test_matches_register_sum_bit_for_bit(self, case) -> None:
+        inst, model, n_realizations, master_seed = case
+        mean, std = ensemble_spectrum(inst, model, n_realizations, master_seed)
+        expected_mean, expected_std = former_ensemble(
+            inst, model, n_realizations, master_seed
+        )
+        assert same_bits(mean.values, expected_mean)
+        assert same_bits(std, expected_std)
+
+    @pytest.mark.parametrize(
+        "inst, model",
+        [
+            (
+                ShorInstance.synthetic_instance(14, 5, offset=3),
+                ErrorModel(ErrorMode.UNIFORM, s_max=3e-4),
+            ),
+            (
+                ShorInstance.synthetic_instance(16, 97, offset=5),
+                ErrorModel(ErrorMode.GAUSSIAN, sigma0=3e-5),
+            ),
+        ],
+        ids=["uniform", "wide"],
+    )
+    def test_matches_register_sum_on_benchmark_instances(self, inst, model) -> None:
+        mean, std = ensemble_spectrum(inst, model, 12, 5)
+        expected_mean, expected_std = former_ensemble(inst, model, 12, 5)
+        assert same_bits(mean.values, expected_mean)
+        assert same_bits(std, expected_std)
 
     def test_rejects_empty_ensemble(self) -> None:
         with pytest.raises(ValueError):
@@ -455,9 +580,9 @@ class TestThresholdSweep:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return combined_spectrum(*args, **kwargs)
+            return realization_at_period(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "combined_spectrum", counting)
+        monkeypatch.setattr(experiment, "realization_at_period", counting)
         sweep = threshold_sweep(
             RECOVERABLE, mode, [0.0, 0.0, 0.02], n_realizations=3,
             multiplier_bound=1,

@@ -39,6 +39,8 @@ from shornoise.spectrum import (
     init_error_weights,
     model_spectrum,
     noiseless_spectrum,
+    period_values,
+    register_values,
     spectrum_metadata,
     systematic_spectrum_closed_form,
     total_variation_distance,
@@ -142,12 +144,19 @@ class TestNoiselessSpectrum:
 
     def test_total_probability(self) -> None:
         # With unit weights the sum is r * M / q, which is 1 exactly when
-        # the order divides the register size.
-        full = noiseless_spectrum(STANDARD)
-        assert full.total() == pytest.approx(1.0, abs=1e-12)
-        ragged_inst = ShorInstance.synthetic_instance(3, 3)
-        ragged = noiseless_spectrum(ragged_inst)
-        assert ragged.total() == pytest.approx(3 * 3 / 8, abs=1e-12)
+        # the order divides the register size (the first two shapes).
+        for n_qubits, order, offset, total in [
+            (7, 4, 0, 1.0),
+            (12, 8, 5, 1.0),
+            (3, 3, 0, 9 / 8),
+            (14, 5, 3, 16385 / 16384),
+            (10, 3, 2, 1023 / 1024),
+        ]:
+            inst = ShorInstance.synthetic_instance(n_qubits, order, offset=offset)
+            assert order * inst.support_count / inst.register_size == total
+            zeros = np.zeros(inst.support_count)
+            for spec in (noiseless_spectrum(inst), direct_spectrum(inst, zeros)):
+                assert spec.total() == pytest.approx(total, rel=1e-13)
 
     def test_matches_reference(self) -> None:
         for inst in (SMALL, ShorInstance.synthetic_instance(3, 3, offset=1)):
@@ -366,6 +375,11 @@ class TestDirectSumAccuracy:
         got = direct_spectrum(inst, phase).values
         assert np.array_equal(got, np.tile(got[:period], 1024 // period))
         assert_matches_dense_oracle(inst, got, phase)
+        at_period = period_values(inst, phase)
+        assert at_period.shape == (period,)
+        assert np.array_equal(register_values(inst, at_period), got)
+        with pytest.raises(ValueError, match=f"length {period}"):
+            register_values(inst, np.zeros(period + 1))
 
     def test_plan_is_read_only(self) -> None:
         _, twiddles, index = _period_plan(1 << 12, 97, 43)
