@@ -6,22 +6,27 @@ processes. Phase and amplitude errors draw from disjoint substreams
 derived from one user seed, which keeps toggling amplitude errors from
 perturbing the phase draws.
 
-Batches of draws come from `Xorshift64Star.uniform01_array`, which
-returns exactly the values, and leaves exactly the state, of the same
-number of scalar `uniform01` calls. The xorshift transition T is linear
-over GF(2), so position p of the stream is T**p applied to the state.
-The batch splits the stream into _LANES lanes of s = ceil(n/_LANES)
-draws: lane k starts at position k*s, reached through a cached table of
-the 64-column matrices T**(k*s), and all lanes then step together in
-numpy uint64. Gaussian draws keep the scalar Box-Muller pairing and take
-their logarithms and cosines through `math.log` and `math.cos`: numpy's
-vectorized `np.log` can differ from the C library in the last bit (713
-of 200,000 inputs on one AVX-512 host), which would change seeded
-results. The square root, products and sums are IEEE-exact either way.
+Batches of draws come from `_uniform01_rows`, which returns exactly the
+values, and leaves exactly the states, of the same number of scalar
+`uniform01` calls on each of K streams (`uniform01_array` is K = 1). The
+xorshift transition T is linear over GF(2), so position p of a stream is
+T**p applied to its state. Each stream splits into _LANES lanes of
+s = ceil(n/_LANES) draws: lane j starts at position j*s, reached through
+a cached table of the 64-column matrices T**(j*s), and the K*_LANES lanes
+then step together in numpy uint64. An ensemble draws a chunk of
+realizations this way at once (`sample_realizations`). Gaussian draws keep
+the scalar Box-Muller pairing. Their logarithms go through `math.log`,
+because numpy's vectorized `np.log` differs from the C library in the
+last bit (6,937 of 2,000,000 inputs 1 - u on one AVX-512 host, numpy
+2.4), which would change seeded results. Their cosines come from
+`np.cos`, which on the same host equals `math.cos` on all of 21,000,000
+angles 2*pi*u, strided and in place as here; a test keeps that checked.
+The square root, products and sums are IEEE-exact either way.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -38,8 +43,8 @@ _AMPLITUDE_STREAM_SALT = 0xD1B54A32D192ED03
 _INDEX_STRIDE = 0x9E3779B97F4A7C15
 _ZERO_STATE_SUBSTITUTE = 0x6A09E667F3BCC909
 
-# Lanes stepped together by uniform01_array; of 64 to 1024, 256 was
-# fastest on batches of a few thousand draws (one ensemble realization).
+# Lanes per stream; of 64 to 1024, 256 was fastest on batches of a few
+# thousand draws (one ensemble realization).
 _LANES = 256
 _BITS = np.arange(64, dtype=np.uint64)
 
@@ -141,29 +146,10 @@ class Xorshift64Star:
     def uniform01_array(self, n: int) -> np.ndarray:
         """The next n uniform01() draws as a float array, bit for bit.
 
-        Leaves the state where n scalar calls would. Lane k of the
-        (_LANES, s) block covers stream positions [k*s, (k+1)*s), so the
-        block read in row order is stream order.
+        Leaves the state where n scalar calls would: the one-stream case
+        of `_uniform01_rows`.
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        stride = -(-n // _LANES)
-        table = _jump_table(stride, _LANES)
-        seed_bits = ((np.uint64(self.state) >> _BITS) & np.uint64(1)).astype(bool)
-        x = np.bitwise_xor.reduce(table[:, seed_bits], axis=1)
-        buffer = np.empty_like(x)
-        draws = np.empty((_LANES, stride))
-        last_lane, last_step = divmod(n - 1, stride)
-        multiplier = np.uint64(_MULTIPLIER)
-        for step in range(stride):
-            _step_lanes(x, buffer)
-            if step == last_step:
-                self.state = int(x[last_lane])
-            np.multiply(x, multiplier, out=buffer)
-            buffer >>= np.uint64(11)
-            draws[:, step] = buffer
-        draws *= 2.0**-53
-        return draws.reshape(-1)[:n]
+        return _uniform01_rows([self], n)[0]
 
     def gaussian(self) -> float:
         """Standard normal draw via Box-Muller.
@@ -174,6 +160,39 @@ class Xorshift64Star:
         u1 = 1.0 - self.uniform01()
         u2 = self.uniform01()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _uniform01_rows(rngs: Sequence[Xorshift64Star], n: int) -> np.ndarray:
+    """The next n uniform01() draws of each stream, one row per stream.
+
+    Row k holds, bit for bit, what n scalar calls on rngs[k] return, and
+    rngs[k] is left where they leave it. Lane j of row k covers stream
+    positions [j*s, (j+1)*s), so each row of the (K, _LANES, s) block
+    read in order is stream order; the K*_LANES lanes step together.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    stride = -(-n // _LANES)
+    table = _jump_table(stride, _LANES)
+    x = np.empty((len(rngs), _LANES), dtype=np.uint64)
+    for lanes, rng in zip(x, rngs):
+        seed_bits = ((np.uint64(rng.state) >> _BITS) & np.uint64(1)).astype(bool)
+        np.bitwise_xor.reduce(table[:, seed_bits], axis=1, out=lanes)
+    buffer = np.empty_like(x)
+    draws = np.empty((len(rngs), _LANES, stride))
+    last_lane, last_step = divmod(n - 1, stride)
+    multiplier = np.uint64(_MULTIPLIER)
+    shift = np.uint64(11)
+    for step in range(stride):
+        _step_lanes(x, buffer)
+        if step == last_step:
+            for rng, state in zip(rngs, x[:, last_lane].tolist()):
+                rng.state = state
+        np.multiply(x, multiplier, out=buffer)
+        # Below 2**53 after the shift, so the cast to float is exact.
+        np.right_shift(buffer, shift, out=draws[:, :, step], casting="unsafe")
+    draws *= 2.0**-53
+    return draws.reshape(len(rngs), -1)[:, :n]
 
 
 def derive_stream_seed(master_seed: int, index: int) -> int:
@@ -250,29 +269,42 @@ class ErrorModel:
         return self.s_max == 0.0 and self.sigma0 == 0.0
 
 
-def _sample(model: ErrorModel, count: int, rng: Xorshift64Star | None) -> np.ndarray:
-    if rng is None:
-        return np.full(count, model.delta0)
+def _sample(
+    model: ErrorModel, count: int, rngs: Sequence[Xorshift64Star]
+) -> np.ndarray:
+    """count errors from each stream, one row per stream."""
     # Same float operations, in the same order, as the scalar
     # delta0 + (2u - 1) * s_max and delta0 + sigma0 * gaussian().
     if model.mode is ErrorMode.UNIFORM:
-        values = rng.uniform01_array(count)
+        values = _uniform01_rows(rngs, count)
         values *= 2.0
         values -= 1.0
         values *= model.s_max
         values += model.delta0
         return values
-    pairs = rng.uniform01_array(2 * count).reshape(count, 2)
-    radial, angle = pairs[:, 0], pairs[:, 1]
-    np.subtract(1.0, radial, out=radial)
-    angle *= 2.0 * math.pi
-    values = np.fromiter(map(math.log, memoryview(radial)), np.float64, count)
+    pairs = _uniform01_rows(rngs, 2 * count).reshape(len(rngs), count, 2)
+    values, angle = pairs[..., 0], pairs[..., 1]
+    np.subtract(1.0, values, out=values)
+    # math.log, not np.log, and np.cos: see the module docstring.
+    for row in values:
+        row[:] = np.fromiter(map(math.log, memoryview(row)), np.float64, count)
     values *= -2.0
     np.sqrt(values, out=values)
-    values *= np.fromiter(map(math.cos, memoryview(angle)), np.float64, count)
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=angle)
+    values *= angle
     values *= model.sigma0
     values += model.delta0
     return values
+
+
+def _draw(model: ErrorModel, count: int, seeds: Sequence[int], salt: int) -> np.ndarray:
+    """Row k: count errors from the substream of seeds[k] with this salt."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if model.deterministic:
+        return np.full((len(seeds), count), model.delta0)
+    return _sample(model, count, [_substream(seed, salt) for seed in seeds])
 
 
 def sample_phase_errors(model: ErrorModel, count: int, seed: int) -> np.ndarray:
@@ -281,10 +313,7 @@ def sample_phase_errors(model: ErrorModel, count: int, seed: int) -> np.ndarray:
     Deterministic models (mode none or systematic, or a zero width) give
     delta0 for every term and ignore the seed entirely.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = None if model.deterministic else _substream(seed, _PHASE_STREAM_SALT)
-    return _sample(model, count, rng)
+    return _draw(model, count, [seed], _PHASE_STREAM_SALT)[0]
 
 
 def sample_amplitude_errors(model: ErrorModel, count: int, seed: int) -> np.ndarray:
@@ -293,5 +322,21 @@ def sample_amplitude_errors(model: ErrorModel, count: int, seed: int) -> np.ndar
         raise ValueError(f"count must be >= 1, got {count}")
     if not model.include_amplitude_errors:
         return np.zeros(count)
-    rng = None if model.deterministic else _substream(seed, _AMPLITUDE_STREAM_SALT)
-    return _sample(model, count, rng)
+    return _draw(model, count, [seed], _AMPLITUDE_STREAM_SALT)[0]
+
+
+def sample_realizations(
+    model: ErrorModel, count: int, seeds: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Phase and amplitude errors of the realizations drawn from seeds.
+
+    Pair k equals `sample_phase_errors(model, count, seeds[k])` and
+    `sample_amplitude_errors(model, count, seeds[k])` bit for bit, except
+    that the amplitude errors are None when the model disables them. All
+    draws are made before this returns, the streams of all seeds
+    stepping together.
+    """
+    phase = _draw(model, count, seeds, _PHASE_STREAM_SALT)
+    if not model.include_amplitude_errors:
+        return zip(phase, [None] * len(seeds))
+    return zip(phase, _draw(model, count, seeds, _AMPLITUDE_STREAM_SALT))

@@ -30,18 +30,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errmodel import (
-    ErrorMode,
-    ErrorModel,
-    sample_amplitude_errors,
-    sample_phase_errors,
-)
+from .errmodel import ErrorMode, ErrorModel, sample_realizations
 from .numth import ShorInstance
 
 
@@ -316,19 +312,16 @@ def systematic_spectrum_closed_form(inst: ShorInstance, delta: float) -> Spectru
     )
 
 
-def _draws(
-    inst: ShorInstance, model: ErrorModel, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The phase and amplitude errors of the realization drawn from seed."""
-    m = inst.support_count
-    return sample_phase_errors(model, m, seed), sample_amplitude_errors(model, m, seed)
+def realizations_at_period(
+    inst: ShorInstance, model: ErrorModel, seeds: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """`period_values` of the `combined_spectrum` realizations drawn from seeds.
 
-
-def realization_at_period(
-    inst: ShorInstance, model: ErrorModel, seed: int
-) -> np.ndarray:
-    """`period_values` of the `combined_spectrum` realization drawn from seed."""
-    return period_values(inst, *_draws(inst, model, seed), model.init_delta)
+    Their errors are drawn together (`errmodel.sample_realizations`);
+    each realization is then transformed on its own, in the order of seeds.
+    """
+    for phase, amp in sample_realizations(model, inst.support_count, seeds):
+        yield period_values(inst, phase, amp, model.init_delta)
 
 
 def combined_spectrum(
@@ -341,7 +334,7 @@ def combined_spectrum(
     per-shot fluctuation). Preparation weights enter when the model's
     init_delta is nonzero.
     """
-    phase, amp = _draws(inst, model, seed)
+    phase, amp = next(sample_realizations(model, inst.support_count, [seed]))
     return direct_spectrum(
         inst,
         phase,

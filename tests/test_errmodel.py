@@ -18,9 +18,11 @@ from shornoise.errmodel import (
     Xorshift64Star,
     _sample,
     _substream,
+    _uniform01_rows,
     derive_stream_seed,
     sample_amplitude_errors,
     sample_phase_errors,
+    sample_realizations,
 )
 
 
@@ -104,6 +106,24 @@ class TestUniformArray:
         with pytest.raises(ValueError):
             Xorshift64Star(1).uniform01_array(0)
 
+    @settings(max_examples=60)
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+        n=st.integers(min_value=1, max_value=3 * _LANES + 1),
+    )
+    @example(seeds=[0], n=1)
+    @example(seeds=[1, 2, 3, 4, 5], n=_LANES)
+    @example(seeds=[0, 2**64 - 1], n=_LANES + 1)
+    @example(seeds=[7, 7, 8], n=2 * _LANES - 1)
+    def test_rows_equal_scalar_streams_and_states(self, seeds, n: int) -> None:
+        rngs = [Xorshift64Star(seed) for seed in seeds]
+        block = _uniform01_rows(rngs, n)
+        assert block.shape == (len(seeds), n)
+        for row, rng, seed in zip(block, rngs, seeds):
+            scalar = Xorshift64Star(seed)
+            assert row.tolist() == [scalar.uniform01() for _ in range(n)]
+            assert rng.state == scalar.state
+
 
 def scalar_phase_errors(model: ErrorModel, count: int, seed: int) -> list[float]:
     """The per-draw loop the batched sampler must reproduce bit for bit."""
@@ -142,6 +162,62 @@ class TestSamplerMatchesScalarOracle:
         model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=1.0)
         expected = scalar_phase_errors(model, 20_000, 1234)
         assert sample_phase_errors(model, 20_000, 1234).tolist() == expected
+
+    def test_gaussian_cosines_match_the_c_library(self) -> None:
+        # Box-Muller takes its cosines from np.cos, which must equal
+        # math.cos exactly: enough angles that a numpy whose float64
+        # cosine is vectorized, and so can differ in the last bit, fails.
+        # Four rows of 250,000 draws, so the in-place column is strided.
+        model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=1.0)
+        count, seeds = 250_000, [21, 22, 23, 24]
+        draws = sample_realizations(model, count, seeds)
+        for (row, _), seed in zip(draws, seeds):
+            pairs = _substream(seed, _PHASE_STREAM_SALT).uniform01_array(2 * count)
+            radial = (1.0 - pairs[0::2]).tolist()
+            angle = (2.0 * math.pi * pairs[1::2]).tolist()
+            expected = [
+                math.sqrt(-2.0 * math.log(u1)) * math.cos(theta)
+                for u1, theta in zip(radial, angle)
+            ]
+            assert row.tolist() == expected
+
+
+class TestSampleRealizations:
+    """The chunk sampler against the one-realization samplers it batches."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ErrorModel(ErrorMode.UNIFORM, delta0=0.01, s_max=0.2),
+            ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.3),
+            ErrorModel(
+                ErrorMode.GAUSSIAN, delta0=-0.1, sigma0=0.3, include_amplitude_errors=True
+            ),
+            ErrorModel(
+                ErrorMode.SYSTEMATIC, delta0=0.02, include_amplitude_errors=True
+            ),
+            ErrorModel(ErrorMode.NONE),
+        ],
+        ids=["uniform", "gaussian", "gaussian-amp", "systematic-amp", "none"],
+    )
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    @pytest.mark.parametrize("count", [1, 300, 3 * _LANES])
+    def test_rows_equal_single_realizations(self, model, chunk, count) -> None:
+        seeds = [derive_stream_seed(99, i) for i in range(chunk)]
+        draws = list(sample_realizations(model, count, seeds))
+        assert len(draws) == chunk
+        for (phase, amp), seed in zip(draws, seeds):
+            expected = sample_phase_errors(model, count, seed)
+            assert np.array_equal(phase.view(np.uint64), expected.view(np.uint64))
+            if not model.include_amplitude_errors:
+                assert amp is None
+                continue
+            expected = sample_amplitude_errors(model, count, seed)
+            assert np.array_equal(amp.view(np.uint64), expected.view(np.uint64))
+
+    def test_rejects_empty_request(self) -> None:
+        with pytest.raises(ValueError):
+            sample_realizations(ErrorModel(), 0, [1])
 
 
 class TestDeriveStreamSeed:
@@ -190,7 +266,7 @@ class TestErrorModel:
         for seed in (0, 1, 999):
             for sample, salt in streams:
                 got = sample(model, 300, seed)
-                drawn = _sample(model, 300, _substream(seed, salt))
+                drawn = _sample(model, 300, [_substream(seed, salt)])[0]
                 assert np.array_equal(got.view(np.uint64), drawn.view(np.uint64))
                 assert np.array_equal(got, np.full(300, model.delta0))
 

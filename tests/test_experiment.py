@@ -40,7 +40,7 @@ from shornoise.spectrum import (
     combined_spectrum,
     direct_spectrum,
     noiseless_spectrum,
-    realization_at_period,
+    realizations_at_period,
     systematic_spectrum_closed_form,
 )
 
@@ -354,6 +354,33 @@ class TestEnsembleSpectrum:
         assert same_bits(mean.values, expected_mean)
         assert same_bits(std, expected_std)
 
+    @pytest.mark.parametrize("amp_errors", [False, True], ids=["phase", "amp"])
+    @pytest.mark.parametrize(
+        "chunks, extra",
+        [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+        ids=["1", "K-1", "K", "K+1", "2K+3"],
+    )
+    def test_matches_register_sum_across_chunk_edges(
+        self, amp_errors, chunks, extra
+    ) -> None:
+        # K realizations draw their errors together; counts around K and
+        # 2K check that every chunk edge keeps the index order.
+        inst = ShorInstance.synthetic_instance(12, 5, offset=3)
+        chunk = experiment._CHUNK_BYTES // (16 * inst.support_count)
+        assert chunk > 2
+        model = ErrorModel(
+            ErrorMode.GAUSSIAN,
+            delta0=0.01,
+            sigma0=0.02,
+            include_amplitude_errors=amp_errors,
+            init_delta=0.003,
+        )
+        n_realizations = chunks * chunk + extra
+        mean, std = ensemble_spectrum(inst, model, n_realizations, 8)
+        expected_mean, expected_std = former_ensemble(inst, model, n_realizations, 8)
+        assert same_bits(mean.values, expected_mean)
+        assert same_bits(std, expected_std)
+
     def test_rejects_empty_ensemble(self) -> None:
         with pytest.raises(ValueError):
             ensemble_spectrum(STANDARD, ErrorModel(), 0, 1)
@@ -578,11 +605,11 @@ class TestThresholdSweep:
     def test_zero_magnitudes_reuse_the_baseline(self, mode, monkeypatch) -> None:
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return realization_at_period(*args, **kwargs)
+        def counting(inst, model, seeds):
+            calls.extend(seeds)
+            return realizations_at_period(inst, model, seeds)
 
-        monkeypatch.setattr(experiment, "realization_at_period", counting)
+        monkeypatch.setattr(experiment, "realizations_at_period", counting)
         sweep = threshold_sweep(
             RECOVERABLE, mode, [0.0, 0.0, 0.02], n_realizations=3,
             multiplier_bound=1,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from recovery_oracle import COPRIME_PAIRS, convergents, recover_order
 
+from shornoise import numth
 from shornoise.numth import ShorInstance, find_order, recover_orders
 
 
@@ -152,6 +153,16 @@ class TestRecoverOrder:
         with pytest.raises(ValueError):
             recover_orders(np.array([[1]]), 256, 15, 7)
 
+    def test_reuses_the_order_found_for_the_instance(self) -> None:
+        # The brute-force search runs when the instance is built; recovery
+        # at the same (modulus, base) takes the order from the cache.
+        find_order.cache_clear()
+        inst = ShorInstance.from_factoring(221, 2)
+        orders = recover_orders(np.array([0, 2731]), inst.register_size, 221, 2, 1)
+        assert orders.tolist() == [0, 24]
+        info = find_order.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
 
 class TestRecoverOrdersMatchesScalarOracle:
     @settings(max_examples=150)
@@ -181,6 +192,17 @@ class TestRecoverOrdersMatchesScalarOracle:
         expected = [
             recover_order(c, q, modulus, base, bound) or 0 for c in range(q + 1)
         ]
+        assert orders.tolist() == expected
+
+    @pytest.mark.parametrize("lanes", [1, 7, 100])
+    def test_lockstep_blocks_keep_every_outcome(self, lanes, monkeypatch) -> None:
+        # Outcomes expand in blocks of _LOCKSTEP_LANES; a block edge
+        # anywhere must leave each order at its own outcome.
+        monkeypatch.setattr(numth, "_LOCKSTEP_LANES", lanes)
+        q = 1 << 10
+        outcomes = np.arange(q + 1)[::-1]
+        orders = recover_orders(outcomes, q, 55, 2, 2)
+        expected = [recover_order(c, q, 55, 2, 2) or 0 for c in outcomes.tolist()]
         assert orders.tolist() == expected
 
 
