@@ -42,9 +42,9 @@ def _parse_seed(text: str) -> int:
         value = int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed {text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be nonnegative")
-    return value & ((1 << 64) - 1)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {value}")
+    return value
 
 
 def _parse_finite_float(text: str) -> float:
@@ -261,6 +261,8 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     mode = ErrorMode(args.model)
     if mode is ErrorMode.NONE:
         parser.error("sweep needs --model systematic, uniform, or gaussian")
+    if mode is ErrorMode.SYSTEMATIC and args.realizations > 1:
+        parser.error("systematic sweeps are deterministic; drop --realizations")
     if args.mag_step <= 0:
         parser.error("--mag-step must be positive")
     if args.mag_start < 0:

@@ -149,14 +149,11 @@ def ensemble_spectrum(
     total_sq -= np.square(total, out=square)
     np.maximum(total_sq, 0.0, out=total_sq)
     np.sqrt(total_sq, out=total_sq)
-    label = model.mode.value
-    if effective != n_realizations:
-        label += " (deterministic, collapsed to 1 realization)"
     mean_spec = Spectrum(
         values=register_values(inst, total),
         method=SpectrumMethod.DIRECT_SUM,
         instance=inst,
-        model_label=label,
+        model=model,
     )
     return mean_spec, register_values(inst, total_sq)
 

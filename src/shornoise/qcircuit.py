@@ -189,6 +189,5 @@ def circuit_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectr
         method=SpectrumMethod.CIRCUIT,
         instance=inst,
         normalized=True,
-        realization_seed=seed,
-        model_label=model.mode.value,
+        model=model,
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -42,7 +42,6 @@ from .numth import ShorInstance
 
 
 class SpectrumMethod(Enum):
-    NOISELESS = "noiseless"
     DIRECT_SUM = "direct_sum"
     CLOSED_FORM = "closed_form"
     CIRCUIT = "circuit"
@@ -53,15 +52,15 @@ class Spectrum:
     """A readout distribution P_c for c = 0 .. register_size - 1.
 
     Values are relative probabilities unless normalized is set; spectra
-    from the unitary circuit route sum to one by construction.
+    from the unitary circuit route sum to one by construction. model is
+    the error model behind them, None for errors passed in directly.
     """
 
     values: np.ndarray
     method: SpectrumMethod
     instance: ShorInstance
     normalized: bool = False
-    realization_seed: int | None = None
-    model_label: str = "none"
+    model: ErrorModel | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -228,9 +227,6 @@ def direct_spectrum(
     phase_errors: np.ndarray,
     amp_errors: np.ndarray | None = None,
     init_delta: float = 0.0,
-    method: SpectrumMethod = SpectrumMethod.DIRECT_SUM,
-    model_label: str = "custom",
-    realization_seed: int | None = None,
 ) -> Spectrum:
     """Evaluate the readout distribution by direct summation.
 
@@ -250,26 +246,8 @@ def direct_spectrum(
         weights are one they total r*M/q, which is one only when M*r == q.
     """
     at_period = period_values(inst, phase_errors, amp_errors, init_delta)
-    return Spectrum(
-        values=register_values(inst, at_period),
-        method=method,
-        instance=inst,
-        realization_seed=realization_seed,
-        model_label=model_label,
-    )
-
-
-def noiseless_spectrum(inst: ShorInstance) -> Spectrum:
-    """Readout distribution with every gate exact.
-
-    When the order divides the register size this is r/q**2 * M**2 at the
-    multiples of q/r and zero elsewhere; otherwise the peaks broaden and
-    the same direct summation covers it.
-    """
-    zeros = np.zeros(inst.support_count)
-    return direct_spectrum(
-        inst, zeros, method=SpectrumMethod.NOISELESS, model_label="none"
-    )
+    values = register_values(inst, at_period)
+    return Spectrum(values=values, method=SpectrumMethod.DIRECT_SUM, instance=inst)
 
 
 def systematic_spectrum_closed_form(inst: ShorInstance, delta: float) -> Spectrum:
@@ -308,7 +286,7 @@ def systematic_spectrum_closed_form(inst: ShorInstance, delta: float) -> Spectru
         values=values,
         method=SpectrumMethod.CLOSED_FORM,
         instance=inst,
-        model_label=f"systematic delta={delta!r}",
+        model=ErrorModel(ErrorMode.SYSTEMATIC, delta0=delta),
     )
 
 
@@ -335,27 +313,16 @@ def combined_spectrum(
     init_delta is nonzero.
     """
     phase, amp = next(sample_realizations(model, inst.support_count, [seed]))
-    return direct_spectrum(
-        inst,
-        phase,
-        amp,
-        model.init_delta,
-        method=SpectrumMethod.DIRECT_SUM,
-        model_label=model.mode.value,
-        realization_seed=seed,
-    )
+    return replace(direct_spectrum(inst, phase, amp, model.init_delta), model=model)
 
 
 def model_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectrum:
     """The effective-model readout distribution by the route exact for the model.
 
-    Exact gates without preparation error give the noiseless spectrum, a
-    systematic phase error with neither amplitude nor preparation error
-    gives the closed form, and every other model gives one direct-sum
-    realization drawn from seed.
+    A systematic phase error with neither amplitude nor preparation error
+    gives the closed form; every other model, exact gates included, gives
+    one direct-sum realization drawn from seed (`combined_spectrum`).
     """
-    if model.mode is ErrorMode.NONE and model.init_delta == 0.0:
-        return noiseless_spectrum(inst)
     if (
         model.mode is ErrorMode.SYSTEMATIC
         and not model.include_amplitude_errors
@@ -375,18 +342,27 @@ def total_variation_distance(first: Spectrum, second: Spectrum) -> float:
 
 
 def spectrum_metadata(spec: Spectrum, seed: int | None = None) -> str:
-    """key=value metadata block describing how a spectrum was produced."""
+    """key=value metadata block describing how a spectrum was produced.
+
+    `model=` gives the mode, then each other `ErrorModel` field its own line;
+    `model=custom` means errors passed in directly (`direct_spectrum`).
+    """
     inst = spec.instance
-    shown_seed = seed if seed is not None else spec.realization_seed
+    model = spec.model
     lines = [
         f"method={spec.method.value}",
         f"q={inst.register_size}",
         f"r={inst.order}",
         f"l={inst.offset}",
-        f"model={spec.model_label}",
-        f"seed={shown_seed if shown_seed is not None else 'none'}",
-        f"normalized={str(spec.normalized).lower()}",
+        "model=custom" if model is None else f"model={model.mode.value}",
     ]
+    if model is not None:
+        for field in fields(model)[1:]:  # the mode is field 0, written above
+            value = getattr(model, field.name)
+            shown = str(value).lower() if isinstance(value, bool) else repr(value)
+            lines.append(f"{field.name}={shown}")
+    lines.append(f"seed={seed if seed is not None else 'none'}")
+    lines.append(f"normalized={str(spec.normalized).lower()}")
     if inst.synthetic:
         lines.append("synthetic=true")
     if not inst.full_period_support:

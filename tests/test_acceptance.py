@@ -25,7 +25,6 @@ from shornoise.numth import ShorInstance
 from shornoise.qcircuit import GateErrorPlan, qft_noisy
 from shornoise.spectrum import (
     direct_spectrum,
-    noiseless_spectrum,
     systematic_spectrum_closed_form,
     total_variation_distance,
 )
@@ -108,7 +107,7 @@ def test_05_circuit_reproduces_transform_and_error_scaling() -> None:
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
     assert elapsed < 5.0
-    base = noiseless_spectrum(STANDARD)
+    base = direct_spectrum(STANDARD, np.zeros(STANDARD.support_count))
     tv_large = total_variation_distance(
         systematic_spectrum_closed_form(STANDARD, 0.01), base
     )
@@ -133,7 +132,7 @@ def test_06_uniform_ensemble_mean_keeps_reference_peaks() -> None:
 
 
 def test_07_gaussian_spread_disturbs_more_than_bounded_spread() -> None:
-    base = noiseless_spectrum(STANDARD)
+    base = direct_spectrum(STANDARD, np.zeros(STANDARD.support_count))
     mean_u, _ = ensemble_spectrum(
         STANDARD, ErrorModel(ErrorMode.UNIFORM, s_max=0.05), 200, 42
     )
@@ -151,7 +150,7 @@ def test_07_gaussian_spread_disturbs_more_than_bounded_spread() -> None:
 
 def test_08_noiseless_order_recovery_succeeds_and_factors(capsys) -> None:
     inst = ShorInstance.from_factoring(15, 7)
-    spec = noiseless_spectrum(inst)
+    spec = direct_spectrum(inst, np.zeros(inst.support_count))
     tight = success_probability(spec, multiplier_bound=1)
     assert tight == pytest.approx(0.5, abs=1e-9)
     wide = success_probability(spec, multiplier_bound=4)

@@ -7,12 +7,14 @@ returns 0.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shornoise.cli import main
+from shornoise.errmodel import ErrorMode, ErrorModel
 from spectrum_csv import read_spectrum_csv
 
 
@@ -82,6 +84,66 @@ class TestSpectrumCommand:
         values = read_spectrum_csv(out)
         assert len(values) == 256
         assert values[64] == pytest.approx(0.25, abs=1e-12)
+
+
+def model_from_sidecar(meta: str) -> ErrorModel:
+    """The ErrorModel whose fields a .meta sidecar lists."""
+    entries = dict(line.split("=", 1) for line in meta.splitlines())
+    values = {}
+    for field in fields(ErrorModel)[1:]:
+        text = entries[field.name]
+        is_flag = isinstance(field.default, bool)
+        values[field.name] = text == "true" if is_flag else float(text)
+    return ErrorModel(ErrorMode(entries["model"]), **values)
+
+
+class TestSidecarModel:
+    MODELS = [
+        (["--model", "none"], ErrorModel()),
+        (["--model", "none", "--init-delta", "0.01"], ErrorModel(init_delta=0.01)),
+        (
+            ["--model", "systematic", "--delta0", "0.05"],
+            ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05),
+        ),
+        (
+            ["--model", "systematic", "--delta0=-1e-05", "--amp-errors",
+             "--init-delta", "0.01"],
+            ErrorModel(
+                ErrorMode.SYSTEMATIC, delta0=-1e-05, include_amplitude_errors=True,
+                init_delta=0.01,
+            ),
+        ),
+        (
+            ["--model", "uniform", "--delta0", "0.01", "--smax", "0.02",
+             "--amp-errors"],
+            ErrorModel(
+                ErrorMode.UNIFORM, delta0=0.01, s_max=0.02,
+                include_amplitude_errors=True,
+            ),
+        ),
+        (
+            ["--model", "gaussian", "--delta0", "0.003", "--sigma", "3e-06",
+             "--amp-errors", "--init-delta=-0.02"],
+            ErrorModel(
+                ErrorMode.GAUSSIAN, delta0=0.003, sigma0=3e-06,
+                include_amplitude_errors=True, init_delta=-0.02,
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize("command", ["spectrum", "circuit", "ensemble"])
+    @pytest.mark.parametrize("flags, model", MODELS)
+    def test_model_round_trips(self, tmp_path, command, flags, model) -> None:
+        extra = ["--realizations", "3"] if command == "ensemble" else []
+        code, out = run_spectrum(
+            tmp_path, "s.csv", command, "--L", "7", "--r", "4", "--l", "1",
+            *flags, *extra,
+        )
+        assert code == 0
+        meta = Path(out + ".meta").read_text()
+        assert model_from_sidecar(meta) == model
+        keys = [line.split("=", 1)[0] for line in meta.splitlines()]
+        assert len(keys) == len(set(keys))
 
 
 class TestDeterminism:
@@ -253,6 +315,32 @@ class TestErrorHandling:
             main(["spectrum", "--L", "7", "--r", "4", "--model", "none",
                   "--seed", "xyz", "--out", str(tmp_path / "x.csv")])
         assert info.value.code == 2
+
+    def test_largest_seed_runs(self, tmp_path) -> None:
+        code, out = run_spectrum(
+            tmp_path, "s.csv", "spectrum", "--L", "7", "--r", "4",
+            "--model", "uniform", "--smax", "0.05", "--seed", str(2**64 - 1),
+        )
+        assert code == 0
+        assert f"seed={2**64 - 1}\n" in Path(out + ".meta").read_text()
+
+    @pytest.mark.parametrize("seed", [str(2**64), str(2**64 + 1), hex(2**64)])
+    def test_seed_beyond_64_bits_is_usage_error(self, tmp_path, seed) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--L", "7", "--r", "4", "--model", "uniform",
+                  "--smax", "0.05", "--seed", seed, "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+
+    def test_systematic_sweep_rejects_realizations(self, tmp_path) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", "systematic",
+                  "--mag-start", "0", "--mag-stop", "0.1", "--mag-step", "0.05",
+                  "--realizations", "2", "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
 
     def test_sweep_requires_factoring_instance(self, tmp_path) -> None:
         with pytest.raises(SystemExit) as info:

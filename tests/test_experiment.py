@@ -39,13 +39,17 @@ from shornoise.spectrum import (
     SpectrumMethod,
     combined_spectrum,
     direct_spectrum,
-    noiseless_spectrum,
     realizations_at_period,
     systematic_spectrum_closed_form,
 )
 
 STANDARD = ShorInstance.synthetic_instance(7, 4)
 RECOVERABLE = ShorInstance.synthetic_instance(7, 4, modulus=15, base=7)
+
+
+def exact_spectrum(inst: ShorInstance) -> Spectrum:
+    """The spectrum with every gate exact: the direct sum at zero errors."""
+    return direct_spectrum(inst, np.zeros(inst.support_count))
 
 
 def constant_spectrum(inst: ShorInstance, value: float) -> Spectrum:
@@ -179,7 +183,7 @@ class TestReferencePositions:
 
 class TestPeakReport:
     def test_noiseless_peaks(self) -> None:
-        report = peak_report(noiseless_spectrum(STANDARD))
+        report = peak_report(exact_spectrum(STANDARD))
         assert report.positions() == [0, 32, 64, 96]
         assert report.shifts == [0, 0, 0, 0]
         assert report.reference_positions == [0.0, 32.0, 64.0, 96.0]
@@ -267,7 +271,7 @@ class TestEnsembleSpectrum:
         model = ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05)
         mean, std = ensemble_spectrum(STANDARD, model, 10, 42)
         assert std.max() == 0.0
-        assert "collapsed to 1 realization" in mean.model_label
+        assert mean.model is model
         closed = systematic_spectrum_closed_form(STANDARD, 0.05)
         np.testing.assert_allclose(mean.values, closed.values, atol=1e-9)
 
@@ -287,7 +291,7 @@ class TestEnsembleSpectrum:
         mean, std = ensemble_spectrum(inst, model, 30, 1)
         expected, _ = ensemble_spectrum(inst, fixed, 30, 1)
         assert np.array_equal(std, np.zeros(inst.register_size))
-        assert mean.model_label.endswith("(deterministic, collapsed to 1 realization)")
+        assert mean.model is model
         assert np.array_equal(mean.values.view(np.uint64), expected.values.view(np.uint64))
 
     def test_single_realization_uses_first_substream(self) -> None:
@@ -389,19 +393,19 @@ class TestEnsembleSpectrum:
 class TestSuccessProbability:
     def test_noiseless_tight_bound(self) -> None:
         inst = ShorInstance.from_factoring(15, 7)
-        assert success_probability(noiseless_spectrum(inst), 1) == pytest.approx(
+        assert success_probability(exact_spectrum(inst), 1) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_noiseless_wide_bound(self) -> None:
         inst = ShorInstance.from_factoring(15, 7)
-        assert success_probability(noiseless_spectrum(inst), 4) == pytest.approx(
+        assert success_probability(exact_spectrum(inst), 4) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_synthetic_instance_with_attached_problem(self) -> None:
         assert success_probability(
-            noiseless_spectrum(RECOVERABLE), 1
+            exact_spectrum(RECOVERABLE), 1
         ) == pytest.approx(0.5, abs=1e-12)
 
     def test_scale_invariant(self) -> None:
@@ -415,7 +419,7 @@ class TestSuccessProbability:
 
     def test_requires_attached_problem(self) -> None:
         with pytest.raises(ValueError):
-            success_probability(noiseless_spectrum(STANDARD), 1)
+            success_probability(exact_spectrum(STANDARD), 1)
 
     def test_all_zero_spectrum_raises(self) -> None:
         with pytest.raises(ValueError, match="cannot normalize an all-zero spectrum"):
@@ -464,7 +468,7 @@ class TestRecoveryMask:
     def test_wrong_order_fails_everywhere(self) -> None:
         # 7 has order 4 mod 15; no candidate is ever 3.
         inst = ShorInstance(modulus=15, base=7, n_qubits=8, order=3, offset=0)
-        assert success_probability(noiseless_spectrum(inst), 64) == 0.0
+        assert success_probability(exact_spectrum(inst), 64) == 0.0
         assert _recovery_mask(256, 15, 7, 3, 64) == bytes(256)
 
     def test_multiple_of_order_matches_scalar(self) -> None:
@@ -493,7 +497,7 @@ class TestRecoveryMask:
             return views[-1]
 
         monkeypatch.setattr(np, "frombuffer", recording_frombuffer)
-        success_probability(noiseless_spectrum(RECOVERABLE), 1)
+        success_probability(exact_spectrum(RECOVERABLE), 1)
         (view,) = views
         assert not view.flags.writeable
         assert view.base is _recovery_mask(128, 15, 7, 4, 1)
@@ -505,7 +509,7 @@ class TestRecoveryMask:
                 _recovery_mask(*args)
 
     def test_success_probability_rejects_zero_bound(self) -> None:
-        spec = noiseless_spectrum(ShorInstance.from_factoring(15, 7))
+        spec = exact_spectrum(ShorInstance.from_factoring(15, 7))
         with pytest.raises(ValueError):
             success_probability(spec, 0)
 

@@ -4,7 +4,8 @@ Every `shornoise ...` command in a shell block that is followed by
 `# <output>` comment lines runs in process through main(argv), with its
 --out file moved under tmp_path, and must print exactly those lines. The
 Python API block is executed, and its printed lines must equal the
-trailing comments of its print calls, in order.
+trailing comments of its print calls, in order. The sidecar keys that
+the "Output files" section lists are the keys `spectrum_metadata` writes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from pathlib import Path
 import pytest
 
 from shornoise.cli import main
+from shornoise.errmodel import ErrorMode, ErrorModel
+from shornoise.numth import ShorInstance
+from shornoise.spectrum import model_spectrum, spectrum_metadata
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -75,3 +79,19 @@ def test_python_api_example() -> None:
     with contextlib.redirect_stdout(printed):
         exec(compile(block, "README.md", "exec"), {})
     assert printed.getvalue().splitlines() == expected
+
+
+def documented_sidecar_keys() -> list[str]:
+    """The keys named before " - " in the "Output files" section's bullets."""
+    section = README.split("### Output files\n", 1)[1].split("\n#", 1)[0]
+    bullets = re.findall(r"^- (.*?) -(?: |$)", section, flags=re.MULTILINE)
+    return [key for bullet in bullets for key in re.findall(r"`(\w+)`", bullet)]
+
+
+def test_readme_lists_every_sidecar_key() -> None:
+    # A ragged synthetic support writes the optional keys too.
+    inst = ShorInstance.synthetic_instance(5, 3, offset=1)
+    model = ErrorModel(ErrorMode.GAUSSIAN, delta0=0.01, sigma0=0.02)
+    meta = spectrum_metadata(model_spectrum(inst, model, seed=1), seed=1)
+    written = [line.split("=", 1)[0] for line in meta.splitlines()]
+    assert documented_sidecar_keys() == written

@@ -38,7 +38,6 @@ from shornoise.spectrum import (
     direct_spectrum,
     init_error_weights,
     model_spectrum,
-    noiseless_spectrum,
     period_values,
     register_values,
     spectrum_metadata,
@@ -81,6 +80,11 @@ def reference_distribution(
 
 SMALL = ShorInstance.synthetic_instance(6, 4)
 STANDARD = ShorInstance.synthetic_instance(7, 4)
+
+
+def exact_spectrum(inst: ShorInstance) -> Spectrum:
+    """The spectrum with every gate exact: the direct sum at zero errors."""
+    return direct_spectrum(inst, np.zeros(inst.support_count))
 
 
 def every_value(n_qubits: int) -> ShorInstance:
@@ -128,7 +132,7 @@ class TestInitErrorWeights:
 
 class TestNoiselessSpectrum:
     def test_full_period_peaks(self) -> None:
-        spec = noiseless_spectrum(STANDARD)
+        spec = exact_spectrum(STANDARD)
         for c in range(128):
             if c % 32 == 0:
                 assert spec.values[c] == pytest.approx(0.25, abs=1e-12)
@@ -137,7 +141,7 @@ class TestNoiselessSpectrum:
 
     def test_offset_support(self) -> None:
         inst = ShorInstance.synthetic_instance(3, 2, offset=1)
-        spec = noiseless_spectrum(inst)
+        spec = exact_spectrum(inst)
         np.testing.assert_allclose(
             spec.values, [0.5, 0, 0, 0, 0.5, 0, 0, 0], atol=1e-12
         )
@@ -154,13 +158,11 @@ class TestNoiselessSpectrum:
         ]:
             inst = ShorInstance.synthetic_instance(n_qubits, order, offset=offset)
             assert order * inst.support_count / inst.register_size == total
-            zeros = np.zeros(inst.support_count)
-            for spec in (noiseless_spectrum(inst), direct_spectrum(inst, zeros)):
-                assert spec.total() == pytest.approx(total, rel=1e-13)
+            assert exact_spectrum(inst).total() == pytest.approx(total, rel=1e-13)
 
     def test_matches_reference(self) -> None:
         for inst in (SMALL, ShorInstance.synthetic_instance(3, 3, offset=1)):
-            spec = noiseless_spectrum(inst)
+            spec = exact_spectrum(inst)
             expected = reference_distribution(inst, np.zeros(inst.support_count))
             np.testing.assert_allclose(spec.values, expected, atol=1e-12)
 
@@ -193,9 +195,9 @@ class TestDirectSpectrum:
 
     def test_zero_errors_reduce_to_noiseless(self) -> None:
         spec = direct_spectrum(STANDARD, np.zeros(STANDARD.support_count))
-        np.testing.assert_allclose(
-            spec.values, noiseless_spectrum(STANDARD).values, atol=1e-12
-        )
+        expected = reference_distribution(STANDARD, np.zeros(STANDARD.support_count))
+        np.testing.assert_allclose(spec.values, expected, atol=1e-12)
+        assert spec.model is None
 
     def test_rejects_wrong_lengths(self) -> None:
         with pytest.raises(ValueError):
@@ -510,8 +512,33 @@ class TestClosedForm:
     def test_zero_delta_equals_noiseless(self) -> None:
         spec = systematic_spectrum_closed_form(STANDARD, 0.0)
         np.testing.assert_allclose(
-            spec.values, noiseless_spectrum(STANDARD).values, atol=1e-15
+            spec.values, exact_spectrum(STANDARD).values, atol=1e-15
         )
+
+    def test_zero_delta_matches_zero_error_sum_on_every_shape(self) -> None:
+        # The geometric sum is exact for any support count, so at delta = 0
+        # the closed form is the exact-gate spectrum for ragged and offset
+        # supports too. Worst measured: 1.7e-16 max absolute, 2.1e-16 TVD.
+        worst_abs = worst_tvd = 0.0
+        for n_qubits in range(1, 13):
+            q = 1 << n_qubits
+            for order in {1, 2, 3, 4, 5, 7, 12, 33, 97, 255, q // 2 + 1, q - 1, q}:
+                if order > q:
+                    continue
+                for offset in {0, 1 % order, order // 2, order - 1}:
+                    inst = ShorInstance.synthetic_instance(n_qubits, order, offset)
+                    closed = systematic_spectrum_closed_form(inst, 0.0)
+                    exact = exact_spectrum(inst)
+                    gap = np.abs(closed.values - exact.values).max()
+                    worst_abs = max(worst_abs, gap)
+                    tvd = total_variation_distance(closed, exact)
+                    worst_tvd = max(worst_tvd, tvd)
+        assert worst_abs <= 3e-16
+        assert worst_tvd <= 3e-16
+
+    def test_records_its_systematic_model(self) -> None:
+        spec = systematic_spectrum_closed_form(STANDARD, 0.05)
+        assert spec.model == ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05)
 
     def test_tiny_delta_stays_on_closed_form(self) -> None:
         spec = systematic_spectrum_closed_form(STANDARD, 1e-8)
@@ -543,7 +570,7 @@ class TestCombinedSpectrum:
     def test_mode_none_reduces_to_noiseless(self) -> None:
         spec = combined_spectrum(STANDARD, ErrorModel(), seed=3)
         np.testing.assert_allclose(
-            spec.values, noiseless_spectrum(STANDARD).values, atol=1e-12
+            spec.values, exact_spectrum(STANDARD).values, atol=1e-12
         )
 
     def test_systematic_matches_closed_form(self) -> None:
@@ -557,7 +584,7 @@ class TestCombinedSpectrum:
         a = combined_spectrum(STANDARD, model, seed=42)
         b = combined_spectrum(STANDARD, model, seed=42)
         assert np.array_equal(a.values, b.values)
-        assert a.realization_seed == 42
+        assert a.model is model
 
     def test_different_seeds_differ(self) -> None:
         model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.05)
@@ -582,7 +609,7 @@ class TestModelSpectrum:
     @pytest.mark.parametrize(
         "model, method",
         [
-            (ErrorModel(), SpectrumMethod.NOISELESS),
+            (ErrorModel(), SpectrumMethod.DIRECT_SUM),
             (ErrorModel(ErrorMode.UNIFORM), SpectrumMethod.DIRECT_SUM),
             (ErrorModel(init_delta=0.01), SpectrumMethod.DIRECT_SUM),
             (ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05), SpectrumMethod.CLOSED_FORM),
@@ -607,20 +634,33 @@ class TestModelSpectrum:
         model = ErrorModel(ErrorMode.UNIFORM, s_max=0.02, init_delta=0.01)
         spec = model_spectrum(STANDARD, model, seed=5)
         assert np.array_equal(spec.values, combined_spectrum(STANDARD, model, 5).values)
-        assert spec.realization_seed == 5
+        assert spec.model is model
+
+    @pytest.mark.parametrize(
+        "inst",
+        [STANDARD, ShorInstance.synthetic_instance(9, 7, offset=3),
+         ShorInstance.synthetic_instance(12, 5, offset=4)],
+    )
+    def test_exact_gates_are_the_zero_error_direct_sum(self, inst) -> None:
+        model = ErrorModel()
+        spec = model_spectrum(inst, model, seed=5)
+        zeros = direct_spectrum(inst, np.zeros(inst.support_count))
+        assert spec.method is SpectrumMethod.DIRECT_SUM
+        assert spec.model is model
+        assert np.array_equal(spec.values.view(np.uint64), zeros.values.view(np.uint64))
 
 
 class TestSpectrumContainer:
     def test_normalize(self) -> None:
         inst = ShorInstance.synthetic_instance(3, 3)
-        spec = noiseless_spectrum(inst)
+        spec = exact_spectrum(inst)
         normed = spec.normalize()
         assert normed.normalized
         assert normed.total() == pytest.approx(1.0, abs=1e-12)
         assert not spec.normalized
 
     def test_register_size(self) -> None:
-        spec = noiseless_spectrum(SMALL)
+        spec = exact_spectrum(SMALL)
         assert spec.register_size == 64
         assert len(spec.values) == 64
 
@@ -681,7 +721,7 @@ class TestTotalVariationDistance:
         )
 
     def test_identical_distributions(self) -> None:
-        spec = noiseless_spectrum(STANDARD)
+        spec = exact_spectrum(STANDARD)
         assert total_variation_distance(spec, spec) == 0.0
 
     def test_disjoint_distributions(self) -> None:
@@ -702,7 +742,7 @@ class TestTotalVariationDistance:
     def test_separates_small_from_large_errors(self) -> None:
         # Against the exact four-line comb even a one-bin peak shift moves
         # nearly all mass, so only genuinely tiny errors keep TV small.
-        base = noiseless_spectrum(STANDARD)
+        base = exact_spectrum(STANDARD)
         tiny = total_variation_distance(
             base, systematic_spectrum_closed_form(STANDARD, 1e-6)
         )
@@ -722,7 +762,7 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(parsed, spec.values, rtol=1e-12, atol=1e-300)
 
     def test_format(self, tmp_path) -> None:
-        spec = noiseless_spectrum(SMALL)
+        spec = exact_spectrum(SMALL)
         path = tmp_path / "spec.csv"
         write_spectrum_csv(spec, path)
         lines = path.read_text().strip().splitlines()
@@ -842,10 +882,18 @@ class TestMetadata:
         meta = spectrum_metadata(spec, seed=42)
         assert "seed=42" in meta
         assert "method=direct_sum" in meta
-        exact = systematic_spectrum_closed_form(STANDARD, 0.0)
-        assert "singular_fallback" not in spectrum_metadata(exact)
+        assert "model=uniform\ndelta0=0.0\ns_max=0.05\nsigma0=0.0\n" in meta
+        assert "include_amplitude_errors=false\ninit_delta=0.0\nseed=42\n" in meta
+        closed = spectrum_metadata(systematic_spectrum_closed_form(STANDARD, 0.0))
+        assert "model=systematic\ndelta0=0.0\n" in closed
+        assert "seed=none" in closed
+
+    def test_errors_passed_in_directly_are_custom(self) -> None:
+        meta = spectrum_metadata(exact_spectrum(STANDARD), seed=1)
+        assert "model=custom\nseed=1\n" in meta
+        assert "delta0" not in meta
 
     def test_partial_support_recorded(self) -> None:
         inst = ShorInstance.synthetic_instance(3, 3)
-        meta = spectrum_metadata(noiseless_spectrum(inst))
+        meta = spectrum_metadata(exact_spectrum(inst))
         assert "support_count=3" in meta
