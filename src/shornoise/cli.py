@@ -248,6 +248,8 @@ def _run_circuit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def _run_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
     model = _model_from_args(parser, args)
+    if model.deterministic and args.realizations > 1:
+        parser.error("the model is deterministic; drop --realizations")
     mean_spec, std = ensemble_spectrum(inst, model, args.realizations, args.seed)
     mean_spec = _write_spectrum_outputs(mean_spec, args.out, args.seed, args.normalize)
     print(f"ensemble: {_peak_summary(mean_spec)}; max std {float(np.max(std)):.3e}")

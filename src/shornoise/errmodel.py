@@ -6,9 +6,13 @@ processes. Phase and amplitude errors draw from disjoint substreams
 derived from one user seed, which keeps toggling amplitude errors from
 perturbing the phase draws.
 
+A uniform draw u in [0, 1) is the top 53 bits of one output,
+(next_u64() >> 11) * 2**-53; a gaussian draw pairs two by Box-Muller,
+sqrt(-2 log(1 - u1)) * cos(2 pi u2). The tests keep both scalar draws
+as their oracle.
 Batches of draws come from `_uniform01_rows`, which returns exactly the
 values, and leaves exactly the states, of the same number of scalar
-`uniform01` calls on each of K streams (`uniform01_array` is K = 1). The
+draws on each of K streams (`uniform01_array` is K = 1). The
 xorshift transition T is linear over GF(2), so position p of a stream is
 T**p applied to its state. Each stream splits into _LANES lanes of
 s = ceil(n/_LANES) draws: lane j starts at position j*s, reached through
@@ -139,31 +143,17 @@ class Xorshift64Star:
         self.state = x
         return (x * _MULTIPLIER) & _MASK64
 
-    def uniform01(self) -> float:
-        """Uniform draw in [0, 1) with 53-bit resolution."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def uniform01_array(self, n: int) -> np.ndarray:
-        """The next n uniform01() draws as a float array, bit for bit.
+        """The next n uniform draws as a float array, bit for bit.
 
         Leaves the state where n scalar calls would: the one-stream case
         of `_uniform01_rows`.
         """
         return _uniform01_rows([self], n)[0]
 
-    def gaussian(self) -> float:
-        """Standard normal draw via Box-Muller.
-
-        Consumes two uniforms; the radial one is taken as 1 - u so the
-        logarithm never sees zero.
-        """
-        u1 = 1.0 - self.uniform01()
-        u2 = self.uniform01()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
 
 def _uniform01_rows(rngs: Sequence[Xorshift64Star], n: int) -> np.ndarray:
-    """The next n uniform01() draws of each stream, one row per stream.
+    """The next n uniform draws of each stream, one row per stream.
 
     Row k holds, bit for bit, what n scalar calls on rngs[k] return, and
     rngs[k] is left where they leave it. Lane j of row k covers stream
@@ -274,7 +264,7 @@ def _sample(
 ) -> np.ndarray:
     """count errors from each stream, one row per stream."""
     # Same float operations, in the same order, as the scalar
-    # delta0 + (2u - 1) * s_max and delta0 + sigma0 * gaussian().
+    # delta0 + (2u - 1) * s_max and delta0 + sigma0 * z, z by Box-Muller.
     if model.mode is ErrorMode.UNIFORM:
         values = _uniform01_rows(rngs, count)
         values *= 2.0

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 
 from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
-from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, recover_orders
+from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, find_order, recover_orders
+from .numth import _check_recovery_inputs
 from .qcircuit import circuit_spectrum, sample_outcomes
 from .spectrum import Spectrum, SpectrumMethod, realizations_at_period, register_values
+from .spectrum import _check_probabilities, _period_plan
 
 DEFAULT_HEIGHT_FLOOR_FRACTION = 0.1
 DEFAULT_ETA = 0.5
@@ -20,6 +22,8 @@ DEFAULT_ETA = 0.5
 # holds at once. At 256 KiB the standalone peak RSS of the benchmark's
 # ensembles stays within 0.2 MiB of drawing one realization at a time.
 _CHUNK_BYTES = 1 << 18
+# numpy's pairwise float sum adds runs of up to 128 values in its leaves.
+_PAIRWISE_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -159,17 +163,51 @@ def ensemble_spectrum(
 
 
 @lru_cache(maxsize=32)
+def _recovery_hits(
+    q: int, modulus: int, base: int, order: int, multiplier_bound: int
+) -> np.ndarray:
+    """The outcomes c in range(q) from which `recover_orders` gives order.
+
+    Sorted, read-only int32. order comes from a convergent p/d of c/q with
+    d dividing order and d * multiplier_bound >= r, the true order, and
+    |c/q - p/d| < 1/d**2 (Legendre). So only c within q/d**2 + 1 of
+    floor(p*q/d), p = 0 .. d, are expanded. Any bound >= r lets d = 1,
+    always a convergent denominator, give r from every c, unexpanded.
+    """
+    _check_recovery_inputs(modulus, base, multiplier_bound)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    r = find_order(base, modulus)
+    if multiplier_bound >= r:
+        hits = np.arange(q if order == r else 0, dtype=np.int32)
+    else:
+        small = [k for k in range(1, math.isqrt(order) + 1) if order % k == 0]
+        near = np.zeros(q, dtype=bool)
+        for d in {*small, *(order // k for k in small)}:
+            if d * multiplier_bound >= r:
+                half = q // (d * d) + 1
+                for p in range(d + 1):
+                    center = p * q // d
+                    near[max(0, center - half) : center + half + 1] = True
+        candidates = np.flatnonzero(near).astype(np.int32)
+        orders = recover_orders(candidates, q, modulus, base, multiplier_bound)
+        hits = candidates[orders == order]
+    hits.flags.writeable = False
+    return hits
+
+
+@lru_cache(maxsize=32)
 def _recovery_mask(
     q: int, modulus: int, base: int, order: int, multiplier_bound: int
 ) -> bytes:
-    """Per outcome c in range(q), one byte: 1 if recover_orders gives order.
+    """Per outcome c in range(q), one byte: 1 if c is in `_recovery_hits`.
 
     The mask is immutable bytes, so the cached value can be viewed as a
     bool array without a copy.
     """
-    outcomes = np.arange(q, dtype=np.int32)
-    orders = recover_orders(outcomes, q, modulus, base, multiplier_bound)
-    return (orders == order).tobytes()
+    mask = np.zeros(q, dtype=bool)
+    mask[_recovery_hits(q, modulus, base, order, multiplier_bound)] = True
+    return mask.tobytes()
 
 
 def success_probability(
@@ -181,6 +219,8 @@ def success_probability(
     Outcome c counts when `numth.recover_orders` recovers the order r
     from it. A multiplier_bound >= r gives success 1.0 whatever the
     spectrum; multiplier_bound=1 demands the convergent denominator r.
+    The sum runs over the whole register, so any spectrum, a circuit's
+    included, may be passed.
 
     The spectrum is normalized internally, so relative spectra are fine.
     The instance must carry (modulus, base) for recovery to be defined.
@@ -244,10 +284,15 @@ def threshold_sweep(
     (systematic: delta0, uniform: s_max, gaussian: sigma0) and the
     success probability is averaged over n_realizations quenched
     realizations with seeds derived from (master_seed, magnitude index,
-    realization index). Deterministic models (systematic, or magnitude
-    0.0) use one realization regardless of n_realizations. The baseline
-    is the success probability at zero error, computed through the same
-    path; every magnitude of 0.0 reuses it rather than recomputing it.
+    realization index). A systematic sweep is deterministic and takes
+    n_realizations=1; a random one runs magnitude 0.0 once. The baseline
+    is `success_probability` at zero error, on the register, and every
+    magnitude of 0.0 reuses it. Every other realization's success is
+    taken at the period: its P at the `_recovery_hits` is gathered from
+    `spectrum.period_values` at c mod q', and its total is that of
+    q/n0 identical blocks of n0 = min(q, max(q', 128)) values, which
+    numpy's pairwise sum adds by exact doublings. So each point equals
+    the register sum bit for bit.
     """
     if not magnitudes:
         raise ValueError("magnitudes must be nonempty")
@@ -259,6 +304,29 @@ def threshold_sweep(
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    if mode is ErrorMode.SYSTEMATIC and n_realizations > 1:
+        raise ValueError("a systematic sweep is deterministic; need n_realizations=1")
+
+    # Zero error is deterministic, so the seed cannot matter.
+    (zero_error,) = _realizations(inst, _model_at_magnitude(mode, 0.0), 1, master_seed)
+    zero = Spectrum(register_values(inst, zero_error), SpectrumMethod.DIRECT_SUM, inst)
+    baseline = success_probability(zero, multiplier_bound)
+    q = inst.register_size
+    _, _, plan = _period_plan(q, inst.order, inst.support_count)
+    blocks = min(q, max(len(plan), _PAIRWISE_LEAF))
+    scale, tiles = q / blocks, blocks // len(plan)
+    hits = _recovery_hits(q, inst.modulus, inst.base, inst.order, multiplier_bound)
+    at = None if len(hits) == q else hits % len(plan)
+
+    def success_at_period(values: np.ndarray) -> float:
+        head = values[plan]  # P_c for c < q'
+        _check_probabilities(head)
+        total = scale * np.sum(np.tile(head, tiles))
+        if total <= 0.0:
+            raise ValueError("cannot normalize an all-zero spectrum")
+        if at is None:  # every c hits
+            return float(scale * np.sum(np.tile(head / total, tiles)))
+        return float(np.sum(head[at] / total))
 
     def mean_success(magnitude: float, magnitude_index: int) -> float:
         model = _model_at_magnitude(mode, magnitude)
@@ -266,16 +334,9 @@ def threshold_sweep(
         acc = 0.0
         realizations = _realizations(inst, model, n_realizations, magnitude_seed)
         for effective, values in enumerate(realizations, start=1):
-            spec = Spectrum(
-                values=register_values(inst, values),
-                method=SpectrumMethod.DIRECT_SUM,
-                instance=inst,
-            )
-            acc += success_probability(spec, multiplier_bound)
+            acc += success_at_period(values)
         return acc / effective
 
-    # Zero error is deterministic, so the magnitude index cannot matter.
-    baseline = mean_success(0.0, 0)
     success_probs = [
         baseline if magnitude == 0.0 else mean_success(magnitude, index)
         for index, magnitude in enumerate(magnitudes)

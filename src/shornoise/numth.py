@@ -96,7 +96,8 @@ def recover_orders(
     built on d is lcm(d, r), reachable when r/gcd(d, r) <= multiplier_bound.
     So the result is r exactly when some d divides r with
     r/d <= multiplier_bound. d = 1 is always a convergent denominator, so
-    any multiplier_bound >= r recovers r from every c.
+    any multiplier_bound >= r recovers r from every c. The sweep's cached
+    hits (`experiment._recovery_hits`) rely on both facts.
 
     The expansions of c/q run in lockstep, _LOCKSTEP_LANES outcomes at a
     time. A lane stops when its expansion ends or its denominator reaches

@@ -47,6 +47,16 @@ class SpectrumMethod(Enum):
     CIRCUIT = "circuit"
 
 
+def _check_probabilities(values: np.ndarray) -> None:
+    """Raise ValueError unless every value is finite and at least -1e-15."""
+    # Reductions, not masks, so no full-size temporary; both keep NaN.
+    low, high = values.min(), values.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError("probabilities must be finite")
+    if low < -1e-15:
+        raise ValueError("probabilities must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """A readout distribution P_c for c = 0 .. register_size - 1.
@@ -67,12 +77,7 @@ class Spectrum:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) != self.instance.register_size:
             raise ValueError("values must have one entry per register value")
-        # Reductions, not masks, so no register-size temporary; both keep NaN.
-        low, high = values.min(), values.max()
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ValueError("probabilities must be finite")
-        if low < -1e-15:
-            raise ValueError("probabilities must be nonnegative")
+        _check_probabilities(values)
 
     @property
     def register_size(self) -> int:

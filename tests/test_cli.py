@@ -134,7 +134,9 @@ class TestSidecarModel:
     @pytest.mark.parametrize("command", ["spectrum", "circuit", "ensemble"])
     @pytest.mark.parametrize("flags, model", MODELS)
     def test_model_round_trips(self, tmp_path, command, flags, model) -> None:
-        extra = ["--realizations", "3"] if command == "ensemble" else []
+        # A deterministic model takes no realization count.
+        random = command == "ensemble" and not model.deterministic
+        extra = ["--realizations", "3"] if random else []
         code, out = run_spectrum(
             tmp_path, "s.csv", command, "--L", "7", "--r", "4", "--l", "1",
             *flags, *extra,
@@ -341,6 +343,26 @@ class TestErrorHandling:
                   "--realizations", "2", "--out", str(out)])
         assert info.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--model", "none"], ["--model", "systematic", "--delta0", "0.05"],
+         ["--model", "uniform"], ["--model", "gaussian", "--delta0", "0.01"]],
+        ids=["none", "systematic", "uniform-zero-width", "gaussian-zero-width"],
+    )
+    def test_deterministic_ensemble_rejects_realizations(
+        self, tmp_path, flags, capsys
+    ) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["ensemble", "--L", "7", "--r", "4", *flags,
+                  "--realizations", "500", "--out", str(out)])
+        assert info.value.code == 2
+        assert "deterministic" in capsys.readouterr().err
+        assert not out.exists()
+        # One realization is what a deterministic ensemble runs.
+        assert main(["ensemble", "--L", "7", "--r", "4", *flags,
+                     "--realizations", "1", "--out", str(out)]) == 0
 
     def test_sweep_requires_factoring_instance(self, tmp_path) -> None:
         with pytest.raises(SystemExit) as info:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prng_oracle import gaussian, uniform01
+
 from shornoise.errmodel import (
     _AMPLITUDE_STREAM_SALT,
     _LANES,
@@ -34,13 +36,13 @@ class TestXorshift64Star:
 
     def test_first_uniform_from_seed_one(self) -> None:
         rng = Xorshift64Star(1)
-        assert rng.uniform01() == 0.28083505005035947
+        assert uniform01(rng) == 0.28083505005035947
 
     def test_uniform_is_top_53_bits(self) -> None:
         for seed in (1, 7, 42, 2**63):
             a = Xorshift64Star(seed)
             b = Xorshift64Star(seed)
-            assert a.uniform01() == (b.next_u64() >> 11) * 2.0**-53
+            assert uniform01(a) == (b.next_u64() >> 11) * 2.0**-53
 
     def test_zero_seed_is_remapped(self) -> None:
         zero = Xorshift64Star(0)
@@ -56,14 +58,14 @@ class TestXorshift64Star:
 
     def test_uniform_range_and_mean(self) -> None:
         rng = Xorshift64Star(2024)
-        draws = np.array([rng.uniform01() for _ in range(100_000)])
+        draws = np.array([uniform01(rng) for _ in range(100_000)])
         assert np.all(draws >= 0.0)
         assert np.all(draws < 1.0)
         assert 0.497 < draws.mean() < 0.503
 
     def test_gaussian_moments(self) -> None:
         rng = Xorshift64Star(99)
-        draws = np.array([rng.gaussian() for _ in range(100_000)])
+        draws = np.array([gaussian(rng) for _ in range(100_000)])
         assert abs(draws.mean()) < 0.02
         assert 0.97 < draws.var() < 1.03
 
@@ -71,7 +73,7 @@ class TestXorshift64Star:
         rng = Xorshift64Star(5)
         hits = 0
         for _ in range(1_000_000):
-            if abs(rng.gaussian()) > 3.0:
+            if abs(gaussian(rng)) > 3.0:
                 hits += 1
         # Expected count is about 2700; demand at least one event.
         assert hits >= 1
@@ -98,7 +100,7 @@ class TestUniformArray:
     def test_equals_scalar_draws_and_state(self, seed: int, n: int) -> None:
         batch = Xorshift64Star(seed)
         scalar = Xorshift64Star(seed)
-        expected = [scalar.uniform01() for _ in range(n)]
+        expected = [uniform01(scalar) for _ in range(n)]
         assert batch.uniform01_array(n).tolist() == expected
         assert batch.state == scalar.state
 
@@ -121,7 +123,7 @@ class TestUniformArray:
         assert block.shape == (len(seeds), n)
         for row, rng, seed in zip(block, rngs, seeds):
             scalar = Xorshift64Star(seed)
-            assert row.tolist() == [scalar.uniform01() for _ in range(n)]
+            assert row.tolist() == [uniform01(scalar) for _ in range(n)]
             assert rng.state == scalar.state
 
 
@@ -130,13 +132,13 @@ def scalar_phase_errors(model: ErrorModel, count: int, seed: int) -> list[float]
     rng = _substream(seed, _PHASE_STREAM_SALT)
     if model.mode is ErrorMode.UNIFORM:
         return [
-            model.delta0 + (2.0 * rng.uniform01() - 1.0) * model.s_max
+            model.delta0 + (2.0 * uniform01(rng) - 1.0) * model.s_max
             for _ in range(count)
         ]
     values = []
     for _ in range(count):
-        u1 = 1.0 - rng.uniform01()
-        u2 = rng.uniform01()
+        u1 = 1.0 - uniform01(rng)
+        u2 = uniform01(rng)
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         values.append(model.delta0 + model.sigma0 * z)
     return values

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recovery_oracle import COPRIME_PAIRS, recover_order
@@ -23,6 +23,7 @@ from shornoise.errmodel import (
 )
 from shornoise.experiment import (
     SweepResult,
+    _recovery_hits,
     _recovery_mask,
     ensemble_spectrum,
     factor,
@@ -32,7 +33,7 @@ from shornoise.experiment import (
     threshold_sweep,
     write_sweep_csv,
 )
-from shornoise.numth import ShorInstance, find_order
+from shornoise.numth import ShorInstance, find_order, recover_orders
 from shornoise.qcircuit import circuit_spectrum, sample_outcomes
 from shornoise.spectrum import (
     Spectrum,
@@ -40,6 +41,7 @@ from shornoise.spectrum import (
     combined_spectrum,
     direct_spectrum,
     realizations_at_period,
+    register_values,
     systematic_spectrum_closed_form,
 )
 
@@ -514,6 +516,87 @@ class TestRecoveryMask:
             success_probability(spec, 0)
 
 
+def full_range_hits(q: int, modulus: int, base: int, order: int, bound: int):
+    """The hits with every outcome expanded, as the full-range mask gives them."""
+    orders = recover_orders(np.arange(q), q, modulus, base, bound)
+    return np.flatnonzero(orders == order)
+
+
+@st.composite
+def hit_cases(draw) -> tuple[int, int, int, int, int]:
+    """(q, modulus, base, order, bound) with modulus <= 600 and 16 <= q <= 2**16.
+
+    order is r, 2r, r // 2 or any order up to 2 * modulus, r the true
+    order; bound is 1 to 8, or r and above.
+    """
+    modulus = draw(st.integers(3, 600))
+    coprime = [y for y in range(2, modulus) if math.gcd(y, modulus) == 1]
+    base = draw(st.sampled_from(coprime))
+    r = find_order(base, modulus)
+    kind = draw(st.sampled_from(["r", "2r", "r/2", "any"]))
+    orders = {"r": r, "2r": 2 * r, "r/2": max(1, r // 2)}
+    order = orders[kind] if kind in orders else draw(st.integers(1, 2 * modulus))
+    bound = draw(st.integers(r, r + 8) if draw(st.booleans()) else st.integers(1, 8))
+    # Counted down from 16, so that shrinking heads for the widest register.
+    return 1 << (16 - draw(st.integers(0, 12))), modulus, base, order, bound
+
+
+class TestRecoveryHits:
+    """The outcomes in Legendre's windows, expanded, against every outcome expanded."""
+
+    @settings(max_examples=200)
+    @given(case=hit_cases())
+    @example(case=(256, 15, 7, 8, 1))  # a multiple of the order
+    @example(case=(256, 15, 7, 3, 64))  # no candidate is ever 3
+    @example(case=(65536, 221, 2, 24, 1))
+    @example(case=(65536, 221, 2, 24, 24))
+    def test_matches_full_range_property(self, case) -> None:
+        assert np.array_equal(_recovery_hits(*case), full_range_hits(*case))
+
+    def test_sorted_read_only_int32(self) -> None:
+        hits = _recovery_hits(65536, 221, 2, 24, 1)
+        assert hits.dtype == np.int32
+        assert not hits.flags.writeable
+        assert np.all(np.diff(hits) > 0)
+        assert _recovery_hits.cache_parameters()["maxsize"] == 32
+
+    def test_bound_one_expands_only_the_windows(self, monkeypatch) -> None:
+        expanded = []
+
+        def recording(outcomes, *args):
+            expanded.append(len(outcomes))
+            return recover_orders(outcomes, *args)
+
+        monkeypatch.setattr(experiment, "recover_orders", recording)
+        hits = _recovery_hits.__wrapped__(65536, 221, 2, 24, 1)
+        # 1,262 hits, 1.9 % of the register, from under a tenth of it.
+        assert len(hits) == 1262
+        assert len(expanded) == 1 and expanded[0] < 6554
+
+    @pytest.mark.parametrize("order, hits", [(24, 65536), (48, 0), (12, 0)])
+    def test_bound_at_least_order_expands_nothing(
+        self, order, hits, monkeypatch
+    ) -> None:
+        # d = 1 is a convergent denominator of every c/q, so a bound >= r
+        # gives r from every outcome.
+        monkeypatch.setattr(experiment, "recover_orders", None)
+        found = _recovery_hits.__wrapped__(65536, 221, 2, order, 24)
+        assert np.array_equal(found, np.arange(hits))
+
+    def test_matches_full_range_mask_at_twenty_qubits(self) -> None:
+        inst = ShorInstance.from_factoring(899, 2)
+        q = inst.register_size
+        assert q == 1 << 20
+        expected = recover_orders(np.arange(q), q, 899, 2, 1) == inst.order
+        mask = _recovery_mask(q, 899, 2, inst.order, 1)
+        assert mask == expected.tobytes()
+
+    def test_rejects_bad_inputs(self) -> None:
+        for args in [(256, 15, 7, 4, 0), (256, 15, 1, 4, 1), (256, 15, 7, 0, 1)]:
+            with pytest.raises(ValueError):
+                _recovery_hits(*args)
+
+
 def former_success(spec: Spectrum, bound: int) -> float:
     """success_probability as computed before: gathered from a normalized copy."""
     inst = spec.instance
@@ -614,24 +697,28 @@ class TestThresholdSweep:
             return realizations_at_period(inst, model, seeds)
 
         monkeypatch.setattr(experiment, "realizations_at_period", counting)
+        count = 1 if mode is ErrorMode.SYSTEMATIC else 3
         sweep = threshold_sweep(
-            RECOVERABLE, mode, [0.0, 0.0, 0.02], n_realizations=3,
+            RECOVERABLE, mode, [0.0, 0.0, 0.02], n_realizations=count,
             multiplier_bound=1,
         )
         # The baseline, then the 0.02 point: one systematic or three random.
         assert len(calls) == (2 if mode is ErrorMode.SYSTEMATIC else 4)
         assert sweep.success_probs[:2] == [sweep.baseline, sweep.baseline]
 
-    def test_deterministic_mode_ignores_realization_count(self) -> None:
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_systematic_mode_rejects_realization_count(self, count) -> None:
+        # Every systematic point runs once, so a larger count would be
+        # recorded in the result without being run.
+        with pytest.raises(ValueError, match="n_realizations=1"):
+            threshold_sweep(
+                RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0, 0.1],
+                n_realizations=count, multiplier_bound=1,
+            )
         one = threshold_sweep(
-            RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0, 0.1], n_realizations=1,
-            multiplier_bound=1,
+            RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0, 0.1], multiplier_bound=1
         )
-        five = threshold_sweep(
-            RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0, 0.1], n_realizations=5,
-            multiplier_bound=1,
-        )
-        assert np.array_equal(one.success_probs, five.success_probs)
+        assert one.n_realizations == 1
 
     def test_random_mode_is_reproducible(self) -> None:
         a = threshold_sweep(
@@ -665,6 +752,97 @@ class TestThresholdSweep:
             threshold_sweep(
                 RECOVERABLE, ErrorMode.UNIFORM, [0.0], n_realizations=0
             )
+
+
+def former_sweep_points(
+    inst: ShorInstance, mode: ErrorMode, magnitudes: list[float], count: int,
+    master_seed: int, bound: int,
+) -> np.ndarray:
+    """Each sweep point as computed before: success_probability on the register."""
+    points = []
+    for index, magnitude in enumerate(magnitudes):
+        model = experiment._model_at_magnitude(mode, magnitude)
+        magnitude_seed = derive_stream_seed(master_seed, index)
+        n = 1 if model.deterministic else count
+        seeds = [derive_stream_seed(magnitude_seed, i) for i in range(n)]
+        acc = 0.0
+        for values in realizations_at_period(inst, model, seeds):
+            register = register_values(inst, values)
+            spec = Spectrum(register, SpectrumMethod.DIRECT_SUM, inst)
+            acc += success_probability(spec, bound)
+        points.append(acc / n)
+    return np.array(points)
+
+
+@st.composite
+def sweep_cases(draw) -> tuple:
+    """Sweeps of instances with 3 <= modulus <= 60 and L <= 12, any offset.
+
+    Bound 64 is at least every such order, so every outcome hits.
+    """
+    modulus, base = draw(COPRIME_PAIRS)
+    order = find_order(base, modulus)
+    n_qubits = draw(st.integers(max(1, (order - 1).bit_length()), 12))
+    inst = ShorInstance.synthetic_instance(
+        n_qubits, order, offset=draw(st.integers(0, order - 1)),
+        modulus=modulus, base=base,
+    )
+    mode = draw(st.sampled_from([ErrorMode.SYSTEMATIC, ErrorMode.UNIFORM,
+                                 ErrorMode.GAUSSIAN]))
+    count = 1 if mode is ErrorMode.SYSTEMATIC else draw(st.integers(1, 3))
+    width = draw(st.sampled_from([1e-4, 1e-2, 0.3]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    bound = draw(st.sampled_from([1, 2, 64]))
+    return inst, mode, [0.0, width, 2 * width], count, seed, bound
+
+
+FIFTEEN = ShorInstance.from_factoring(15, 7)  # q' = 64, below numpy's 128-block
+
+
+class TestSweepAtPeriod:
+    """Success taken at the period equals the register sum bit for bit."""
+
+    @settings(max_examples=100)
+    @given(case=sweep_cases())
+    @example(case=(FIFTEEN, ErrorMode.GAUSSIAN, [0.0, 0.1, 0.5], 3, 7, 1))
+    @example(case=(FIFTEEN, ErrorMode.UNIFORM, [0.0, 0.1, 0.5], 2, 8, 64))
+    @example(case=(FIFTEEN, ErrorMode.SYSTEMATIC, [0.0, 0.1, 0.3], 1, 9, 4))
+    def test_points_match_register_sum_property(self, case) -> None:
+        inst, mode, magnitudes, count, seed, bound = case
+        sweep = threshold_sweep(
+            inst, mode, magnitudes, n_realizations=count, master_seed=seed,
+            multiplier_bound=bound,
+        )
+        expected = former_sweep_points(inst, mode, magnitudes, count, seed, bound)
+        assert same_bits(np.array(sweep.success_probs), expected)
+
+    @pytest.mark.parametrize(
+        "modulus, mode, magnitudes, count, bound",
+        [
+            (221, ErrorMode.GAUSSIAN, [0.0, 1.2e-5, 2.8e-5, 4e-5], 3, 1),
+            (221, ErrorMode.SYSTEMATIC, [0.0, 1e-4, 3e-4], 1, 64),
+            (91, ErrorMode.UNIFORM, [0.0, 2e-4, 1e-3], 2, 2),
+        ],
+    )
+    def test_points_match_register_sum_on_factoring_instances(
+        self, modulus, mode, magnitudes, count, bound
+    ) -> None:
+        inst = ShorInstance.from_factoring(modulus, 2)
+        sweep = threshold_sweep(
+            inst, mode, magnitudes, n_realizations=count, master_seed=5,
+            multiplier_bound=bound,
+        )
+        expected = former_sweep_points(inst, mode, magnitudes, count, 5, bound)
+        assert same_bits(np.array(sweep.success_probs), expected)
+
+    def test_rejects_non_finite_realization(self, monkeypatch) -> None:
+        def poisoned(inst, model, seeds):
+            for values in realizations_at_period(inst, model, seeds):
+                yield values if model.deterministic else values * np.inf
+
+        monkeypatch.setattr(experiment, "realizations_at_period", poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            threshold_sweep(RECOVERABLE, ErrorMode.GAUSSIAN, [0.0, 0.1])
 
 
 class TestSweepCsv:

@@ -29,6 +29,7 @@ from shornoise.qcircuit import (
     sample_outcomes,
 )
 from shornoise.spectrum import direct_spectrum, init_error_weights
+from prng_oracle import uniform01
 from weights_oracle import full_register_weights
 
 
@@ -419,7 +420,7 @@ class TestMeasurement:
         outcomes = sample_outcomes(probabilities, 300, batch)
         cdf = np.cumsum(probabilities)
         expected = [
-            min(int(np.searchsorted(cdf, scalar.uniform01(), side="right")), 7)
+            min(int(np.searchsorted(cdf, uniform01(scalar), side="right")), 7)
             for _ in range(300)
         ]
         assert outcomes.tolist() == expected
