@@ -273,7 +273,10 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("--mag-stop must be >= --mag-start")
     if not 0.0 < args.eta <= 1.0:
         parser.error("--eta must be in (0, 1]")
-    count = int(round((args.mag_stop - args.mag_start) / args.mag_step)) + 1
+    steps = (args.mag_stop - args.mag_start) / args.mag_step
+    if not math.isfinite(steps):
+        parser.error("(--mag-stop - --mag-start) / --mag-step must be finite")
+    count = int(round(steps)) + 1
     magnitudes = [args.mag_start + i * args.mag_step for i in range(count)]
     result = threshold_sweep(
         inst,

@@ -17,15 +17,16 @@ xorshift transition T is linear over GF(2), so position p of a stream is
 T**p applied to its state. Each stream splits into _LANES lanes of
 s = ceil(n/_LANES) draws: lane j starts at position j*s, reached through
 a cached table of the 64-column matrices T**(j*s), and the K*_LANES lanes
-then step together in numpy uint64. An ensemble draws a chunk of
-realizations this way at once (`sample_realizations`). Gaussian draws keep
-the scalar Box-Muller pairing. Their logarithms go through `math.log`,
-because numpy's vectorized `np.log` differs from the C library in the
-last bit (6,937 of 2,000,000 inputs 1 - u on one AVX-512 host, numpy
-2.4), which would change seeded results. Their cosines come from
-`np.cos`, which on the same host equals `math.cos` on all of 21,000,000
-angles 2*pi*u, strided and in place as here; a test keeps that checked.
-The square root, products and sums are IEEE-exact either way.
+then step together in numpy uint64. `sample_realizations`, the one
+sampler behind every realization and gate plan, draws a chunk of seeds
+this way at once. Gaussian draws keep the scalar Box-Muller pairing.
+Their logarithms go through `math.log`, because numpy's vectorized
+`np.log` differs from the C library in the last bit (6,937 of 2,000,000
+inputs 1 - u on one AVX-512 host, numpy 2.4), which would change seeded
+results. Their cosines come from `np.cos`, which on the same host equals
+`math.cos` on all of 21,000,000 angles 2*pi*u, strided and in place as
+here; a test keeps that checked. The square root, products and sums are
+IEEE-exact either way.
 """
 from __future__ import annotations
 
@@ -219,12 +220,11 @@ class ErrorModel:
     delta0 is the constant part of every error. Uniform mode adds
     (2u - 1) * s_max with u uniform in [0, 1); Gaussian mode adds
     sigma0 * z with z standard normal (no cutoff). Amplitude errors
-    default to off, in which case the amplitude sampler returns zeros
-    without touching any stream; mode none rejects them. init_delta feeds
-    the preparation-stage weights and is not sampled. A magnitude the
-    mode does not read (delta0 under none, s_max outside uniform, sigma0
-    outside gaussian) must be zero, so the model is deterministic exactly
-    when both widths are zero.
+    default to off, in which case no amplitude stream is drawn; mode none
+    rejects them. init_delta feeds the preparation-stage weights and is
+    not sampled. A magnitude the mode does not read (delta0 under none,
+    s_max outside uniform, sigma0 outside gaussian) must be zero, so the
+    model is deterministic exactly when both widths are zero.
     """
 
     mode: ErrorMode = ErrorMode.NONE
@@ -297,34 +297,17 @@ def _draw(model: ErrorModel, count: int, seeds: Sequence[int], salt: int) -> np.
     return _sample(model, count, [_substream(seed, salt) for seed in seeds])
 
 
-def sample_phase_errors(model: ErrorModel, count: int, seed: int) -> np.ndarray:
-    """Draw the per-term phase errors for one realization.
-
-    Deterministic models (mode none or systematic, or a zero width) give
-    delta0 for every term and ignore the seed entirely.
-    """
-    return _draw(model, count, [seed], _PHASE_STREAM_SALT)[0]
-
-
-def sample_amplitude_errors(model: ErrorModel, count: int, seed: int) -> np.ndarray:
-    """Draw the per-term amplitude errors, or zeros when they are disabled."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not model.include_amplitude_errors:
-        return np.zeros(count)
-    return _draw(model, count, [seed], _AMPLITUDE_STREAM_SALT)[0]
-
-
 def sample_realizations(
     model: ErrorModel, count: int, seeds: Sequence[int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Phase and amplitude errors of the realizations drawn from seeds.
 
-    Pair k equals `sample_phase_errors(model, count, seeds[k])` and
-    `sample_amplitude_errors(model, count, seeds[k])` bit for bit, except
-    that the amplitude errors are None when the model disables them. All
-    draws are made before this returns, the streams of all seeds
-    stepping together.
+    Pair k holds count draws from each substream of seeds[k], amplitude
+    errors None when the model disables them; draw i does not depend on
+    count. Deterministic models (mode none or systematic, or a zero
+    width) give delta0 for every term and ignore the seeds. All draws
+    are made before this returns, the streams of all seeds stepping
+    together.
     """
     phase = _draw(model, count, seeds, _PHASE_STREAM_SALT)
     if not model.include_amplitude_errors:

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errmodel import (
-    ErrorModel,
-    Xorshift64Star,
-    sample_amplitude_errors,
-    sample_phase_errors,
-)
+from .errmodel import ErrorModel, Xorshift64Star, sample_realizations
 from .numth import MAX_QUBITS, ShorInstance
 from .spectrum import Spectrum, SpectrumMethod, init_error_weights
 
@@ -71,12 +66,13 @@ class GateErrorPlan:
 
         The A gates perturb amplitudes, so they draw from the amplitude
         stream and stay exact while amplitude errors are disabled; the
-        B gates draw from the phase stream.
+        B gates draw from the phase stream. One realization of
+        max(L, L(L-1)/2) draws covers both: each is a stream prefix.
         """
         n_pairs = n_qubits * (n_qubits - 1) // 2
-        hadamard = sample_amplitude_errors(model, n_qubits, seed)
-        phase = sample_phase_errors(model, n_pairs, seed) if n_pairs else np.zeros(0)
-        return cls(n_qubits, hadamard, phase)
+        ((phase, amp),) = sample_realizations(model, max(n_qubits, n_pairs), [seed])
+        hadamard = np.zeros(n_qubits) if amp is None else amp[:n_qubits]
+        return cls(n_qubits, hadamard, phase[:n_pairs])
 
 
 def _bit_reversal_permutation(n_qubits: int) -> np.ndarray:

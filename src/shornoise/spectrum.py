@@ -298,7 +298,7 @@ def systematic_spectrum_closed_form(inst: ShorInstance, delta: float) -> Spectru
 def realizations_at_period(
     inst: ShorInstance, model: ErrorModel, seeds: Sequence[int]
 ) -> Iterator[np.ndarray]:
-    """`period_values` of the `combined_spectrum` realizations drawn from seeds.
+    """`period_values` of the direct-sum realizations drawn from seeds.
 
     Their errors are drawn together (`errmodel.sample_realizations`);
     each realization is then transformed on its own, in the order of seeds.
@@ -307,26 +307,13 @@ def realizations_at_period(
         yield period_values(inst, phase, amp, model.init_delta)
 
 
-def combined_spectrum(
-    inst: ShorInstance, model: ErrorModel, seed: int
-) -> Spectrum:
-    """One realization of the readout distribution under an error model.
-
-    Phase and amplitude errors are drawn once for the whole spectrum
-    (quenched draws: a realization is one miscalibrated apparatus, not a
-    per-shot fluctuation). Preparation weights enter when the model's
-    init_delta is nonzero.
-    """
-    phase, amp = next(sample_realizations(model, inst.support_count, [seed]))
-    return replace(direct_spectrum(inst, phase, amp, model.init_delta), model=model)
-
-
 def model_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectrum:
     """The effective-model readout distribution by the route exact for the model.
 
     A systematic phase error with neither amplitude nor preparation error
-    gives the closed form; every other model, exact gates included, gives
-    one direct-sum realization drawn from seed (`combined_spectrum`).
+    gives the closed form. Every other model, exact gates included, gives
+    one direct-sum realization, its errors drawn once from seed (quenched:
+    one miscalibrated apparatus, not a per-shot fluctuation).
     """
     if (
         model.mode is ErrorMode.SYSTEMATIC
@@ -334,7 +321,8 @@ def model_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectrum
         and model.init_delta == 0.0
     ):
         return systematic_spectrum_closed_form(inst, model.delta0)
-    return combined_spectrum(inst, model, seed)
+    ((phase, amp),) = sample_realizations(model, inst.support_count, [seed])
+    return replace(direct_spectrum(inst, phase, amp, model.init_delta), model=model)
 
 
 def total_variation_distance(first: Spectrum, second: Spectrum) -> float:

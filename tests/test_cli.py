@@ -1,12 +1,15 @@
 """End-to-end tests for the command line interface.
 
-Commands run in process through main(argv). Usage errors surface as
-SystemExit(2) from the argument parser; runtime failures return 1; success
-returns 0.
+Commands run in process through main(argv), except where stderr itself
+is checked. Usage errors surface as SystemExit(2) from the argument
+parser; runtime failures return 1; success returns 0.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,6 +19,8 @@ import pytest
 from shornoise.cli import main
 from shornoise.errmodel import ErrorMode, ErrorModel
 from spectrum_csv import read_spectrum_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_spectrum(tmp_path, name: str, *args: str) -> tuple[int, str]:
@@ -413,6 +418,25 @@ class TestErrorHandling:
             main(["sweep", "--N", "15", "--y", "7", "--model", "systematic",
                   "--mag-step", "0.05", "--out", str(tmp_path / "x.csv")] + span)
         assert info.value.code == 2
+
+    def test_sweep_grid_too_fine_to_count_is_usage_error(self, tmp_path) -> None:
+        # (stop - start) / step overflows to inf, which has no grid size.
+        # Run as a process, so an uncaught error would print its traceback.
+        out = tmp_path / "x.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "shornoise.cli", "sweep", "--N", "15", "--y", "7",
+             "--model", "gaussian", "--mag-stop", "1e308", "--mag-step", "1e-308",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "error: (--mag-stop - --mag-start) / --mag-step must be finite" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
 
     def test_sweep_multiplier_bound_below_one_is_usage_error(self, tmp_path) -> None:
         with pytest.raises(SystemExit) as info:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prng_oracle import gaussian, uniform01
+from prng_oracle import amplitude_errors, gaussian, phase_errors, uniform01
 
 from shornoise.errmodel import (
     _AMPLITUDE_STREAM_SALT,
@@ -22,8 +22,6 @@ from shornoise.errmodel import (
     _substream,
     _uniform01_rows,
     derive_stream_seed,
-    sample_amplitude_errors,
-    sample_phase_errors,
     sample_realizations,
 )
 
@@ -127,43 +125,34 @@ class TestUniformArray:
             assert rng.state == scalar.state
 
 
-def scalar_phase_errors(model: ErrorModel, count: int, seed: int) -> list[float]:
-    """The per-draw loop the batched sampler must reproduce bit for bit."""
-    rng = _substream(seed, _PHASE_STREAM_SALT)
-    if model.mode is ErrorMode.UNIFORM:
-        return [
-            model.delta0 + (2.0 * uniform01(rng) - 1.0) * model.s_max
-            for _ in range(count)
-        ]
-    values = []
-    for _ in range(count):
-        u1 = 1.0 - uniform01(rng)
-        u2 = uniform01(rng)
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        values.append(model.delta0 + model.sigma0 * z)
-    return values
+def one_realization(
+    model: ErrorModel, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Phase and amplitude errors of the realization drawn from seed."""
+    ((phase, amp),) = sample_realizations(model, count, [seed])
+    return phase, amp
 
 
 class TestSamplerMatchesScalarOracle:
     @pytest.mark.parametrize("count", [1, 2, 255, 3277])
     def test_uniform(self, count: int) -> None:
         model = ErrorModel(ErrorMode.UNIFORM, delta0=0.013, s_max=0.37)
-        expected = scalar_phase_errors(model, count, 5)
-        assert sample_phase_errors(model, count, 5).tolist() == expected
+        expected = phase_errors(model, count, 5).tolist()
+        assert one_realization(model, count, 5)[0].tolist() == expected
 
     @pytest.mark.parametrize("count", [1, 2, 255, 3277])
     def test_gaussian(self, count: int) -> None:
         model = ErrorModel(ErrorMode.GAUSSIAN, delta0=-0.02, sigma0=0.7)
-        expected = scalar_phase_errors(model, count, 5)
-        assert sample_phase_errors(model, count, 5).tolist() == expected
+        expected = phase_errors(model, count, 5).tolist()
+        assert one_realization(model, count, 5)[0].tolist() == expected
 
     def test_gaussian_many_draws(self) -> None:
         # Enough logarithms that a vectorized log differing from the C
         # library in the last bit (about 0.4% of inputs on some hosts)
         # shows up.
         model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=1.0)
-        expected = scalar_phase_errors(model, 20_000, 1234)
-        assert sample_phase_errors(model, 20_000, 1234).tolist() == expected
+        expected = phase_errors(model, 20_000, 1234).tolist()
+        assert one_realization(model, 20_000, 1234)[0].tolist() == expected
 
     def test_gaussian_cosines_match_the_c_library(self) -> None:
         # Box-Muller takes its cosines from np.cos, which must equal
@@ -185,7 +174,7 @@ class TestSamplerMatchesScalarOracle:
 
 
 class TestSampleRealizations:
-    """The chunk sampler against the one-realization samplers it batches."""
+    """The chunk sampler against the scalar draws of each seed."""
 
     @pytest.mark.parametrize(
         "model",
@@ -209,12 +198,12 @@ class TestSampleRealizations:
         draws = list(sample_realizations(model, count, seeds))
         assert len(draws) == chunk
         for (phase, amp), seed in zip(draws, seeds):
-            expected = sample_phase_errors(model, count, seed)
+            expected = phase_errors(model, count, seed)
             assert np.array_equal(phase.view(np.uint64), expected.view(np.uint64))
-            if not model.include_amplitude_errors:
+            expected = amplitude_errors(model, count, seed)
+            if expected is None:
                 assert amp is None
                 continue
-            expected = sample_amplitude_errors(model, count, seed)
             assert np.array_equal(amp.view(np.uint64), expected.view(np.uint64))
 
     def test_rejects_empty_request(self) -> None:
@@ -243,7 +232,9 @@ class TestErrorModel:
         model = ErrorModel()
         assert model.mode is ErrorMode.NONE
         assert model.deterministic
-        assert np.array_equal(sample_phase_errors(model, 5, 1), np.zeros(5))
+        phase, amp = one_realization(model, 5, 1)
+        assert np.array_equal(phase, np.zeros(5))
+        assert amp is None
 
     def test_deterministic_flag(self) -> None:
         assert ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.1).deterministic
@@ -261,13 +252,9 @@ class TestErrorModel:
     def test_zero_width_is_deterministic(self, model: ErrorModel) -> None:
         assert model.deterministic
         # Each value keeps the bits the random stream gave it: +-0 * width + delta0.
-        streams = (
-            (sample_phase_errors, _PHASE_STREAM_SALT),
-            (sample_amplitude_errors, _AMPLITUDE_STREAM_SALT),
-        )
+        salts = (_PHASE_STREAM_SALT, _AMPLITUDE_STREAM_SALT)
         for seed in (0, 1, 999):
-            for sample, salt in streams:
-                got = sample(model, 300, seed)
+            for got, salt in zip(one_realization(model, 300, seed), salts):
                 drawn = _sample(model, 300, [_substream(seed, salt)])[0]
                 assert np.array_equal(got.view(np.uint64), drawn.view(np.uint64))
                 assert np.array_equal(got, np.full(300, model.delta0))
@@ -315,56 +302,55 @@ class TestSamplePhaseErrors:
     def test_systematic_is_constant(self) -> None:
         model = ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.02)
         for seed in (0, 1, 999):
-            assert np.array_equal(sample_phase_errors(model, 3, seed), np.full(3, 0.02))
+            assert np.array_equal(one_realization(model, 3, seed)[0], np.full(3, 0.02))
 
     def test_uniform_centered_and_bounded(self) -> None:
         model = ErrorModel(ErrorMode.UNIFORM, delta0=0.05, s_max=0.01)
-        draws = sample_phase_errors(model, 1_000_000, 11)
+        ((draws, _),) = sample_realizations(model, 1_000_000, [11])
         assert np.all(np.abs(draws - 0.05) <= 0.01)
         assert abs(draws.mean() - 0.05) < 1e-4
 
     def test_gaussian_centered_with_spread(self) -> None:
         model = ErrorModel(ErrorMode.GAUSSIAN, delta0=-0.02, sigma0=0.3)
-        draws = sample_phase_errors(model, 200_000, 12)
+        ((draws, _),) = sample_realizations(model, 200_000, [12])
         assert abs(draws.mean() + 0.02) < 0.005
         assert abs(draws.std() - 0.3) < 0.01
 
     def test_same_seed_reproduces_exactly(self) -> None:
         model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.1)
-        a = sample_phase_errors(model, 64, 42)
-        b = sample_phase_errors(model, 64, 42)
+        a = one_realization(model, 64, 42)[0]
+        b = one_realization(model, 64, 42)[0]
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self) -> None:
         model = ErrorModel(ErrorMode.UNIFORM, s_max=0.1)
-        a = sample_phase_errors(model, 64, 1)
-        b = sample_phase_errors(model, 64, 2)
+        a = one_realization(model, 64, 1)[0]
+        b = one_realization(model, 64, 2)[0]
         assert not np.array_equal(a, b)
 
     def test_rejects_empty_request(self) -> None:
         with pytest.raises(ValueError):
-            sample_phase_errors(ErrorModel(), 0, 1)
+            sample_realizations(ErrorModel(ErrorMode.UNIFORM, s_max=0.1), 0, [1])
 
 
 class TestSampleAmplitudeErrors:
     def test_disabled_by_default(self) -> None:
         model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.5)
-        assert np.array_equal(sample_amplitude_errors(model, 8, 3), np.zeros(8))
+        assert one_realization(model, 8, 3)[1] is None
 
     def test_systematic_when_enabled(self) -> None:
         model = ErrorModel(
             ErrorMode.SYSTEMATIC, delta0=0.02, include_amplitude_errors=True
         )
-        assert np.array_equal(sample_amplitude_errors(model, 2, 0), np.full(2, 0.02))
+        assert np.array_equal(one_realization(model, 2, 0)[1], np.full(2, 0.02))
 
     def test_phase_and_amplitude_streams_are_independent(self) -> None:
         # Turning amplitude errors on must not change the phase draws for
         # the same seed, and the two samples must not mirror each other.
         base = ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.1)
         both = ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.1, include_amplitude_errors=True)
-        phase_off = sample_phase_errors(base, 32, 42)
-        phase_on = sample_phase_errors(both, 32, 42)
+        phase_off, _ = one_realization(base, 32, 42)
+        phase_on, amp = one_realization(both, 32, 42)
         assert np.array_equal(phase_off, phase_on)
-        amp = sample_amplitude_errors(both, 32, 42)
         assert not np.array_equal(amp, phase_on)
         assert np.any(amp != 0.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prng_oracle import amplitude_errors, phase_errors
 from recovery_oracle import COPRIME_PAIRS, recover_order
 
 from shornoise import experiment
@@ -18,8 +19,6 @@ from shornoise.errmodel import (
     ErrorModel,
     Xorshift64Star,
     derive_stream_seed,
-    sample_amplitude_errors,
-    sample_phase_errors,
 )
 from shornoise.experiment import (
     SweepResult,
@@ -38,8 +37,8 @@ from shornoise.qcircuit import circuit_spectrum, sample_outcomes
 from shornoise.spectrum import (
     Spectrum,
     SpectrumMethod,
-    combined_spectrum,
     direct_spectrum,
+    model_spectrum,
     realizations_at_period,
     register_values,
     systematic_spectrum_closed_form,
@@ -160,8 +159,8 @@ def former_ensemble(
     square = np.empty(inst.register_size)
     for i in range(count):
         seed = derive_stream_seed(master_seed, i)
-        phase = sample_phase_errors(model, m, seed)
-        amp = sample_amplitude_errors(model, m, seed)
+        phase = phase_errors(model, m, seed)
+        amp = amplitude_errors(model, m, seed)
         values = direct_spectrum(inst, phase, amp, model.init_delta).values
         total += values
         total_sq += np.square(values, out=square)
@@ -257,7 +256,7 @@ class TestPeakReport:
     def test_shifts_match_scalar_loop_on_noise_floor(self) -> None:
         # The benchmark's `floor` spectrum: tens of thousands of peaks.
         inst = ShorInstance.synthetic_instance(18, 4)
-        spec = combined_spectrum(inst, ErrorModel(ErrorMode.UNIFORM, s_max=1e-3), 1)
+        spec = model_spectrum(inst, ErrorModel(ErrorMode.UNIFORM, s_max=1e-3), 1)
         report = peak_report(spec)
         assert len(report.peaks) > 40_000
         assert report.peaks == former_peaks(spec.values, 0.1)
@@ -299,7 +298,7 @@ class TestEnsembleSpectrum:
     def test_single_realization_uses_first_substream(self) -> None:
         model = ErrorModel(ErrorMode.UNIFORM, s_max=0.05)
         mean, _ = ensemble_spectrum(STANDARD, model, 1, 42)
-        single = combined_spectrum(STANDARD, model, derive_stream_seed(42, 0))
+        single = model_spectrum(STANDARD, model, derive_stream_seed(42, 0))
         assert np.array_equal(mean.values, single.values)
 
     def test_random_model_has_spread(self) -> None:
@@ -638,7 +637,7 @@ class TestSuccessBitIdentity:
         inst = ShorInstance.from_factoring(221, 2)
         for seed in range(3):
             model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=2e-5)
-            spec = combined_spectrum(inst, model, seed)
+            spec = model_spectrum(inst, model, seed)
             got = np.float64(success_probability(spec, bound))
             expected = np.float64(former_success(spec, bound))
             assert got.view(np.uint64) == expected.view(np.uint64)

@@ -29,8 +29,14 @@ from shornoise.qcircuit import (
     sample_outcomes,
 )
 from shornoise.spectrum import direct_spectrum, init_error_weights
-from prng_oracle import uniform01
+from prng_oracle import amplitude_errors, phase_errors, uniform01
 from weights_oracle import full_register_weights
+
+
+def same_bits(first: np.ndarray, second: np.ndarray) -> bool:
+    return first.shape == second.shape and np.array_equal(
+        first.view(np.uint64), second.view(np.uint64)
+    )
 
 
 def dft_matrix(n_qubits: int) -> np.ndarray:
@@ -235,6 +241,39 @@ class TestGateErrorPlan:
         model = ErrorModel(ErrorMode.UNIFORM, s_max=0.2)
         plan = GateErrorPlan.sample(model, 1, seed=3)
         assert len(plan.phase_deltas) == 0
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ErrorModel(ErrorMode.UNIFORM, delta0=0.03, s_max=0.2),
+            ErrorModel(
+                ErrorMode.UNIFORM, delta0=0.03, s_max=0.2, include_amplitude_errors=True
+            ),
+            ErrorModel(ErrorMode.GAUSSIAN, delta0=-0.04, sigma0=0.3),
+            ErrorModel(
+                ErrorMode.GAUSSIAN, delta0=-0.04, sigma0=0.3, include_amplitude_errors=True
+            ),
+            ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05, include_amplitude_errors=True),
+        ],
+        ids=["uniform", "uniform-amp", "gaussian", "gaussian-amp", "systematic-amp"],
+    )
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    def test_sample_is_the_scalar_draws_of_each_stream(self, model, n_qubits) -> None:
+        # A_j takes amplitude draw j and B_jk the phase draw at its pair
+        # index, each stream read from its start one scalar draw at a
+        # time; at n <= 2 there are fewer pair gates than qubits.
+        n_pairs = n_qubits * (n_qubits - 1) // 2
+        for seed in (0, 5, 2**64 - 1):
+            plan = GateErrorPlan.sample(model, n_qubits, seed)
+            hadamard = amplitude_errors(model, n_qubits, seed)
+            if hadamard is None:
+                hadamard = np.zeros(n_qubits)
+            phase = phase_errors(model, n_pairs, seed)
+            assert same_bits(plan.hadamard_deltas, hadamard)
+            assert same_bits(plan.phase_deltas, phase)
+            if model.deterministic:
+                assert same_bits(plan.phase_deltas, np.full(n_pairs, model.delta0))
+                assert same_bits(plan.hadamard_deltas, np.full(n_qubits, model.delta0))
 
 
 @st.composite

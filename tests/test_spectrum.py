@@ -20,13 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shornoise.errmodel import (
-    ErrorMode,
-    ErrorModel,
-    Xorshift64Star,
-    sample_amplitude_errors,
-    sample_phase_errors,
-)
+from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star
 from shornoise.numth import ShorInstance
 from shornoise.spectrum import (
     Spectrum,
@@ -34,7 +28,6 @@ from shornoise.spectrum import (
     _assemble,
     _csv_rows,
     _period_plan,
-    combined_spectrum,
     direct_spectrum,
     init_error_weights,
     model_spectrum,
@@ -45,7 +38,7 @@ from shornoise.spectrum import (
     total_variation_distance,
     write_spectrum_csv,
 )
-from prng_oracle import gaussian
+from prng_oracle import amplitude_errors, gaussian, phase_errors
 from spectrum_csv import format_spectrum_csv_reference, read_spectrum_csv
 from weights_oracle import full_register_weights
 
@@ -337,7 +330,7 @@ class TestDirectSumAccuracy:
         ids=["direct", "wide", "floor", "N221"],
     )
     def test_matches_dense_oracle_on_benchmark_instances(self, inst, model) -> None:
-        phase = sample_phase_errors(model, inst.support_count, 1)
+        phase = phase_errors(model, inst.support_count, 1)
         got = direct_spectrum(inst, phase)
         assert_matches_dense_oracle(inst, got.values, phase)
 
@@ -347,10 +340,10 @@ class TestDirectSumAccuracy:
             init_delta=0.02,
         )
         inst = ShorInstance.synthetic_instance(10, 7, offset=3)
-        phase = sample_phase_errors(model, inst.support_count, 5)
-        amp = sample_amplitude_errors(model, inst.support_count, 5)
+        phase = phase_errors(model, inst.support_count, 5)
+        amp = amplitude_errors(model, inst.support_count, 5)
         weights = full_register_weights(inst.n_qubits, 0.02)
-        got = combined_spectrum(inst, model, seed=5)
+        got = model_spectrum(inst, model, seed=5)
         assert_matches_dense_oracle(inst, got.values, phase, amp, weights)
 
     @pytest.mark.parametrize(
@@ -568,29 +561,31 @@ class TestClosedForm:
 
 
 class TestCombinedSpectrum:
+    """One direct-sum realization under an error model (`model_spectrum`)."""
+
     def test_mode_none_reduces_to_noiseless(self) -> None:
-        spec = combined_spectrum(STANDARD, ErrorModel(), seed=3)
+        spec = model_spectrum(STANDARD, ErrorModel(), seed=3)
         np.testing.assert_allclose(
             spec.values, exact_spectrum(STANDARD).values, atol=1e-12
         )
 
     def test_systematic_matches_closed_form(self) -> None:
-        model = ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05)
-        spec = combined_spectrum(STANDARD, model, seed=3)
+        # model_spectrum routes this model to the closed form itself.
+        spec = direct_spectrum(STANDARD, np.full(STANDARD.support_count, 0.05))
         closed = systematic_spectrum_closed_form(STANDARD, 0.05)
         np.testing.assert_allclose(spec.values, closed.values, atol=1e-9)
 
     def test_same_seed_reproduces(self) -> None:
         model = ErrorModel(ErrorMode.UNIFORM, s_max=0.05)
-        a = combined_spectrum(STANDARD, model, seed=42)
-        b = combined_spectrum(STANDARD, model, seed=42)
+        a = model_spectrum(STANDARD, model, seed=42)
+        b = model_spectrum(STANDARD, model, seed=42)
         assert np.array_equal(a.values, b.values)
         assert a.model is model
 
     def test_different_seeds_differ(self) -> None:
         model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.05)
-        a = combined_spectrum(STANDARD, model, seed=1)
-        b = combined_spectrum(STANDARD, model, seed=2)
+        a = model_spectrum(STANDARD, model, seed=1)
+        b = model_spectrum(STANDARD, model, seed=2)
         assert not np.array_equal(a.values, b.values)
 
     def test_matches_reference_for_sampled_errors(self) -> None:
@@ -598,9 +593,9 @@ class TestCombinedSpectrum:
             ErrorMode.GAUSSIAN, sigma0=0.05, include_amplitude_errors=True,
             init_delta=0.01,
         )
-        spec = combined_spectrum(SMALL, model, seed=7)
-        phase = sample_phase_errors(model, SMALL.support_count, 7)
-        amp = sample_amplitude_errors(model, SMALL.support_count, 7)
+        spec = model_spectrum(SMALL, model, seed=7)
+        phase = phase_errors(model, SMALL.support_count, 7)
+        amp = amplitude_errors(model, SMALL.support_count, 7)
         weights = full_register_weights(SMALL.n_qubits, 0.01)
         expected = reference_distribution(SMALL, phase, amp, weights)
         np.testing.assert_allclose(spec.values, expected, rtol=1e-10, atol=1e-13)
@@ -634,7 +629,10 @@ class TestModelSpectrum:
     def test_direct_route_is_the_seeded_realization(self) -> None:
         model = ErrorModel(ErrorMode.UNIFORM, s_max=0.02, init_delta=0.01)
         spec = model_spectrum(STANDARD, model, seed=5)
-        assert np.array_equal(spec.values, combined_spectrum(STANDARD, model, 5).values)
+        m = STANDARD.support_count
+        phase, amp = phase_errors(model, m, 5), amplitude_errors(model, m, 5)
+        expected = direct_spectrum(STANDARD, phase, amp, model.init_delta)
+        assert np.array_equal(spec.values, expected.values)
         assert spec.model is model
 
     @pytest.mark.parametrize(
@@ -879,7 +877,7 @@ class TestMetadata:
 
     def test_seed_and_fallback_fields(self) -> None:
         model = ErrorModel(ErrorMode.UNIFORM, s_max=0.05)
-        spec = combined_spectrum(STANDARD, model, seed=42)
+        spec = model_spectrum(STANDARD, model, seed=42)
         meta = spectrum_metadata(spec, seed=42)
         assert "seed=42" in meta
         assert "method=direct_sum" in meta
