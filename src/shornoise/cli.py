@@ -177,6 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--multiplier-bound", type=_parse_positive_int, default=DEFAULT_MULTIPLIER_BOUND
     )
 
+    for command in sub.choices.values():  # so usage errors show the command's usage
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -324,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](args, parser)
+        return _RUNNERS[args.command](args, args.parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -363,82 +363,108 @@ def spectrum_metadata(spec: Spectrum, seed: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A row `c,-d.dddddddddddde+0eee\n` at its widest, with eight c digits.
-_ROW_TEMPLATE = np.frombuffer(b"00000000,-0.000000000000e+0000\n", dtype=np.uint8)
 # 8,192 rows keep each chunk's temporaries at or below 254 KiB, small enough to
 # be reused from the heap rather than mapped and faulted in again per chunk.
 _CSV_CHUNK_ROWS = 1 << 13
-# |v| * fl(10**(12-e)) has two roundings of 2**-53 relative, so below 10**13 it
-# is within 2.3e-3 of exact, and rounds exactly if its fraction is this far from 1/2.
-_TIE_MARGIN = 5e-3
 
 
 @functools.cache
-def _format_tables() -> tuple[np.ndarray, np.ndarray]:
-    """ASCII words "0000" .. "9999", and 10**(k - 300) parsed, so correctly rounded."""
-    groups = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48
-    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
-    return groups.astype(np.uint8).view("<u4").ravel(), powers
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """Words "0000".."9999", ",0.0"..",9.9", "000e".."999e" and "-99\\n".."+99\\n",
+    then fl(10**(12-e)) and its error 10**(12-e) - fl(10**(12-e)) for e = -99..99."""
+    # numpy writes the 10,000 groups several times faster than f-strings would.
+    groups = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype("u1")
+    texts = (
+        [f",{i // 10}.{i % 10}" for i in range(100)],
+        [f"{i:03d}e" for i in range(1000)],
+        [f"{e:+03d}\n" for e in range(-99, 100)],
+    )
+    scales, tails = [], []  # each correctly rounded: parsed, and exact ints divided
+    for k in range(12 + 99, 12 - 100, -1):
+        scales.append(float(f"1e{k}"))
+        (n, d), u = scales[-1].as_integer_ratio(), 10 ** max(-k, 0)
+        tails.append((10 ** max(k, 0) * d - n * u) / (d * u))
+    words = [np.frombuffer("".join(t).encode(), dtype="<u4") for t in texts]
+    return (groups.view("<u4").ravel(), *words, np.array(scales), np.array(tails))
 
 
-def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 13 digits and the exponent that `%.12e` prints for each value."""
-    pow10 = _format_tables()[1]
-    mag = np.abs(values)
-    normal = (mag >= 1e-280) & (mag <= 1e280)
-    safe = np.where(normal, mag, 1.0)
-    exp = np.floor(np.log10(safe)).astype(np.int64)
-    scaled = safe * pow10[312 - exp]
-    exp += (scaled >= 1e13).astype(np.int64) - (scaled < 1e12)  # log10 may be one off
-    scaled = safe * pow10[312 - exp]
+def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The 13 digits and the exponent e + 99 that `%.12e` prints for each value.
+
+    None unless all values are +0.0 or in [1e-99, 1e100), with digits in
+    [10**12, 10**13) and no exact residual within 1e-9 of a tie. e is clipped
+    to [-99, 99]: e = 100 overflows 13 digits, and a value just below 10**-99
+    rounds to 10**12 at e = -99, as `%.12e` prints it.
+    """
+    scale_table, tail_table = _format_tables()[4:]
+    safe = np.where(values == 0.0, 1.0, values)
+    if np.signbit(values).any() or not (safe.min() >= 1e-99 and safe.max() < 1e100):
+        return None
+    biased = np.floor(np.log10(safe)).astype(np.intp) + 99
+    scaled = safe * np.take(scale_table, biased, mode="clip")
+    if scaled.min() < 1e12 or scaled.max() >= 1e13:  # log10 may be one off
+        biased += (scaled >= 1e13).astype(np.intp) - (scaled < 1e12)
+        scaled = safe * np.take(scale_table, biased, mode="clip")
     digits = np.rint(scaled)
-    doubt = (np.abs(scaled - digits) > 0.5 - _TIE_MARGIN) | (scaled < 1e12)
-    doubt |= (digits >= 1e13) | (~normal & (mag != 0.0))
-    digits[mag == 0.0] = 0.0
-    digits = digits.astype(np.int64)
-    for i in np.flatnonzero(doubt):
-        mantissa, _, exponent = f"{float(values[i]):.12e}".partition("e")
-        digits[i] = int(mantissa.lstrip("-").replace(".", ""))
-        exp[i] = int(exponent)
-    return digits, exp
+    # v * fl(10**(12-e)) has two roundings of 2**-53 relative, so below 10**13 it is
+    # within 2.3e-3 of exact, and its rounding is exact 5e-3 or more from a tie.
+    near = np.flatnonzero(np.abs(scaled - digits) > 0.5 - 5e-3)
+    if len(near):
+        # v * 10**(12-e) - digits to 1e-15: the product's rounding error, exact by
+        # Dekker's TwoProduct of 26-bit Veltkamp halves, plus v times the scale's.
+        v, product, i = safe[near], scaled[near], np.clip(biased[near], 0, 198)
+        vh, sh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (v, scale_table[i]))
+        vl, sl = v - vh, scale_table[i] - sh
+        residual = product - digits[near] + v * tail_table[i]
+        residual += ((vh * sh - product) + vh * sl + vl * sh) + vl * sl
+        if (np.abs(np.abs(residual) - 0.5) < 1e-9).any():
+            return None
+        digits[near] += np.rint(residual)
+    if digits.min() < 1e12 or digits.max() >= 1e13:
+        return None
+    digits[values == 0.0] = 0.0
+    return digits.astype(np.intp), biased
 
 
 def _csv_rows(values: np.ndarray, first_c: int) -> np.ndarray:
-    """The bytes of rows c = first_c, first_c + 1, ... for values."""
-    groups = _format_tables()[0]
-    n = len(values)
-    digits, exp = _decimal_digits(values)
-    lead, digits = np.divmod(digits, 10**12)
+    """The bytes of rows c = first_c, first_c + 1, ... for values.
+
+    A row is seven uint32 words: c in 8 digits, ",L.D", 8 digits, "DDDe" and
+    "+EE\\n". A decade of c is one strided copy that drops unused c digits.
+    Values `_decimal_digits` refuses send the chunk to the f-string.
+    """
+    decimal = _decimal_digits(values)
+    if decimal is None:  # the f-string formats the whole chunk
+        rows = (f"{c},{v:.12e}\n" for c, v in enumerate(values.tolist(), first_c))
+        return np.frombuffer("".join(rows).encode(), dtype=np.uint8)
+    groups, leads, fractions, exponents = _format_tables()[:4]
+    (digits, biased), n = decimal, len(values)
     c = np.arange(first_c, first_c + n)
-    buf = np.tile(_ROW_TEMPLATE, (n, 1))
-    buf[:, 10] += lead.astype(np.uint8)
-    buf[:, 25] = np.where(exp < 0, ord("-"), ord("+"))
-    words = (c // 10**4, c % 10**4, digits // 10**8, digits // 10**4 % 10**4)
-    words += (digits % 10**4, np.abs(exp))
-    for offset, word in zip((0, 4, 12, 16, 20, 26), words):
-        buf[:, offset : offset + 4].view("<u4")[:, 0] = groups[word]
-    # Drop unused leading c digits, a clear sign, the exponent's thousands
-    # digit and, below 100, its hundreds digit.
-    keep = np.ones(buf.shape, dtype=bool)
-    for width in range(1, 8):
-        keep[: max(0, min(n, 10**width - first_c)), : 8 - width] = False
-    keep[:, 9] = np.signbit(values)
-    keep[:, 26] = False
-    keep[:, 27] = np.abs(exp) >= 100
-    return buf[keep]
+    high, c_high = digits // 10**7, c // 10**4  # numpy's integer % is far slower
+    low, lead = digits - high * 10**7, high // 10**4
+    tail = low // 1000
+    words = np.empty((n, 7), dtype="<u4")
+    words[:, 0] = groups[c_high]
+    words[:, 1] = groups[c - c_high * 10**4]
+    words[:, 2] = leads[lead]
+    words[:, 3] = groups[high - lead * 10**4]
+    words[:, 4] = groups[tail]
+    words[:, 5] = fractions[low - tail * 1000]
+    words[:, 6] = np.take(exponents, biased, mode="clip")
+    rows, out, size = words.view(np.uint8), np.empty(n * 28, dtype=np.uint8), 0
+    for width in range(1, 9):
+        start = max(0, (10 ** (width - 1) if width > 1 else 0) - first_c)
+        stop, row = min(n, 10**width - first_c), np.dtype(f"V{20 + width}")
+        if start < stop:  # each row one opaque item, so the copy moves whole rows
+            block = out[size : size + (stop - start) * row.itemsize].view(row)
+            block[:] = rows[start:stop, 8 - width :].view(row)[:, 0]
+            size += block.nbytes
+    return out[:size]
 
 
 def write_spectrum_csv(spec: Spectrum, path: str | Path) -> None:
-    """Write `c,probability` rows with 12 significant digits after the header.
-
-    Rows are byte-identical to f"{c},{value:.12e}", with `\\n` line ends on
-    every platform. numpy assembles them chunk by chunk: the 13 digits of
-    v are rint(|v| * 10**(12-e)), the power of ten correctly rounded. That
-    product is within 2.3e-3 of the exact scaled value, so its rounding
-    is exact when its fraction is 5e-3 or more away from 1/2. Python's
-    `%.12e` formats the others, about one value in a hundred, values that
-    round up to 10**13, and values outside [1e-280, 1e280] other than zero.
-    """
+    """Write the `c,probability` header, then rows byte-identical to
+    f"{c},{value:.12e}\\n" on every platform, 8,192 at a time (`_csv_rows`)."""
     with open(path, "wb") as f:
         f.write(b"c,probability\n")
         for start in range(0, spec.register_size, _CSV_CHUNK_ROWS):

@@ -317,6 +317,25 @@ class TestErrorHandling:
                   "--out", str(tmp_path / "x.csv")])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--N", "15", "--y", "7", "--model", "none",
+             "--mag-stop", "1", "--mag-step", "0.1"],
+            ["spectrum", "--L", "8", "--r", "3", "--N", "15"],
+            ["spectrum", "--L", "8", "--r", "3", "--model", "systematic",
+             "--sigma", "0.1"],
+        ],
+        ids=["sweep-error-free", "spectrum-two-instances", "spectrum-unread-sigma"],
+    )
+    def test_runner_usage_error_shows_the_command_usage(
+        self, tmp_path, capsys, argv
+    ) -> None:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(tmp_path / "x.csv")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: shornoise {argv[0]}")
+
     def test_bad_seed_is_usage_error(self, tmp_path) -> None:
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--L", "7", "--r", "4", "--model", "none",

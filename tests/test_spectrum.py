@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shornoise import spectrum
 from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star
 from shornoise.numth import ShorInstance
 from shornoise.spectrum import (
@@ -861,6 +862,88 @@ class TestCsvWriter:
     def test_benchmark_closed_form_spectrum(self) -> None:
         inst = ShorInstance.synthetic_instance(18, 5, offset=3)
         assert_csv_matches_reference(systematic_spectrum_closed_form(inst, 1e-5).values)
+
+
+# Values the word rows hold: +0.0 and magnitudes in [1e-99, 1e100).
+plain_values = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-99, max_value=1e100, exclude_max=True),
+)
+
+
+@pytest.fixture
+def fallback_chunks(monkeypatch) -> list[int]:
+    """The length of every chunk left to the f-string rows."""
+    refused = []
+    decimal_digits = spectrum._decimal_digits
+
+    def counted(values: np.ndarray):
+        digits = decimal_digits(values)
+        if digits is None:
+            refused.append(len(values))
+        return digits
+
+    monkeypatch.setattr(spectrum, "_decimal_digits", counted)
+    return refused
+
+
+class TestCsvWordRows:
+    """Plain values take the word rows, and every chunk matches the f-string."""
+
+    def test_plain_chunks_at_every_c_width(self, fallback_chunks) -> None:
+        # q = 2**17 rows: sixteen chunks, and c from one to six digits.
+        values = 10.0 ** np.random.default_rng(18).uniform(-30.0, 0.0, 1 << 17)
+        assert_csv_matches_reference(values)
+        assert fallback_chunks == []
+
+    @pytest.mark.parametrize("first_c", [999_990, 9_999_990, (1 << 24) - 10])
+    def test_seven_and_eight_digit_c(self, fallback_chunks, first_c: int) -> None:
+        values = np.array([0.25, 0.0, 3e-7, 1.5, 0.1, 2e-5, 0.5, 1.0, 1e-99, 9e99])
+        rows = b"c,probability\n" + _csv_rows(values, first_c).tobytes()
+        assert rows == format_spectrum_csv_reference(values, first_c)
+        assert fallback_chunks == []
+
+    @pytest.mark.parametrize(
+        "odd, falls_back",
+        [
+            (-0.0, True),
+            (-1e-16, True),
+            (1e-120, True),
+            (2.0**-20, True),  # exact tie 9.5367431640625e-07, rounds to even
+            (0.99999999999999995, False),  # parses to 1.0: log10 exactly 0
+            (np.nextafter(1.0, 0.0), True),  # its 13 digits round up to 10**13
+        ],
+    )
+    def test_one_odd_row_in_a_plain_chunk(
+        self, fallback_chunks, odd: float, falls_back: bool
+    ) -> None:
+        values = 10.0 ** np.random.default_rng(19).uniform(-30.0, 0.0, 1 << 13)
+        values[4321] = odd
+        assert_csv_matches_reference(values)
+        assert fallback_chunks == ([1 << 13] if falls_back else [])
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_fix_absorbs_a_log10_one_off(
+        self, monkeypatch, fallback_chunks, shift: float
+    ) -> None:
+        # floor(log10(v) + shift) is one off for about half of the values.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        values = 10.0 ** np.random.default_rng(20).uniform(-30.0, 0.0, 1 << 13)
+        assert_csv_matches_reference(values)
+        assert fallback_chunks == []
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(plain_values, min_size=1, max_size=40),
+        st.integers(0, (1 << 24) - 40),
+    )
+    def test_plain_values_match_reference_property(
+        self, values: list[float], first_c: int
+    ) -> None:
+        values = np.array(values)
+        rows = b"c,probability\n" + _csv_rows(values, first_c).tobytes()
+        assert rows == format_spectrum_csv_reference(values, first_c)
 
 
 class TestMetadata:
