@@ -230,20 +230,13 @@ def _peak_summary(spec: Spectrum) -> str:
     return f"peaks at {positions} with shifts {report.shifts}"
 
 
-def _run_spectrum(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    inst = _instance_from_args(parser, args)
-    spec = model_spectrum(inst, _model_from_args(parser, args), args.seed)
-    spec = _write_spectrum_outputs(spec, args.out, args.seed, args.normalize)
-    print(f"spectrum: {_peak_summary(spec)}")
-    return 0
-
-
-def _run_circuit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _run_readout(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
     model = _model_from_args(parser, args)
-    spec = circuit_spectrum(inst, model, args.seed)
+    route = model_spectrum if args.command == "spectrum" else circuit_spectrum
+    spec = route(inst, model, args.seed)
     spec = _write_spectrum_outputs(spec, args.out, args.seed, args.normalize)
-    print(f"circuit: {_peak_summary(spec)}")
+    print(f"{args.command}: {_peak_summary(spec)}")
     return 0
 
 
@@ -279,6 +272,8 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if not math.isfinite(steps):
         parser.error("(--mag-stop - --mag-start) / --mag-step must be finite")
     count = int(round(steps)) + 1
+    if count > 1_000_000:
+        parser.error(f"the magnitude grid has {count} points, more than 1000000")
     magnitudes = [args.mag_start + i * args.mag_step for i in range(count)]
     result = threshold_sweep(
         inst,
@@ -314,8 +309,8 @@ def _run_factor(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 _RUNNERS = {
-    "spectrum": _run_spectrum,
-    "circuit": _run_circuit,
+    "spectrum": _run_readout,
+    "circuit": _run_readout,
     "ensemble": _run_ensemble,
     "sweep": _run_sweep,
     "factor": _run_factor,

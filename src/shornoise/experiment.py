@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 
 from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
+from .errmodel import sample_realizations
 from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, find_order, recover_orders
-from .numth import _check_recovery_inputs
+from .numth import _LOCKSTEP_LANES, _check_recovery_inputs
 from .qcircuit import circuit_spectrum, sample_outcomes
-from .spectrum import Spectrum, SpectrumMethod, realizations_at_period, register_values
+from .spectrum import Spectrum, SpectrumMethod, period_values, register_values
 from .spectrum import _check_probabilities, _period_plan
 
 DEFAULT_HEIGHT_FLOOR_FRACTION = 0.1
@@ -103,7 +104,7 @@ def _realizations(
     Realization i draws from the seed derived from (master_seed, i) and
     comes as P at the q' distinct points (`spectrum.period_values`).
     Chunks of consecutive realizations draw their errors together
-    (`spectrum.realizations_at_period`): as many as fit _CHUNK_BYTES per
+    (`errmodel.sample_realizations`): as many as fit _CHUNK_BYTES per
     error stream at 16 bytes per support point, two uniforms of 8 bytes
     for each error. Each realization is still transformed alone.
     Deterministic models yield a single realization since every draw
@@ -114,7 +115,8 @@ def _realizations(
     for start in range(0, count, chunk):
         stop = min(count, start + chunk)
         seeds = [derive_stream_seed(master_seed, i) for i in range(start, stop)]
-        yield from realizations_at_period(inst, model, seeds)
+        for phase, amp in sample_realizations(model, inst.support_count, seeds):
+            yield period_values(inst, phase, amp, model.init_delta)
 
 
 def ensemble_spectrum(
@@ -385,21 +387,28 @@ def factor(
     base**(r/2) != -1 mod modulus and a nontrivial divisor among
     gcd(base**(r/2) -+ 1, modulus), gives (r, sorted divisors). Returns
     None when no outcome does, so the caller should retry with a new base.
+    Shots are drawn and recovered in blocks of _LOCKSTEP_LANES, which read
+    the stream in order, so any shot count fits in memory.
     """
     if inst.modulus is None or inst.base is None:
         raise ValueError("factor needs an instance with modulus and base")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     q, modulus, base = inst.register_size, inst.modulus, inst.base
     probabilities = circuit_spectrum(inst, model, seed).values
     rng = Xorshift64Star(derive_stream_seed(seed, 0))
-    outcomes = sample_outcomes(probabilities, shots, rng)
-    for order in recover_orders(outcomes, q, modulus, base, multiplier_bound).tolist():
-        if order == 0 or order % 2 == 1:
-            continue
-        half = pow(base, order // 2, modulus)
-        if half == modulus - 1:
-            continue
-        pair = (math.gcd(half - 1, modulus), math.gcd(half + 1, modulus))
-        factors = sorted({f for f in pair if 1 < f < modulus})
-        if factors:
-            return order, factors
+    for start in range(0, shots, _LOCKSTEP_LANES):
+        block = min(shots - start, _LOCKSTEP_LANES)
+        outcomes = sample_outcomes(probabilities, block, rng)
+        orders = recover_orders(outcomes, q, modulus, base, multiplier_bound)
+        for order in orders.tolist():
+            if order == 0 or order % 2 == 1:
+                continue
+            half = pow(base, order // 2, modulus)
+            if half == modulus - 1:
+                continue
+            pair = (math.gcd(half - 1, modulus), math.gcd(half + 1, modulus))
+            factors = sorted({f for f in pair if 1 < f < modulus})
+            if factors:
+                return order, factors
     return None

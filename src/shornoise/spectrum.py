@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -293,18 +292,6 @@ def systematic_spectrum_closed_form(inst: ShorInstance, delta: float) -> Spectru
         instance=inst,
         model=ErrorModel(ErrorMode.SYSTEMATIC, delta0=delta),
     )
-
-
-def realizations_at_period(
-    inst: ShorInstance, model: ErrorModel, seeds: Sequence[int]
-) -> Iterator[np.ndarray]:
-    """`period_values` of the direct-sum realizations drawn from seeds.
-
-    Their errors are drawn together (`errmodel.sample_realizations`);
-    each realization is then transformed on its own, in the order of seeds.
-    """
-    for phase, amp in sample_realizations(model, inst.support_count, seeds):
-        yield period_values(inst, phase, amp, model.init_delta)
 
 
 def model_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectrum:

@@ -289,6 +289,17 @@ class TestFactorCommand:
         printed = capsys.readouterr().out
         assert printed == "factor: recovered order multiple 168; factors [13, 17]\n"
 
+    def test_any_shot_count_fits_in_memory(self, capsys) -> None:
+        # Shots are drawn in blocks and the first split ends the run, so
+        # 10**14 shots print what 100 shots print.
+        lines = []
+        for shots in ("100", "100000000000000"):
+            code = main(["factor", "--N", "15", "--y", "7", "--shots", shots,
+                         "--seed", "1"])
+            assert code == 0
+            lines.append(capsys.readouterr().out)
+        assert lines == ["factor: recovered r=4; factors [3, 5]\n"] * 2
+
     def test_trivial_root_asks_for_retry(self, capsys) -> None:
         # y = 14 has order 2 with 14^1 = -1 mod 15, which never yields a
         # nontrivial factor pair.
@@ -455,6 +466,19 @@ class TestErrorHandling:
         assert done.returncode == 2
         assert "error: (--mag-stop - --mag-start) / --mag-step must be finite" in done.stderr
         assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_sweep_grid_over_a_million_points_is_usage_error(
+        self, tmp_path, capsys
+    ) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", "gaussian",
+                  "--mag-stop", "1", "--mag-step", "1e-7", "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: shornoise sweep" in err
+        assert "the magnitude grid has 10000001 points, more than 1000000" in err
         assert not out.exists()
 
     def test_sweep_multiplier_bound_below_one_is_usage_error(self, tmp_path) -> None:

@@ -19,6 +19,7 @@ from shornoise.errmodel import (
     ErrorModel,
     Xorshift64Star,
     derive_stream_seed,
+    sample_realizations,
 )
 from shornoise.experiment import (
     SweepResult,
@@ -39,7 +40,7 @@ from shornoise.spectrum import (
     SpectrumMethod,
     direct_spectrum,
     model_spectrum,
-    realizations_at_period,
+    period_values,
     register_values,
     systematic_spectrum_closed_form,
 )
@@ -691,11 +692,11 @@ class TestThresholdSweep:
     def test_zero_magnitudes_reuse_the_baseline(self, mode, monkeypatch) -> None:
         calls = []
 
-        def counting(inst, model, seeds):
+        def counting(model, count, seeds):
             calls.extend(seeds)
-            return realizations_at_period(inst, model, seeds)
+            return sample_realizations(model, count, seeds)
 
-        monkeypatch.setattr(experiment, "realizations_at_period", counting)
+        monkeypatch.setattr(experiment, "sample_realizations", counting)
         count = 1 if mode is ErrorMode.SYSTEMATIC else 3
         sweep = threshold_sweep(
             RECOVERABLE, mode, [0.0, 0.0, 0.02], n_realizations=count,
@@ -765,7 +766,8 @@ def former_sweep_points(
         n = 1 if model.deterministic else count
         seeds = [derive_stream_seed(magnitude_seed, i) for i in range(n)]
         acc = 0.0
-        for values in realizations_at_period(inst, model, seeds):
+        for phase, amp in sample_realizations(model, inst.support_count, seeds):
+            values = period_values(inst, phase, amp, model.init_delta)
             register = register_values(inst, values)
             spec = Spectrum(register, SpectrumMethod.DIRECT_SUM, inst)
             acc += success_probability(spec, bound)
@@ -835,11 +837,12 @@ class TestSweepAtPeriod:
         assert same_bits(np.array(sweep.success_probs), expected)
 
     def test_rejects_non_finite_realization(self, monkeypatch) -> None:
-        def poisoned(inst, model, seeds):
-            for values in realizations_at_period(inst, model, seeds):
-                yield values if model.deterministic else values * np.inf
+        def poisoned(inst, phase, amp, init_delta):
+            values = period_values(inst, phase, amp, init_delta)
+            # Only the zero-error baseline draws all-zero phases.
+            return values * np.inf if phase.any() else values
 
-        monkeypatch.setattr(experiment, "realizations_at_period", poisoned)
+        monkeypatch.setattr(experiment, "period_values", poisoned)
         with pytest.raises(ValueError, match="finite"):
             threshold_sweep(RECOVERABLE, ErrorMode.GAUSSIAN, [0.0, 0.1])
 
@@ -926,4 +929,20 @@ class TestFactor:
                 kinds.add("none" if expected is None else expected[0] == inst.order)
         # The grid reaches every kind of result: the order, a multiple, none.
         assert kinds == {True, False, "none"}
+
+    def test_blocks_see_the_outcomes_of_one_draw(self, monkeypatch) -> None:
+        # Blocks of 3 shots: the first split often lies past the first block.
+        monkeypatch.setattr(experiment, "_LOCKSTEP_LANES", 3)
+        model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=3.0)
+        inst = ShorInstance.from_factoring(221, 2)
+        for seed in range(1, 21):
+            for shots in (1, 3, 4, 100):
+                expected = scalar_factor(inst, model, seed, shots, 1)
+                assert factor(inst, model, seed, shots, 1) == expected
+
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_rejects_shot_count_below_one(self, shots) -> None:
+        inst = ShorInstance.from_factoring(15, 7)
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            factor(inst, ErrorModel(), seed=1, shots=shots)
 
