@@ -401,7 +401,9 @@ def factor(
         block = min(shots - start, _LOCKSTEP_LANES)
         outcomes = sample_outcomes(probabilities, block, rng)
         orders = recover_orders(outcomes, q, modulus, base, multiplier_bound)
-        for order in orders.tolist():
+        # Whether a shot splits N depends only on its order, so each distinct
+        # order is checked once, in the order of its first shot.
+        for order in dict.fromkeys(orders.tolist()):
             if order == 0 or order % 2 == 1:
                 continue
             half = pow(base, order // 2, modulus)

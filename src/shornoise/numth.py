@@ -138,13 +138,6 @@ def recover_orders(
     return np.multiply(least, r, dtype=np.int64)
 
 
-def _register_width(modulus: int) -> int:
-    """Smallest L with 2**L >= modulus**2 (which also gives 2**L < 2*modulus**2)."""
-    target = modulus * modulus
-    width = max(1, (target - 1).bit_length())
-    return width
-
-
 @dataclass(frozen=True)
 class ShorInstance:
     """One order-finding setup: register size, period, and offset.
@@ -197,7 +190,7 @@ class ShorInstance:
         return cls(
             modulus=modulus,
             base=base,
-            n_qubits=_register_width(modulus),
+            n_qubits=max(1, (modulus * modulus - 1).bit_length()),
             order=find_order(base, modulus),
             offset=offset,
         )

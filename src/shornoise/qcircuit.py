@@ -75,17 +75,6 @@ class GateErrorPlan:
         return cls(n_qubits, hadamard, phase[:n_pairs])
 
 
-def _bit_reversal_permutation(n_qubits: int) -> np.ndarray:
-    # The reversals of k + 1 bits are those of k bits shifted left, then
-    # the same with the new low bit set; build them in place by doubling.
-    reversed_indices = np.zeros(1 << n_qubits, dtype=np.int64)
-    for bit in range(n_qubits):
-        half = reversed_indices[: 1 << bit]
-        half <<= 1
-        np.bitwise_or(half, 1, out=reversed_indices[1 << bit : 2 << bit])
-    return reversed_indices
-
-
 def _noisy_stage(
     amplitudes: np.ndarray, plan: GateErrorPlan, j: int, buffer: np.ndarray
 ) -> None:
@@ -134,7 +123,8 @@ def qft_noisy(amplitudes: np.ndarray, plan: GateErrorPlan) -> np.ndarray:
     buffer = np.empty(1 << (n - 1), dtype=complex)
     for j in range(n):
         _noisy_stage(amplitudes, plan, j, buffer)
-    amplitudes[:] = amplitudes[_bit_reversal_permutation(n)]
+    # One axis per qubit: reversing the axes is the bit-reversal permutation.
+    amplitudes[:] = amplitudes.reshape((2,) * n).T.ravel()
     return amplitudes
 
 
@@ -143,10 +133,18 @@ def prepare_period_state(inst: ShorInstance, init_delta: float = 0.0) -> np.ndar
 
     Before normalization the support amplitudes are the preparation
     weights `init_error_weights(inst, init_delta)`, all one at init_delta 0.
+    Rejects weights whose squared norm overflows or is zero.
     """
     amplitudes = np.zeros(inst.register_size, dtype=complex)
     amplitudes[inst.support_values()] = init_error_weights(inst, init_delta)
-    amplitudes /= np.sqrt(np.sum(np.abs(amplitudes) ** 2))
+    with np.errstate(over="ignore"):
+        norm_squared = np.sum(np.abs(amplitudes) ** 2)
+    if not 0.0 < norm_squared < math.inf:
+        raise ValueError(
+            f"init_delta={init_delta:g} gives preparation weights of squared "
+            f"norm {norm_squared:g}; it must be finite and positive"
+        )
+    amplitudes /= np.sqrt(norm_squared)
     return amplitudes
 
 

@@ -142,30 +142,29 @@ def _assemble(
 
 # At most one plan: at L = 24 its twiddles and index reach a register's size.
 @functools.lru_cache(maxsize=1)
-def _period_plan(q: int, r: int, m: int) -> tuple[int, np.ndarray | None, np.ndarray]:
+def _period_plan(q: int, r: int, m: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Width W, twiddles and gather index of the transform at the period.
 
     With q' = q/gcd(r, q), W the smallest power of two >= m and B = q'/W,
     Z[t*B + s] = sum_j (z_j exp(2 pi i s j / q')) exp(2 pi i t j / W), so
-    row s of a (B, W) complex array transforms z times twiddle row s.
-    Twiddles are None when B == 1. Index entry c < q' is the position of
-    Z[c r' mod q'] in that array flattened, so also the position of
-    P_c in `period_values`. Both arrays are read-only.
+    row s >= 1 of a (B, W) complex array transforms z times twiddle row
+    s - 1 and row 0, whose factors are 1, z itself. Index entry c < q' is
+    the position of Z[c r' mod q'] in that array flattened, so also the
+    position of P_c in `period_values`. Both arrays are read-only.
     """
     period = q // math.gcd(r, q)
     width = 1 << (m - 1).bit_length()
     blocks = period // width
-    twiddles = None
-    if blocks > 1:
-        # exp(2 pi i s j / q') for j = high + low, low < split, is the product
-        # of a high and a low factor, so only the two small tables take trig.
-        # s*j < B*m <= q', so the angles need no reduction.
-        split = 1 << (m.bit_length() + 1) // 2
-        s = np.arange(blocks)[:, None] * (2.0 * math.pi / period)
-        high = np.exp(1j * (s * np.arange(0, m, split)))
-        low = np.exp(1j * (s * np.arange(split)))
-        twiddles = (high[:, :, None] * low[:, None, :]).reshape(blocks, -1)[:, :m]
-        twiddles.flags.writeable = False
+    # exp(2 pi i s j / q') for j = high + low, low < split, is the product
+    # of a high and a low factor, so only the two small tables take trig.
+    # s*j < B*m <= q', so the angles need no reduction.
+    split = 1 << (m.bit_length() + 1) // 2
+    s = np.arange(1, blocks)[:, None] * (2.0 * math.pi / period)
+    high = np.exp(1j * (s * np.arange(0, m, split)))
+    low = np.exp(1j * (s * np.arange(split)))
+    products = high[:, :, None] * low[:, None, :]
+    twiddles = products.reshape(-1, products.shape[1] * split)[:, :m]
+    twiddles.flags.writeable = False
     # c*r' wraps modulo 2**32, which q' divides, so the mask gives c*r' mod q'.
     index = np.arange(period, dtype=np.uint32)
     index *= r * period // q
@@ -197,10 +196,8 @@ def period_values(
     width, twiddles, index = _period_plan(q, r, m)
     rows = np.empty((len(index) // width, width), dtype=complex)
     rows[:, m:] = 0.0
-    if twiddles is None:
-        rows[0, :m] = coeff
-    else:
-        np.multiply(twiddles, coeff, out=rows[:, :m])
+    rows[0, :m] = coeff
+    np.multiply(twiddles, coeff, out=rows[1:, :m])
     # The unscaled ("forward") inverse equals W * ifft exactly: W is a power of 2.
     np.fft.ifft(rows, norm="forward", axis=1, out=rows)
     # |Z|**2: both parts squared in place, then each pair added.

@@ -598,3 +598,15 @@ class TestErrorHandling:
                      "--out", "/nonexistent/dir/a.csv"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_init_delta_returns_one(self, tmp_path, capsys) -> None:
+        # The preparation weights' squared norm overflows from about 1e154
+        # at L = 7; filterwarnings = error fails the test on a numpy warning.
+        out = tmp_path / "z.csv"
+        code = main(["circuit", "--L", "7", "--r", "4", "--model", "none",
+                     "--init-delta", "1e300", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "init_delta" in err
+        assert not out.exists()
+        assert not (tmp_path / "z.csv.meta").exists()

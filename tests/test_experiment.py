@@ -940,6 +940,16 @@ class TestFactor:
                 expected = scalar_factor(inst, model, seed, shots, 1)
                 assert factor(inst, model, seed, shots, 1) == expected
 
+    @pytest.mark.parametrize(
+        "model", [ErrorModel(), ErrorModel(ErrorMode.GAUSSIAN, sigma0=3.0)]
+    )
+    def test_minus_one_never_splits_over_many_blocks(self, model) -> None:
+        # 220 == -1 mod 221: every recovered order r has 220**(r/2) == +-1,
+        # so none of the 20,000 shots (three blocks) splits N.
+        inst = ShorInstance.from_factoring(221, 220)
+        assert scalar_factor(inst, model, 1, 20_000, 1) is None
+        assert factor(inst, model, 1, 20_000, 1) is None
+
     @pytest.mark.parametrize("shots", [0, -1])
     def test_rejects_shot_count_below_one(self, shots) -> None:
         inst = ShorInstance.from_factoring(15, 7)

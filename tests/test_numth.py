@@ -219,12 +219,17 @@ class TestShorInstance:
         assert not inst.synthetic
 
     def test_register_width_rule(self) -> None:
-        # Smallest register whose size is at least modulus squared.
-        for modulus, base in [(15, 7), (21, 2), (33, 2), (35, 2)]:
+        # Smallest register whose size is at least modulus squared, also
+        # where the square is a power of two or just above one.
+        cases = [(15, 7), (21, 2), (33, 2), (35, 2)]
+        cases += [(16, 3), (17, 3), (64, 3), (65, 2), (4096, 3)]
+        for modulus, base in cases:
             inst = ShorInstance.from_factoring(modulus, base)
             q = inst.register_size
             assert q >= modulus * modulus
             assert q // 2 < modulus * modulus
+        with pytest.raises(ValueError, match="n_qubits"):
+            ShorInstance.from_factoring(4097, 3)
 
     def test_from_factoring_twentyone(self) -> None:
         inst = ShorInstance.from_factoring(21, 2)

@@ -22,7 +22,6 @@ from shornoise.errmodel import ErrorMode, ErrorModel, Xorshift64Star
 from shornoise.numth import ShorInstance
 from shornoise.qcircuit import (
     GateErrorPlan,
-    _bit_reversal_permutation,
     circuit_spectrum,
     prepare_period_state,
     qft_noisy,
@@ -362,8 +361,12 @@ class TestQftNoisy:
 
 @pytest.mark.parametrize("n_qubits", range(1, 13))
 def test_bit_reversal_matches_scalar_oracle(n_qubits: int) -> None:
-    expected = [reverse_bits(i, n_qubits) for i in range(1 << n_qubits)]
-    assert _bit_reversal_permutation(n_qubits).tolist() == expected
+    # Exact gates leave only the final reordering: any other order than
+    # the bit reversal moves amplitudes away from the unitary inverse DFT.
+    state = random_state(n_qubits, np.random.default_rng(n_qubits))
+    expected = np.fft.ifft(state, norm="ortho")
+    out = qft_noisy(state, zero_plan(n_qubits))
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 class TestPreparePeriodState:
@@ -410,6 +413,18 @@ class TestPreparePeriodState:
     def test_rejects_non_finite_init_delta(self, bad: float) -> None:
         with pytest.raises(ValueError, match="init_delta must be finite"):
             prepare_period_state(ShorInstance.synthetic_instance(3, 2), bad)
+
+    @pytest.mark.parametrize(
+        "n_qubits, order, init_delta, norm",
+        # The squared norm overflows; the one support value 0 has weight 0.
+        [(7, 4, 1e154, "inf"), (7, 4, -1e300, "inf"), (2, 4, 0.5, "0")],
+    )
+    def test_rejects_weights_without_finite_positive_norm(
+        self, n_qubits, order, init_delta, norm
+    ) -> None:
+        inst = ShorInstance.synthetic_instance(n_qubits, order)
+        with pytest.raises(ValueError, match=f"init_delta=.* squared norm {norm};"):
+            prepare_period_state(inst, init_delta)
 
 
 class FixedDraws:

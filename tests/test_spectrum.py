@@ -350,7 +350,7 @@ class TestDirectSumAccuracy:
     @pytest.mark.parametrize(
         "order, offset, width, blocks",
         [
-            (1, 0, 1024, 1),  # every value: no twiddles
+            (1, 0, 1024, 1),  # every value: no twiddle rows
             (1024, 0, 1, 1),  # M = 1 at q' = 1
             (1024, 1023, 1, 1),
             (512, 0, 2, 1),  # g = q/2
@@ -365,9 +365,8 @@ class TestDirectSumAccuracy:
         plan_width, twiddles, index = _period_plan(1024, order, inst.support_count)
         period = 1024 // math.gcd(order, 1024)
         assert (plan_width, len(index)) == (width, period)
-        assert (twiddles is None) == (blocks == 1)
-        if twiddles is not None:
-            assert twiddles.shape == (blocks, inst.support_count)
+        # Row 0's factors are all exp(0) = 1, so rows 1 .. B-1 have twiddles.
+        assert twiddles.shape == (blocks - 1, inst.support_count)
         phase = np.random.default_rng(order).normal(0.0, 0.1, inst.support_count)
         got = direct_spectrum(inst, phase).values
         assert np.array_equal(got, np.tile(got[:period], 1024 // period))
@@ -379,9 +378,10 @@ class TestDirectSumAccuracy:
             register_values(inst, np.zeros(period + 1))
 
     def test_plan_is_read_only(self) -> None:
-        _, twiddles, index = _period_plan(1 << 12, 97, 43)
-        assert not twiddles.flags.writeable
-        assert not index.flags.writeable
+        for order, m in [(97, 43), (4, 1024)]:  # B = 64 and B = 1
+            _, twiddles, index = _period_plan(1 << 12, order, m)
+            assert not twiddles.flags.writeable
+            assert not index.flags.writeable
 
 
 def exact_angle_values(inst: ShorInstance, coeff: np.ndarray) -> np.ndarray:
