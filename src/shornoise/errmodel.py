@@ -20,13 +20,19 @@ a cached table of the 64-column matrices T**(j*s), and the K*_LANES lanes
 then step together in numpy uint64. `sample_realizations`, the one
 sampler behind every realization and gate plan, draws a chunk of seeds
 this way at once. Gaussian draws keep the scalar Box-Muller pairing.
-Their logarithms go through `math.log`, because numpy's vectorized
-`np.log` differs from the C library in the last bit (6,937 of 2,000,000
-inputs 1 - u on one AVX-512 host, numpy 2.4), which would change seeded
-results. Their cosines come from `np.cos`, which on the same host equals
-`math.cos` on all of 21,000,000 angles 2*pi*u, strided and in place as
-here; a test keeps that checked. The square root, products and sums are
-IEEE-exact either way.
+Their logarithms must be the C library's, as `math.log` gives them:
+numpy's vectorized float64 log differs in the last bit (11,055 of
+3,142,080 inputs 1 - u on an AVX-512 host, numpy 2.4.6), which would
+change seeded results. numpy calls the C library's scalar log on each
+element when its vector loop cannot take the strides, and a 1-D call
+that reads backwards into a fresh forward array is such a case: on that
+host it equals `math.log` on all of those inputs and on every row of 1
+to 1,000 of them. A 2-D call, or one in place, does not: numpy flips
+both strides to forward and takes the vector loop, which differed on
+the same 11,055. Their cosines come from `np.cos`, which on the same
+host equals `math.cos` on all of 21,000,000 angles 2*pi*u, strided and
+in place as here. Tests keep both checked. The square root, products
+and sums are IEEE-exact either way.
 """
 from __future__ import annotations
 
@@ -273,11 +279,18 @@ def _sample(
         values += model.delta0
         return values
     pairs = _uniform01_rows(rngs, 2 * count).reshape(len(rngs), count, 2)
-    values, angle = pairs[..., 0], pairs[..., 1]
-    np.subtract(1.0, values, out=values)
-    # math.log, not np.log, and np.cos: see the module docstring.
-    for row in values:
-        row[:] = np.fromiter(map(math.log, memoryview(row)), np.float64, count)
+    # 1 - u goes to a fresh array, whose rows (unlike the block's, padded
+    # to whole lanes) merge into one 1-D view.
+    flat = np.empty(len(rngs) * count)
+    values, angle = flat.reshape(len(rngs), count), pairs[..., 1]
+    np.subtract(1.0, pairs[..., 0], out=values)
+    # The C library's scalar log, through one 1-D np.log call that reads
+    # backwards and writes a fresh forward array: strides of opposite sign
+    # keep numpy off its vectorized log (module docstring). Keep this
+    # shape: a 2-D call, or one in place such as
+    # np.log(v[:, ::-1], out=v[:, ::-1]), lets numpy flip both strides and
+    # reach the vector loop, which differs in the last bit.
+    flat[:] = np.log(flat[::-1])[::-1]
     values *= -2.0
     np.sqrt(values, out=values)
     angle *= 2.0 * math.pi

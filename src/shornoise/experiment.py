@@ -13,7 +13,7 @@ from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
 from .errmodel import sample_realizations
 from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, find_order, recover_orders
 from .numth import _LOCKSTEP_LANES, _check_recovery_inputs
-from .qcircuit import circuit_spectrum, sample_outcomes
+from .qcircuit import circuit_spectrum, outcome_cdf, sample_outcomes
 from .spectrum import Spectrum, SpectrumMethod, period_values, register_values
 from .spectrum import _check_probabilities, _period_plan
 
@@ -395,11 +395,11 @@ def factor(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     q, modulus, base = inst.register_size, inst.modulus, inst.base
-    probabilities = circuit_spectrum(inst, model, seed).values
+    cdf = outcome_cdf(circuit_spectrum(inst, model, seed).values)
     rng = Xorshift64Star(derive_stream_seed(seed, 0))
     for start in range(0, shots, _LOCKSTEP_LANES):
         block = min(shots - start, _LOCKSTEP_LANES)
-        outcomes = sample_outcomes(probabilities, block, rng)
+        outcomes = sample_outcomes(cdf, block, rng)
         orders = recover_orders(outcomes, q, modulus, base, multiplier_bound)
         # Whether a shot splits N depends only on its order, so each distinct
         # order is checked once, in the order of its first shot.

@@ -132,40 +132,39 @@ def prepare_period_state(inst: ShorInstance, init_delta: float = 0.0) -> np.ndar
     """Normalized amplitudes over the support offset + j*order, j < support_count.
 
     Before normalization the support amplitudes are the preparation
-    weights `init_error_weights(inst, init_delta)`, all one at init_delta 0.
-    Rejects weights whose squared norm overflows or is zero.
+    weights `init_error_weights(inst, init_delta)`, all one at init_delta 0;
+    that function rejects weights it cannot normalize.
     """
     amplitudes = np.zeros(inst.register_size, dtype=complex)
     amplitudes[inst.support_values()] = init_error_weights(inst, init_delta)
-    with np.errstate(over="ignore"):
-        norm_squared = np.sum(np.abs(amplitudes) ** 2)
-    if not 0.0 < norm_squared < math.inf:
-        raise ValueError(
-            f"init_delta={init_delta:g} gives preparation weights of squared "
-            f"norm {norm_squared:g}; it must be finite and positive"
-        )
-    amplitudes /= np.sqrt(norm_squared)
+    amplitudes /= np.sqrt(np.sum(np.abs(amplitudes) ** 2))
     return amplitudes
 
 
-def sample_outcomes(
-    probabilities: np.ndarray, shots: int, rng: Xorshift64Star
-) -> np.ndarray:
-    """Sample repeated full-register measurements of the same state.
+def outcome_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of a measurement, for `sample_outcomes`.
 
-    probabilities holds |amplitude|**2 per outcome. Consumes exactly
-    `shots` uniform draws from rng, one per outcome, in order. Rejects
-    distributions whose total is NaN or off by more than 1e-6.
+    probabilities holds |amplitude|**2 per outcome. Rejects distributions
+    whose total is NaN or off by more than 1e-6.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     total = float(np.sum(probabilities))
     if not abs(total - 1.0) <= _NORM_TOLERANCE:
         raise ValueError(f"state norm deviates from 1 by {abs(total - 1.0):.3e}")
-    cdf = np.cumsum(probabilities)
+    return np.cumsum(probabilities)
+
+
+def sample_outcomes(cdf: np.ndarray, shots: int, rng: Xorshift64Star) -> np.ndarray:
+    """Sample repeated full-register measurements of the same state.
+
+    cdf is the state's `outcome_cdf`, so repeated calls build it once.
+    Consumes exactly `shots` uniform draws from rng, one per outcome, in
+    order.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     draws = rng.uniform01_array(shots)
     indices = np.searchsorted(cdf, draws, side="right")
-    return np.minimum(indices, len(probabilities) - 1)
+    return np.minimum(indices, len(cdf) - 1)
 
 
 def circuit_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectrum:

@@ -103,12 +103,22 @@ def init_error_weights(inst: ShorInstance, init_delta: float) -> np.ndarray:
 
     Models a constant miscalibration of the state-preparation rotations:
     each set bit of a pulls its weight up by init_delta, each clear bit
-    down. Returns one weight per value of inst.support_values().
+    down. Returns one weight per value of inst.support_values(). Rejects
+    weights whose squared norm overflows or is zero, which no route can
+    normalize.
     """
     if not math.isfinite(init_delta):
         raise ValueError(f"init_delta must be finite, got {init_delta}")
     bits = np.bitwise_count(inst.support_values())
-    return 1.0 + init_delta * (2.0 * bits - inst.n_qubits)
+    with np.errstate(over="ignore"):
+        weights = 1.0 + init_delta * (2.0 * bits - inst.n_qubits)
+        norm_squared = float(np.sum(np.square(weights)))
+    if not 0.0 < norm_squared < math.inf:
+        raise ValueError(
+            f"init_delta={init_delta:g} gives preparation weights of squared "
+            f"norm {norm_squared:g}; it must be finite and positive"
+        )
+    return weights
 
 
 def _checked(name: str, values: np.ndarray, length: int) -> np.ndarray:

@@ -29,6 +29,18 @@ def run_spectrum(tmp_path, name: str, *args: str) -> tuple[int, str]:
     return code, str(out)
 
 
+def run_process(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in its own process, so stderr holds whatever it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "shornoise.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 class TestSpectrumCommand:
     def test_noiseless_run(self, tmp_path, capsys) -> None:
         code, out = run_spectrum(
@@ -453,15 +465,9 @@ class TestErrorHandling:
         # (stop - start) / step overflows to inf, which has no grid size.
         # Run as a process, so an uncaught error would print its traceback.
         out = tmp_path / "x.csv"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", "shornoise.cli", "sweep", "--N", "15", "--y", "7",
-             "--model", "gaussian", "--mag-stop", "1e308", "--mag-step", "1e-308",
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=60,
+        done = run_process(
+            "sweep", "--N", "15", "--y", "7", "--model", "gaussian",
+            "--mag-stop", "1e308", "--mag-step", "1e-308", "--out", str(out),
         )
         assert done.returncode == 2
         assert "error: (--mag-stop - --mag-start) / --mag-step must be finite" in done.stderr
@@ -610,3 +616,34 @@ class TestErrorHandling:
         assert err.startswith("error:") and "init_delta" in err
         assert not out.exists()
         assert not (tmp_path / "z.csv.meta").exists()
+
+    @pytest.mark.parametrize(
+        "argv, init_delta, norm",
+        [
+            (["spectrum", "--L", "7", "--r", "4"], "1e300", "inf"),
+            (["ensemble", "--L", "7", "--r", "4"], "1e300", "inf"),
+            # The one support value 0 has weight 1 - 2 * 0.5 = 0.
+            (["spectrum", "--L", "2", "--r", "4"], "0.5", "0"),
+            (["ensemble", "--L", "2", "--r", "4"], "0.5", "0"),
+            (["circuit", "--L", "2", "--r", "4"], "0.5", "0"),
+            # The weights themselves overflow.
+            (["spectrum", "--L", "7", "--r", "4"], "1e308", "inf"),
+            (["ensemble", "--L", "7", "--r", "4"], "1e308", "inf"),
+            (["circuit", "--L", "7", "--r", "4"], "1e308", "inf"),
+            (["factor", "--N", "15", "--y", "7"], "1e308", "inf"),
+        ],
+    )
+    def test_unnormalizable_preparation_weights_fail_alike_on_every_route(
+        self, tmp_path, argv, init_delta, norm
+    ) -> None:
+        out = tmp_path / "w.csv"
+        if argv[0] != "factor":
+            argv = argv + ["--out", str(out)]
+        done = run_process(*argv, "--model", "none", "--init-delta", init_delta)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: init_delta={float(init_delta):g} gives preparation weights "
+            f"of squared norm {norm}; it must be finite and positive\n"
+        )
+        assert not out.exists()

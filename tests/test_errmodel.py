@@ -155,9 +155,10 @@ class TestSamplerMatchesScalarOracle:
         assert one_realization(model, 20_000, 1234)[0].tolist() == expected
 
     def test_gaussian_cosines_match_the_c_library(self) -> None:
-        # Box-Muller takes its cosines from np.cos, which must equal
-        # math.cos exactly: enough angles that a numpy whose float64
-        # cosine is vectorized, and so can differ in the last bit, fails.
+        # Box-Muller takes its cosines from np.cos and its logarithms from
+        # np.log, which must equal math.cos and math.log exactly: enough
+        # draws that a numpy whose float64 cosine or logarithm is
+        # vectorized, and so can differ in the last bit, fails.
         # Four rows of 250,000 draws, so the in-place column is strided.
         model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=1.0)
         count, seeds = 250_000, [21, 22, 23, 24]
@@ -171,6 +172,30 @@ class TestSamplerMatchesScalarOracle:
                 for u1, theta in zip(radial, angle)
             ]
             assert row.tolist() == expected
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_gaussian_short_rows_take_the_c_library_log(self, chunk, count) -> None:
+        # The 1M-draw test above only has long rows. Here each seed's first
+        # radial input 1 - u is, where this host's numpy has one, a value
+        # on which a contiguous np.log differs from math.log. Where none
+        # differs the seeds are still sampled and compared.
+        seeds = list(range(20_000))
+        radial = [1.0 - uniform01(_substream(s, _PHASE_STREAM_SALT)) for s in seeds]
+        contiguous = np.log(np.array(radial)).tolist()
+        differing = [
+            seed
+            for seed, u1, value in zip(seeds, radial, contiguous)
+            if value != math.log(u1)
+        ]
+        seeds = (differing + seeds)[:10]
+        model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=1.0)
+        for start in range(0, len(seeds), chunk):
+            group = seeds[start : start + chunk]
+            for (row, _), seed in zip(sample_realizations(model, count, group), group):
+                rng = _substream(seed, _PHASE_STREAM_SALT)
+                expected = np.array([gaussian(rng) for _ in range(count)])
+                assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSampleRealizations:

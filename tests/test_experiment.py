@@ -34,7 +34,7 @@ from shornoise.experiment import (
     write_sweep_csv,
 )
 from shornoise.numth import ShorInstance, find_order, recover_orders
-from shornoise.qcircuit import circuit_spectrum, sample_outcomes
+from shornoise.qcircuit import circuit_spectrum, outcome_cdf, sample_outcomes
 from shornoise.spectrum import (
     Spectrum,
     SpectrumMethod,
@@ -882,7 +882,7 @@ def scalar_factor(
     q, modulus, base = inst.register_size, inst.modulus, inst.base
     probabilities = circuit_spectrum(inst, model, seed).values
     rng = Xorshift64Star(derive_stream_seed(seed, 0))
-    for c in sample_outcomes(probabilities, shots, rng).tolist():
+    for c in sample_outcomes(outcome_cdf(probabilities), shots, rng).tolist():
         order = recover_order(c, q, modulus, base, bound)
         if order is None or order % 2 == 1:
             continue
@@ -939,6 +939,39 @@ class TestFactor:
             for shots in (1, 3, 4, 100):
                 expected = scalar_factor(inst, model, seed, shots, 1)
                 assert factor(inst, model, seed, shots, 1) == expected
+
+    def test_one_cumulative_sum_serves_every_block(self, monkeypatch) -> None:
+        # Three blocks of 3 shots; 220 == -1 mod 221 never splits N, so all
+        # three are drawn. They must see the outcomes of the per-block code,
+        # which summed every probability again for each block.
+        monkeypatch.setattr(experiment, "_LOCKSTEP_LANES", 3)
+        inst = ShorInstance.from_factoring(221, 220)
+        model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=3.0)
+        cumsum, recover = np.cumsum, experiment.recover_orders
+        sums, blocks = [], []
+
+        def counted_cumsum(values, *args, **kwargs):
+            sums.append(len(values))
+            return cumsum(values, *args, **kwargs)
+
+        def recorded_recovery(outcomes, *args):
+            blocks.append(outcomes.tolist())
+            return recover(outcomes, *args)
+
+        monkeypatch.setattr(np, "cumsum", counted_cumsum)
+        monkeypatch.setattr(experiment, "recover_orders", recorded_recovery)
+        assert factor(inst, model, 5, 9, 1) is None
+        assert sums.count(inst.register_size) == 1
+
+        probabilities = circuit_spectrum(inst, model, 5).values
+        rng = Xorshift64Star(derive_stream_seed(5, 0))
+        expected = []
+        for _ in range(3):
+            assert abs(float(np.sum(probabilities)) - 1.0) <= 1e-6
+            cdf = cumsum(probabilities)
+            indices = np.searchsorted(cdf, rng.uniform01_array(3), side="right")
+            expected.append(np.minimum(indices, inst.register_size - 1).tolist())
+        assert blocks == expected
 
     @pytest.mark.parametrize(
         "model", [ErrorModel(), ErrorModel(ErrorMode.GAUSSIAN, sigma0=3.0)]

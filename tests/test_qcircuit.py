@@ -23,6 +23,7 @@ from shornoise.numth import ShorInstance
 from shornoise.qcircuit import (
     GateErrorPlan,
     circuit_spectrum,
+    outcome_cdf,
     prepare_period_state,
     qft_noisy,
     sample_outcomes,
@@ -444,25 +445,25 @@ UNIFORM_TWO_QUBITS = np.full(4, 0.25)
 class TestMeasurement:
     def test_outcome_bins(self) -> None:
         draws = FixedDraws([0.3, 0.0, 0.999, 0.25])
-        outcomes = sample_outcomes(UNIFORM_TWO_QUBITS, 4, draws)
+        outcomes = sample_outcomes(outcome_cdf(UNIFORM_TWO_QUBITS), 4, draws)
         assert outcomes.tolist() == [1, 0, 3, 1]
 
     def test_measure_consumes_one_draw(self) -> None:
         rng = Xorshift64Star(9)
-        sample_outcomes(UNIFORM_TWO_QUBITS, 1, rng)
+        sample_outcomes(outcome_cdf(UNIFORM_TWO_QUBITS), 1, rng)
         advanced = Xorshift64Star(9)
         advanced.next_u64()
         assert rng.state == advanced.state
 
     def test_measure_rejects_unnormalized_state(self) -> None:
         for second in (1.0, np.nan):
-            with pytest.raises(ValueError):
-                sample_outcomes(np.array([1.0, second]), 1, Xorshift64Star(1))
+            with pytest.raises(ValueError, match="state norm deviates from 1 by"):
+                outcome_cdf(np.array([1.0, second]))
 
     def test_sampling_matches_probabilities(self) -> None:
         rng = Xorshift64Star(314)
         shots = 100_000
-        outcomes = sample_outcomes(UNIFORM_TWO_QUBITS, shots, rng)
+        outcomes = sample_outcomes(outcome_cdf(UNIFORM_TWO_QUBITS), shots, rng)
         counts = np.bincount(outcomes, minlength=4) / shots
         sigma = np.sqrt(0.25 * 0.75 / shots)
         np.testing.assert_allclose(counts, 0.25, atol=3 * sigma)
@@ -471,8 +472,8 @@ class TestMeasurement:
         probabilities = np.arange(1, 9) / 36.0
         batch = Xorshift64Star(21)
         scalar = Xorshift64Star(21)
-        outcomes = sample_outcomes(probabilities, 300, batch)
         cdf = np.cumsum(probabilities)
+        outcomes = sample_outcomes(outcome_cdf(probabilities), 300, batch)
         expected = [
             min(int(np.searchsorted(cdf, uniform01(scalar), side="right")), 7)
             for _ in range(300)
@@ -481,8 +482,8 @@ class TestMeasurement:
         assert batch.state == scalar.state
 
     def test_sampling_is_reproducible(self) -> None:
-        a = sample_outcomes(UNIFORM_TWO_QUBITS, 50, Xorshift64Star(1))
-        b = sample_outcomes(UNIFORM_TWO_QUBITS, 50, Xorshift64Star(1))
+        a = sample_outcomes(outcome_cdf(UNIFORM_TWO_QUBITS), 50, Xorshift64Star(1))
+        b = sample_outcomes(outcome_cdf(UNIFORM_TWO_QUBITS), 50, Xorshift64Star(1))
         assert np.array_equal(a, b)
 
 

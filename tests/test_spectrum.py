@@ -115,6 +115,20 @@ class TestInitErrorWeights:
             expected = 1.0 + 0.05 * (2 * bin(a).count("1") - 4)
             assert weights[a] == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "n_qubits, order, init_delta, norm",
+        # Squares overflow, weights overflow, the one weight is 1 - 2 * 0.5.
+        [(7, 4, 1e300, "inf"), (7, 4, 1e308, "inf"), (2, 4, 0.5, "0")],
+    )
+    def test_rejects_weights_without_finite_positive_norm(
+        self, n_qubits, order, init_delta, norm
+    ) -> None:
+        inst = ShorInstance.synthetic_instance(n_qubits, order)
+        with pytest.raises(ValueError, match=f"init_delta=.* squared norm {norm};"):
+            init_error_weights(inst, init_delta)
+        with pytest.raises(ValueError, match=f"init_delta=.* squared norm {norm};"):
+            direct_spectrum(inst, np.zeros(inst.support_count), init_delta=init_delta)
+
     @settings(max_examples=200)
     @given(case=weight_cases())
     def test_equals_full_register_oracle_at_support(self, case) -> None:
