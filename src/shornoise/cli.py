@@ -8,6 +8,11 @@ Commands:
     sweep      success probability versus error magnitude, with threshold
     factor     full pipeline: measure, recover the order, split the modulus
 
+Every command takes the same error-model flags. The sweep sets its
+mode's width itself (systematic --delta0, uniform --smax, gaussian
+--sigma), so that flag must stay zero; the other flags hold at every
+magnitude, so --delta0 under a random mode sweeps combined errors.
+
 Spectra are written as `c,probability` CSV files with a key=value
 metadata sidecar next to them. Exit codes: 0 on success, 1 on runtime
 failure, 2 on invalid arguments.
@@ -24,6 +29,7 @@ import numpy as np
 from .errmodel import ErrorMode, ErrorModel
 from .experiment import (
     DEFAULT_ETA,
+    SWEPT_FIELD,
     ensemble_spectrum,
     factor,
     peak_report,
@@ -79,9 +85,7 @@ def _add_instance_options(
     group.add_argument("--l", type=int, default=0, help="support offset (default 0)")
 
 
-def _add_model_options(
-    parser: argparse.ArgumentParser, magnitudes: bool = True
-) -> None:
+def _add_model_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("error model")
     group.add_argument(
         "--model",
@@ -89,8 +93,6 @@ def _add_model_options(
         default="none",
         help="error mode (default none)",
     )
-    if not magnitudes:
-        return
     number = _parse_finite_float
     group.add_argument("--delta0", type=number, default=0.0, help="constant error part")
     group.add_argument("--smax", type=number, default=0.0, help="uniform half-width")
@@ -150,16 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_circuit = sub.add_parser("circuit", help="gate-level simulated spectrum")
     p_ensemble = sub.add_parser("ensemble", help="mean spectrum over realizations")
-    for p in (p_spectrum, p_circuit, p_ensemble):
+    # The sweep sets the mode's width itself and writes no spectrum.
+    p_sweep = sub.add_parser("sweep", help="threshold sweep over error magnitudes")
+    for p in (p_spectrum, p_circuit, p_ensemble, p_sweep):
         _add_instance_options(p)
         _add_model_options(p)
-        _add_run_options(p, realizations=p is p_ensemble)
-
-    # The sweep sets the mode's magnitude itself and writes no spectrum.
-    p_sweep = sub.add_parser("sweep", help="threshold sweep over error magnitudes")
-    _add_instance_options(p_sweep)
-    _add_model_options(p_sweep, magnitudes=False)
-    _add_run_options(p_sweep, normalize=False, realizations=True)
+        _add_run_options(
+            p, normalize=p is not p_sweep, realizations=p in (p_ensemble, p_sweep)
+        )
     p_sweep.add_argument("--mag-start", type=_parse_finite_float, default=0.0)
     p_sweep.add_argument("--mag-stop", type=_parse_finite_float, required=True)
     p_sweep.add_argument("--mag-step", type=_parse_finite_float, required=True)
@@ -255,10 +255,13 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     inst = _instance_from_args(parser, args)
     if inst.modulus is None:
         parser.error("sweep needs --N/--y so recovered orders can be checked")
-    mode = ErrorMode(args.model)
-    if mode is ErrorMode.NONE:
+    model = _model_from_args(parser, args)
+    field = SWEPT_FIELD.get(model.mode)
+    if field is None:
         parser.error("sweep needs --model systematic, uniform, or gaussian")
-    if mode is ErrorMode.SYSTEMATIC and args.realizations > 1:
+    if getattr(model, field) != 0.0:
+        parser.error(f"a {args.model} sweep sets {field} itself; drop its flag")
+    if model.mode is ErrorMode.SYSTEMATIC and args.realizations > 1:
         parser.error("systematic sweeps are deterministic; drop --realizations")
     if args.mag_step <= 0:
         parser.error("--mag-step must be positive")
@@ -277,7 +280,7 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     magnitudes = [args.mag_start + i * args.mag_step for i in range(count)]
     result = threshold_sweep(
         inst,
-        mode,
+        model,
         magnitudes,
         n_realizations=args.realizations,
         eta=args.eta,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,6 +25,12 @@ DEFAULT_ETA = 0.5
 _CHUNK_BYTES = 1 << 18
 # numpy's pairwise float sum adds runs of up to 128 values in its leaves.
 _PAIRWISE_LEAF = 128
+# The ErrorModel field that a threshold sweep sets to each magnitude.
+SWEPT_FIELD = {
+    ErrorMode.SYSTEMATIC: "delta0",
+    ErrorMode.UNIFORM: "s_max",
+    ErrorMode.GAUSSIAN: "sigma0",
+}
 
 
 @dataclass(frozen=True)
@@ -146,9 +152,12 @@ def ensemble_spectrum(
     total_sq = np.zeros(period)
     square = np.empty(period)
     realizations = _realizations(inst, model, n_realizations, master_seed)
-    for effective, values in enumerate(realizations, start=1):
-        total += values
-        total_sq += np.square(values, out=square)
+    with np.errstate(over="ignore"):  # an overflow shows as inf in total_sq
+        for effective, values in enumerate(realizations, start=1):
+            total += values
+            total_sq += np.square(values, out=square)
+    if not np.isfinite(total_sq.max()):
+        raise ValueError("the realizations' probabilities or their squares overflow")
     # In place: mean = total / n, std = sqrt(max(total_sq / n - mean**2, 0)).
     total /= effective
     total_sq /= effective
@@ -249,10 +258,10 @@ class SweepResult:
     recovery first breaks down. Later magnitudes that pass again (a
     systematic error that shifts peaks by whole grid spacings revives
     recovery) do not count. It is None when the baseline itself is zero
-    or the first magnitude already fails.
+    or the first magnitude already fails. model is the base model swept.
     """
 
-    mode: ErrorMode
+    model: ErrorModel
     magnitudes: list[float]
     success_probs: list[float]
     baseline: float
@@ -261,40 +270,31 @@ class SweepResult:
     n_realizations: int
 
 
-def _model_at_magnitude(mode: ErrorMode, magnitude: float) -> ErrorModel:
-    if mode is ErrorMode.SYSTEMATIC:
-        return ErrorModel(mode=mode, delta0=magnitude)
-    if mode is ErrorMode.UNIFORM:
-        return ErrorModel(mode=mode, s_max=magnitude)
-    if mode is ErrorMode.GAUSSIAN:
-        return ErrorModel(mode=mode, sigma0=magnitude)
-    raise ValueError("threshold sweeps need a systematic, uniform, or gaussian mode")
-
-
 def threshold_sweep(
     inst: ShorInstance,
-    mode: ErrorMode,
+    model: ErrorModel,
     magnitudes: list[float],
     n_realizations: int = 1,
     eta: float = DEFAULT_ETA,
     master_seed: int = 42,
     multiplier_bound: int = DEFAULT_MULTIPLIER_BOUND,
 ) -> SweepResult:
-    """Sweep the error magnitude and report where recovery first breaks down.
+    """Sweep model's width and report where recovery first breaks down.
 
-    For each magnitude the mode's width parameter is set to it
-    (systematic: delta0, uniform: s_max, gaussian: sigma0) and the
-    success probability is averaged over n_realizations quenched
-    realizations with seeds derived from (master_seed, magnitude index,
-    realization index). A systematic sweep is deterministic and takes
-    n_realizations=1; a random one runs magnitude 0.0 once. The baseline
-    is `success_probability` at zero error, on the register, and every
-    magnitude of 0.0 reuses it. Every other realization's success is
-    taken at the period: its P at the `_recovery_hits` is gathered from
-    `spectrum.period_values` at c mod q', and its total is that of
-    q/n0 identical blocks of n0 = min(q, max(q', 128)) values, which
-    numpy's pairwise sum adds by exact doublings. So each point equals
-    the register sum bit for bit.
+    Each point runs on model with its SWEPT_FIELD, zero in model, set to
+    the magnitude; the other fields stay, so a random mode with a delta0
+    sweeps combined errors. The success probability is averaged over
+    n_realizations quenched realizations with seeds derived from
+    (master_seed, magnitude index, realization index). A systematic
+    sweep is deterministic and takes n_realizations=1; a random one runs
+    magnitude 0.0 once. The baseline is `success_probability`, on the
+    register, of model itself, with its delta0, amplitude errors and
+    init_delta, and every magnitude of 0.0 reuses it. Every other
+    realization's success is taken at the period: its P at the
+    `_recovery_hits` is gathered from `spectrum.period_values` at
+    c mod q', and its total is that of q/n0 identical blocks of
+    n0 = min(q, max(q', 128)) values, which numpy's pairwise sum adds by
+    exact doublings. So each point equals the register sum bit for bit.
     """
     if not magnitudes:
         raise ValueError("magnitudes must be nonempty")
@@ -306,11 +306,16 @@ def threshold_sweep(
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    if mode is ErrorMode.SYSTEMATIC and n_realizations > 1:
+    field = SWEPT_FIELD.get(model.mode)
+    if field is None or getattr(model, field) != 0.0:
+        raise ValueError(
+            "threshold sweeps need a systematic, uniform, or gaussian model of width 0"
+        )
+    if model.mode is ErrorMode.SYSTEMATIC and n_realizations > 1:
         raise ValueError("a systematic sweep is deterministic; need n_realizations=1")
 
-    # Zero error is deterministic, so the seed cannot matter.
-    (zero_error,) = _realizations(inst, _model_at_magnitude(mode, 0.0), 1, master_seed)
+    # model has zero width, so it is deterministic: the seed cannot matter.
+    (zero_error,) = _realizations(inst, model, 1, master_seed)
     zero = Spectrum(register_values(inst, zero_error), SpectrumMethod.DIRECT_SUM, inst)
     baseline = success_probability(zero, multiplier_bound)
     q = inst.register_size
@@ -331,10 +336,10 @@ def threshold_sweep(
         return float(np.sum(head[at] / total))
 
     def mean_success(magnitude: float, magnitude_index: int) -> float:
-        model = _model_at_magnitude(mode, magnitude)
+        point = replace(model, **{field: magnitude})
         magnitude_seed = derive_stream_seed(master_seed, magnitude_index)
         acc = 0.0
-        realizations = _realizations(inst, model, n_realizations, magnitude_seed)
+        realizations = _realizations(inst, point, n_realizations, magnitude_seed)
         for effective, values in enumerate(realizations, start=1):
             acc += success_at_period(values)
         return acc / effective
@@ -350,7 +355,7 @@ def threshold_sweep(
                 break
             threshold = magnitude
     return SweepResult(
-        mode=mode,
+        model=model,
         magnitudes=list(magnitudes),
         success_probs=success_probs,
         baseline=baseline,

@@ -201,19 +201,22 @@ def period_values(
     The result is one contiguous array of q' floats; `register_values`
     maps it onto the register. Arguments are those of `direct_spectrum`.
     """
-    coeff = _assemble(inst, phase_errors, amp_errors, init_delta)
-    q, r, m = inst.register_size, inst.order, inst.support_count
-    width, twiddles, index = _period_plan(q, r, m)
-    rows = np.empty((len(index) // width, width), dtype=complex)
-    rows[:, m:] = 0.0
-    rows[0, :m] = coeff
-    np.multiply(twiddles, coeff, out=rows[1:, :m])
-    # The unscaled ("forward") inverse equals W * ifft exactly: W is a power of 2.
-    np.fft.ifft(rows, norm="forward", axis=1, out=rows)
-    # |Z|**2: both parts squared in place, then each pair added.
-    parts = rows.view(float).reshape(-1, 2)
-    np.square(parts, out=parts)
-    values = np.add(parts[:, 0], parts[:, 1])
+    # Huge amplitude factors or preparation weights overflow to inf or
+    # nan here without a warning; every caller rejects a non-finite P.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = _assemble(inst, phase_errors, amp_errors, init_delta)
+        q, r, m = inst.register_size, inst.order, inst.support_count
+        width, twiddles, index = _period_plan(q, r, m)
+        rows = np.empty((len(index) // width, width), dtype=complex)
+        rows[:, m:] = 0.0
+        rows[0, :m] = coeff
+        np.multiply(twiddles, coeff, out=rows[1:, :m])
+        # The unscaled ("forward") inverse equals W * ifft exactly: W is a power of 2.
+        np.fft.ifft(rows, norm="forward", axis=1, out=rows)
+        # |Z|**2: both parts squared in place, then each pair added.
+        parts = rows.view(float).reshape(-1, 2)
+        np.square(parts, out=parts)
+        values = np.add(parts[:, 0], parts[:, 1])
     values *= r / q**2
     return values
 

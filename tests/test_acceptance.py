@@ -169,7 +169,8 @@ def test_09_threshold_sweep_finds_breakdown_point() -> None:
     inst = ShorInstance.synthetic_instance(7, 4, modulus=15, base=7)
     magnitudes = [round(0.005 * i, 10) for i in range(61)]
     sweep = threshold_sweep(
-        inst, ErrorMode.SYSTEMATIC, magnitudes, eta=0.5, multiplier_bound=1
+        inst, ErrorModel(ErrorMode.SYSTEMATIC), magnitudes, eta=0.5,
+        multiplier_bound=1,
     )
     probs = np.asarray(sweep.success_probs)
     assert sweep.baseline == probs[0]

@@ -262,6 +262,27 @@ class TestSweepCommand:
         assert mags[0] == 0.0
         assert mags[-1] == pytest.approx(0.3, abs=1e-12)
 
+    def test_combined_errors_sweep(self, tmp_path, capsys) -> None:
+        # A gaussian sweep with a --delta0 starts from the systematic model
+        # at that delta0, so its baseline is the systematic sweep's point.
+        common = ["sweep", "--N", "221", "--y", "2", "--multiplier-bound", "1"]
+        code, _ = run_spectrum(
+            tmp_path, "s.csv", *common, "--model", "systematic",
+            "--mag-stop", "6e-3", "--mag-step", "6e-3",
+        )
+        assert code == 0
+        code, _ = run_spectrum(
+            tmp_path, "g.csv", *common, "--model", "gaussian", "--delta0", "6e-3",
+            "--mag-stop", "2e-5", "--mag-step", "2e-5", "--realizations", "2",
+        )
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1] == "sweep: threshold=2e-05 baseline=0.290905 eta=0.5"
+        systematic = (tmp_path / "s.csv").read_text().splitlines()
+        combined = (tmp_path / "g.csv").read_text().splitlines()
+        assert systematic[2].split(",")[1] == combined[1].split(",")[1]
+        assert combined[-1].endswith("baseline=2.909052251085e-01")
+
 
 class TestLineEnds:
     def test_every_output_file_has_bare_newlines(self, tmp_path) -> None:
@@ -439,8 +460,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--delta0", "5"], ["--smax", "0.1"], ["--sigma", "0.1"],
-         ["--amp-errors"], ["--init-delta", "0.1"], ["--normalize"]],
+        [["--delta0", "5"], ["--smax", "0.1"], ["--sigma", "0.1"], ["--normalize"]],
     )
     def test_sweep_rejects_flags_it_ignores(self, tmp_path, extra) -> None:
         with pytest.raises(SystemExit) as info:
@@ -448,6 +468,46 @@ class TestErrorHandling:
                   "--mag-start", "0", "--mag-stop", "0.1", "--mag-step", "0.05",
                   "--out", str(tmp_path / "x.csv")] + extra)
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "extra, baseline_moves",
+        [(["--amp-errors"], False), (["--init-delta", "0.1"], True)],
+        ids=["amp", "init"],
+    )
+    def test_sweep_reads_amplitude_and_preparation_flags(
+        self, tmp_path, extra, baseline_moves, capsys
+    ) -> None:
+        argv = ["sweep", "--N", "15", "--y", "7", "--model", "gaussian",
+                "--mag-start", "0", "--mag-stop", "0.2", "--mag-step", "0.1",
+                "--realizations", "2", "--multiplier-bound", "1"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + ["--out", str(flagged)] + extra) == 0
+        assert capsys.readouterr().out.startswith("sweep: threshold=")
+        # Rows 1-3 hold magnitudes 0, 0.1 and 0.2. Amplitude errors vanish
+        # at width 0; the preparation weights do not.
+        plain_rows = plain.read_text().splitlines()
+        flagged_rows = flagged.read_text().splitlines()
+        assert (plain_rows[1] != flagged_rows[1]) == baseline_moves
+        assert plain_rows[2] != flagged_rows[2]
+        assert plain_rows[3] != flagged_rows[3]
+
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [("systematic", "--delta0"), ("uniform", "--smax"), ("gaussian", "--sigma")],
+    )
+    def test_sweep_rejects_the_width_it_sets(
+        self, tmp_path, capsys, mode, flag
+    ) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", mode, flag, "0.01",
+                  "--mag-stop", "0.1", "--mag-step", "0.05", "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shornoise sweep")
+        assert f"a {mode} sweep sets" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "span",
@@ -647,3 +707,50 @@ class TestErrorHandling:
             f"of squared norm {norm}; it must be finite and positive\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # |Z|**2 reaches M times the weights' squared norm, which is finite.
+            (["spectrum", "--L", "7", "--r", "4", "--model", "none",
+              "--init-delta", "5e152"], "probabilities must be finite"),
+            (["sweep", "--N", "15", "--y", "7", "--model", "gaussian",
+              "--init-delta", "5e152", "--mag-stop", "0.1", "--mag-step", "0.05"],
+             "probabilities must be finite"),
+            # P is finite, its square is not.
+            (["ensemble", "--L", "7", "--r", "4", "--model", "gaussian",
+              "--sigma", "0.01", "--init-delta", "1e152", "--realizations", "3"],
+             "the realizations' probabilities or their squares overflow"),
+            # Huge amplitude factors overflow the same way.
+            (["spectrum", "--L", "7", "--r", "4", "--model", "gaussian",
+              "--sigma", "1e160", "--amp-errors"], "probabilities must be finite"),
+            (["ensemble", "--L", "7", "--r", "4", "--model", "gaussian",
+              "--sigma", "1e200", "--amp-errors", "--realizations", "3"],
+             "the realizations' probabilities or their squares overflow"),
+        ],
+        ids=["spectrum", "sweep", "ensemble", "spectrum-amp", "ensemble-amp"],
+    )
+    def test_overflowing_probabilities_fail_without_a_warning(
+        self, tmp_path, argv, message
+    ) -> None:
+        out = tmp_path / "w.csv"
+        done = run_process(*argv, "--out", str(out))
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["circuit", "--init-delta", "5e152"], ["spectrum", "--init-delta", "1e152"]],
+        ids=["circuit", "spectrum"],
+    )
+    def test_huge_normalizable_preparation_weights_run(self, tmp_path, argv) -> None:
+        # The circuit normalizes its state before the readout, and below
+        # 3e152 the direct sum's P stays finite.
+        out = tmp_path / "w.csv"
+        done = run_process(*argv, "--L", "7", "--r", "4", "--model", "none",
+                           "--out", str(out))
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert np.isfinite(read_spectrum_csv(out)).all()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -647,7 +648,8 @@ class TestSuccessBitIdentity:
 class TestThresholdSweep:
     def test_baseline_equals_first_point(self) -> None:
         sweep = threshold_sweep(
-            RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0, 0.05, 0.1], multiplier_bound=1
+            RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.05, 0.1],
+            multiplier_bound=1,
         )
         assert sweep.baseline == sweep.success_probs[0]
         assert sweep.baseline == pytest.approx(0.5, abs=1e-12)
@@ -655,7 +657,7 @@ class TestThresholdSweep:
     def test_threshold_location(self) -> None:
         sweep = threshold_sweep(
             RECOVERABLE,
-            ErrorMode.SYSTEMATIC,
+            ErrorModel(ErrorMode.SYSTEMATIC),
             [0.0, 0.1, 0.26, 0.27, 0.3],
             eta=0.5,
             multiplier_bound=1,
@@ -670,7 +672,8 @@ class TestThresholdSweep:
         # recovery revives near 1.835 after first failing at 0.27.
         magnitudes = [0.005 * i for i in range(401)]
         sweep = threshold_sweep(
-            RECOVERABLE, ErrorMode.SYSTEMATIC, magnitudes, eta=0.5, multiplier_bound=1
+            RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), magnitudes, eta=0.5,
+            multiplier_bound=1,
         )
         assert sweep.threshold == 0.265
         floor = sweep.eta * sweep.baseline
@@ -683,7 +686,7 @@ class TestThresholdSweep:
         # of c/4, so recovery fails for every outcome.
         inst = ShorInstance.synthetic_instance(2, 3, modulus=7, base=2)
         sweep = threshold_sweep(
-            inst, ErrorMode.SYSTEMATIC, [0.0, 0.05], multiplier_bound=1
+            inst, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.05], multiplier_bound=1
         )
         assert sweep.baseline == 0.0
         assert sweep.threshold is None
@@ -699,8 +702,8 @@ class TestThresholdSweep:
         monkeypatch.setattr(experiment, "sample_realizations", counting)
         count = 1 if mode is ErrorMode.SYSTEMATIC else 3
         sweep = threshold_sweep(
-            RECOVERABLE, mode, [0.0, 0.0, 0.02], n_realizations=count,
-            multiplier_bound=1,
+            RECOVERABLE, ErrorModel(mode), [0.0, 0.0, 0.02],
+            n_realizations=count, multiplier_bound=1,
         )
         # The baseline, then the 0.02 point: one systematic or three random.
         assert len(calls) == (2 if mode is ErrorMode.SYSTEMATIC else 4)
@@ -712,56 +715,112 @@ class TestThresholdSweep:
         # recorded in the result without being run.
         with pytest.raises(ValueError, match="n_realizations=1"):
             threshold_sweep(
-                RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0, 0.1],
+                RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.1],
                 n_realizations=count, multiplier_bound=1,
             )
         one = threshold_sweep(
-            RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0, 0.1], multiplier_bound=1
+            RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.1],
+            multiplier_bound=1,
         )
         assert one.n_realizations == 1
 
     def test_random_mode_is_reproducible(self) -> None:
         a = threshold_sweep(
-            RECOVERABLE, ErrorMode.GAUSSIAN, [0.0, 0.02], n_realizations=3,
-            master_seed=9,
+            RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 0.02],
+            n_realizations=3, master_seed=9,
         )
         b = threshold_sweep(
-            RECOVERABLE, ErrorMode.GAUSSIAN, [0.0, 0.02], n_realizations=3,
-            master_seed=9,
+            RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 0.02],
+            n_realizations=3, master_seed=9,
         )
         assert np.array_equal(a.success_probs, b.success_probs)
 
     def test_requires_attached_problem(self) -> None:
         with pytest.raises(ValueError):
-            threshold_sweep(STANDARD, ErrorMode.SYSTEMATIC, [0.0, 0.1])
+            threshold_sweep(STANDARD, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.1])
 
     def test_validates_arguments(self) -> None:
         with pytest.raises(ValueError):
-            threshold_sweep(RECOVERABLE, ErrorMode.SYSTEMATIC, [])
+            threshold_sweep(RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [])
         with pytest.raises(ValueError):
-            threshold_sweep(RECOVERABLE, ErrorMode.SYSTEMATIC, [0.1, 0.0])
+            threshold_sweep(RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [0.1, 0.0])
         with pytest.raises(ValueError):
-            threshold_sweep(RECOVERABLE, ErrorMode.SYSTEMATIC, [-0.1, 0.0])
-        with pytest.raises(ValueError):
-            threshold_sweep(RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0], eta=0.0)
-        with pytest.raises(ValueError):
-            threshold_sweep(RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0], eta=1.5)
-        with pytest.raises(ValueError):
-            threshold_sweep(RECOVERABLE, ErrorMode.NONE, [0.0, 0.1])
+            threshold_sweep(RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [-0.1, 0.0])
         with pytest.raises(ValueError):
             threshold_sweep(
-                RECOVERABLE, ErrorMode.UNIFORM, [0.0], n_realizations=0
+                RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [0.0], eta=0.0
             )
+        with pytest.raises(ValueError):
+            threshold_sweep(
+                RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [0.0], eta=1.5
+            )
+        with pytest.raises(ValueError):
+            threshold_sweep(RECOVERABLE, ErrorModel(ErrorMode.NONE), [0.0, 0.1])
+        with pytest.raises(ValueError):
+            threshold_sweep(
+                RECOVERABLE, ErrorModel(ErrorMode.UNIFORM), [0.0], n_realizations=0
+            )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ErrorModel(ErrorMode.NONE),
+            ErrorModel(ErrorMode.NONE, init_delta=0.01),
+            ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.01),
+            ErrorModel(ErrorMode.UNIFORM, s_max=0.01),
+            ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.01),
+        ],
+        ids=["none", "none-init-delta", "systematic", "uniform", "gaussian"],
+    )
+    def test_rejects_base_model_without_a_free_width(self, model) -> None:
+        with pytest.raises(ValueError, match="systematic, uniform, or gaussian"):
+            threshold_sweep(RECOVERABLE, model, [0.0, 0.1])
+
+    def test_result_carries_the_base_model(self) -> None:
+        model = ErrorModel(ErrorMode.UNIFORM, delta0=0.01, init_delta=0.02)
+        sweep = threshold_sweep(RECOVERABLE, model, [0.0, 0.1], n_realizations=2)
+        assert sweep.model is model
+
+    @pytest.mark.parametrize("mode", [ErrorMode.GAUSSIAN, ErrorMode.UNIFORM])
+    @pytest.mark.parametrize(
+        "delta0, bits",
+        [(3e-3, "0x1.54ddf9f49fde1p-2"), (6e-3, "0x1.29e30f304e528p-2")],
+    )
+    def test_combined_baseline_is_the_systematic_point(
+        self, mode, delta0, bits
+    ) -> None:
+        # A random mode at width 0 with a delta0 is the systematic model at
+        # that delta0, so its baseline is the systematic sweep's point there.
+        inst = ShorInstance.from_factoring(221, 2)
+        systematic = threshold_sweep(
+            inst, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, delta0], multiplier_bound=1
+        )
+        combined = threshold_sweep(
+            inst, ErrorModel(mode, delta0=delta0), [0.0, 2e-5], n_realizations=2,
+            multiplier_bound=1,
+        )
+        assert combined.baseline == systematic.success_probs[1]
+        assert combined.baseline == float.fromhex(bits)
+        assert combined.success_probs[0] == combined.baseline
+        # delta0 enters the baseline: it is not the noise-free one.
+        assert combined.baseline != systematic.baseline
+
+
+SWEPT = {
+    ErrorMode.SYSTEMATIC: "delta0",
+    ErrorMode.UNIFORM: "s_max",
+    ErrorMode.GAUSSIAN: "sigma0",
+}
 
 
 def former_sweep_points(
-    inst: ShorInstance, mode: ErrorMode, magnitudes: list[float], count: int,
+    inst: ShorInstance, base: ErrorModel, magnitudes: list[float], count: int,
     master_seed: int, bound: int,
 ) -> np.ndarray:
     """Each sweep point as computed before: success_probability on the register."""
     points = []
     for index, magnitude in enumerate(magnitudes):
-        model = experiment._model_at_magnitude(mode, magnitude)
+        model = replace(base, **{SWEPT[base.mode]: magnitude})
         magnitude_seed = derive_stream_seed(master_seed, index)
         n = 1 if model.deterministic else count
         seeds = [derive_stream_seed(magnitude_seed, i) for i in range(n)]
@@ -779,7 +838,9 @@ def former_sweep_points(
 def sweep_cases(draw) -> tuple:
     """Sweeps of instances with 3 <= modulus <= 60 and L <= 12, any offset.
 
-    Bound 64 is at least every such order, so every outcome hits.
+    Bound 64 is at least every such order, so every outcome hits. The
+    base model may carry a delta0 beside a random width (combined
+    errors), amplitude errors and preparation weights.
     """
     modulus, base = draw(COPRIME_PAIRS)
     order = find_order(base, modulus)
@@ -794,7 +855,19 @@ def sweep_cases(draw) -> tuple:
     width = draw(st.sampled_from([1e-4, 1e-2, 0.3]))
     seed = draw(st.integers(0, 2**64 - 1))
     bound = draw(st.sampled_from([1, 2, 64]))
-    return inst, mode, [0.0, width, 2 * width], count, seed, bound
+    random_mode = mode is not ErrorMode.SYSTEMATIC
+    model = ErrorModel(
+        mode,
+        delta0=draw(st.sampled_from([0.0, 0.02])) if random_mode else 0.0,
+        include_amplitude_errors=draw(st.booleans()),
+        init_delta=draw(st.sampled_from([0.0, -0.02, 0.01])),
+    )
+    return inst, model, [0.0, width, 2 * width], count, seed, bound
+
+
+COMBINED = ErrorModel(
+    ErrorMode.GAUSSIAN, delta0=0.05, include_amplitude_errors=True, init_delta=0.01
+)
 
 
 FIFTEEN = ShorInstance.from_factoring(15, 7)  # q' = 64, below numpy's 128-block
@@ -805,16 +878,17 @@ class TestSweepAtPeriod:
 
     @settings(max_examples=100)
     @given(case=sweep_cases())
-    @example(case=(FIFTEEN, ErrorMode.GAUSSIAN, [0.0, 0.1, 0.5], 3, 7, 1))
-    @example(case=(FIFTEEN, ErrorMode.UNIFORM, [0.0, 0.1, 0.5], 2, 8, 64))
-    @example(case=(FIFTEEN, ErrorMode.SYSTEMATIC, [0.0, 0.1, 0.3], 1, 9, 4))
+    @example(case=(FIFTEEN, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 0.1, 0.5], 3, 7, 1))
+    @example(case=(FIFTEEN, ErrorModel(ErrorMode.UNIFORM), [0.0, 0.1, 0.5], 2, 8, 64))
+    @example(case=(FIFTEEN, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.1, 0.3], 1, 9, 4))
+    @example(case=(FIFTEEN, COMBINED, [0.0, 0.1, 0.5], 3, 7, 1))
     def test_points_match_register_sum_property(self, case) -> None:
-        inst, mode, magnitudes, count, seed, bound = case
+        inst, model, magnitudes, count, seed, bound = case
         sweep = threshold_sweep(
-            inst, mode, magnitudes, n_realizations=count, master_seed=seed,
+            inst, model, magnitudes, n_realizations=count, master_seed=seed,
             multiplier_bound=bound,
         )
-        expected = former_sweep_points(inst, mode, magnitudes, count, seed, bound)
+        expected = former_sweep_points(inst, model, magnitudes, count, seed, bound)
         assert same_bits(np.array(sweep.success_probs), expected)
 
     @pytest.mark.parametrize(
@@ -828,12 +902,12 @@ class TestSweepAtPeriod:
     def test_points_match_register_sum_on_factoring_instances(
         self, modulus, mode, magnitudes, count, bound
     ) -> None:
-        inst = ShorInstance.from_factoring(modulus, 2)
+        inst, model = ShorInstance.from_factoring(modulus, 2), ErrorModel(mode)
         sweep = threshold_sweep(
-            inst, mode, magnitudes, n_realizations=count, master_seed=5,
+            inst, model, magnitudes, n_realizations=count, master_seed=5,
             multiplier_bound=bound,
         )
-        expected = former_sweep_points(inst, mode, magnitudes, count, 5, bound)
+        expected = former_sweep_points(inst, model, magnitudes, count, 5, bound)
         assert same_bits(np.array(sweep.success_probs), expected)
 
     def test_rejects_non_finite_realization(self, monkeypatch) -> None:
@@ -844,13 +918,14 @@ class TestSweepAtPeriod:
 
         monkeypatch.setattr(experiment, "period_values", poisoned)
         with pytest.raises(ValueError, match="finite"):
-            threshold_sweep(RECOVERABLE, ErrorMode.GAUSSIAN, [0.0, 0.1])
+            threshold_sweep(RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 0.1])
 
 
 class TestSweepCsv:
     def test_format_and_footer(self, tmp_path) -> None:
         sweep = threshold_sweep(
-            RECOVERABLE, ErrorMode.SYSTEMATIC, [0.0, 0.1, 0.27], multiplier_bound=1
+            RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.1, 0.27],
+            multiplier_bound=1,
         )
         path = tmp_path / "sweep.csv"
         write_sweep_csv(sweep, path)
@@ -868,7 +943,7 @@ class TestSweepCsv:
     def test_footer_reports_missing_threshold(self, tmp_path) -> None:
         inst = ShorInstance.synthetic_instance(2, 3, modulus=7, base=2)
         sweep = threshold_sweep(
-            inst, ErrorMode.SYSTEMATIC, [0.0, 0.05], multiplier_bound=1
+            inst, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.05], multiplier_bound=1
         )
         path = tmp_path / "sweep.csv"
         write_sweep_csv(sweep, path)
