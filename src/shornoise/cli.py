@@ -20,6 +20,7 @@ failure, 2 on invalid arguments.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -321,6 +322,15 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    With argv None, main parses sys.argv and owns the process (`python -m
+    shornoise.cli`, the `shornoise` script): it first freezes the collector
+    (`gc.freeze`), so the exit does not walk every object that numpy and
+    the package made at import. Given argv, the collector is left as is.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -136,9 +136,11 @@ def ensemble_spectrum(
     Realization i draws from the seed derived from (master_seed, i);
     chunks of consecutive realizations draw their errors together, and
     accumulation runs in fixed index order, so reruns are bit-identical
-    and the result does not depend on the chunk size. Realizations and
-    their squares are summed at the q' distinct points, mean and std are
-    formed there, and both are mapped onto the register once.
+    and the result does not depend on the chunk size. Sums run at the q'
+    distinct points, mean and std are formed there, and both are mapped
+    onto the register once. The variance is mean(D**2) - mean(D)**2 over
+    deviations D = P - P_0 from the first realization, which are as small
+    as the spread, so it does not cancel away as in E[P**2] - E[P]**2.
     Deterministic models collapse to a single realization since every
     draw would repeat it.
 
@@ -149,28 +151,36 @@ def ensemble_spectrum(
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     period = inst.register_size // math.gcd(inst.order, inst.register_size)
     total = np.zeros(period)
-    total_sq = np.zeros(period)
-    square = np.empty(period)
+    dev = np.zeros(period)
+    dev_sq = np.zeros(period)
     realizations = _realizations(inst, model, n_realizations, master_seed)
-    with np.errstate(over="ignore"):  # an overflow shows as inf in total_sq
-        for effective, values in enumerate(realizations, start=1):
+    first = next(realizations)
+    total += first
+    effective = 1
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in the sums
+        for values in realizations:
+            effective += 1
             total += values
-            total_sq += np.square(values, out=square)
-    if not np.isfinite(total_sq.max()):
+            values -= first
+            dev += values
+            dev_sq += np.square(values, out=values)
+            del values  # freed before the next realization is computed
+    if not (np.isfinite(total.max()) and np.isfinite(dev_sq.max())):
         raise ValueError("the realizations' probabilities or their squares overflow")
-    # In place: mean = total / n, std = sqrt(max(total_sq / n - mean**2, 0)).
+    # In place: mean = total / n, std = sqrt(max(dev_sq / n - (dev / n)**2, 0)).
     total /= effective
-    total_sq /= effective
-    total_sq -= np.square(total, out=square)
-    np.maximum(total_sq, 0.0, out=total_sq)
-    np.sqrt(total_sq, out=total_sq)
+    dev /= effective
+    dev_sq /= effective
+    dev_sq -= np.square(dev, out=dev)
+    np.maximum(dev_sq, 0.0, out=dev_sq)
+    np.sqrt(dev_sq, out=dev_sq)
     mean_spec = Spectrum(
         values=register_values(inst, total),
         method=SpectrumMethod.DIRECT_SUM,
         instance=inst,
         model=model,
     )
-    return mean_spec, register_values(inst, total_sq)
+    return mean_spec, register_values(inst, dev_sq)
 
 
 @lru_cache(maxsize=32)

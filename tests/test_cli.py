@@ -1,12 +1,13 @@
 """End-to-end tests for the command line interface.
 
 Commands run in process through main(argv), except where stderr itself
-is checked. Usage errors surface as SystemExit(2) from the argument
-parser; runtime failures return 1; success returns 0.
+or the process entry is checked. Usage errors surface as SystemExit(2)
+from the argument parser; runtime failures return 1; success returns 0.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -29,16 +30,20 @@ def run_spectrum(tmp_path, name: str, *args: str) -> tuple[int, str]:
     return code, str(out)
 
 
-def run_process(*argv: str) -> subprocess.CompletedProcess:
-    """The CLI in its own process, so stderr holds whatever it prints."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """This interpreter in its own process, importing the package from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "shornoise.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def run_process(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in its own process, so stderr holds whatever it prints."""
+    return run_python("-m", "shornoise.cli", *argv)
 
 
 class TestSpectrumCommand:
@@ -742,15 +747,104 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "argv",
-        [["circuit", "--init-delta", "5e152"], ["spectrum", "--init-delta", "1e152"]],
-        ids=["circuit", "spectrum"],
+        [["circuit", "--init-delta", "5e152"], ["spectrum", "--init-delta", "1e152"],
+         ["ensemble", "--init-delta", "1e152"]],
+        ids=["circuit", "spectrum", "ensemble"],
     )
     def test_huge_normalizable_preparation_weights_run(self, tmp_path, argv) -> None:
         # The circuit normalizes its state before the readout, and below
-        # 3e152 the direct sum's P stays finite.
+        # 3e152 the direct sum's P stays finite. The ensemble squares only
+        # deviations from its first realization, here all zero.
         out = tmp_path / "w.csv"
         done = run_process(*argv, "--L", "7", "--r", "4", "--model", "none",
                            "--out", str(out))
         assert done.returncode == 0
         assert done.stderr == ""
         assert np.isfinite(read_spectrum_csv(out)).all()
+
+
+class TestProcessEntry:
+    """`python -m shornoise.cli` against main(argv) in this process.
+
+    The process entry (argv None) freezes the collector before it parses;
+    these pin that its exit codes and output stay those of main(argv).
+    """
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch) -> None:
+        # argparse wraps help to the terminal width; both sides read COLUMNS.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def in_process(self, capsys, *argv: str) -> tuple[int, str, str]:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        printed = capsys.readouterr()
+        return code, printed.out, printed.err
+
+    def assert_same_as_process(self, capsys, *argv: str) -> tuple[int, str, str]:
+        expected = self.in_process(capsys, *argv)
+        done = run_process(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == expected
+        return expected
+
+    def test_help(self, capsys) -> None:
+        code, out, err = self.assert_same_as_process(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: shornoise")
+        assert err == ""
+
+    def test_usage_error(self, capsys) -> None:
+        code, out, err = self.assert_same_as_process(
+            capsys, "spectrum", "--L", "7", "--r", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: shornoise spectrum")
+        assert err.endswith("error: the following arguments are required: --out\n")
+
+    def test_runtime_error(self, tmp_path, capsys) -> None:
+        out_path = tmp_path / "missing" / "s.csv"
+        code, out, err = self.assert_same_as_process(
+            capsys, "spectrum", "--L", "7", "--r", "4", "--out", str(out_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
+    def test_spectrum_run_writes_what_main_writes(self, tmp_path, capsys) -> None:
+        # ~13k noise-floor peaks: a summary line larger than a pipe's buffer.
+        argv = ["spectrum", "--L", "16", "--r", "4", "--model", "uniform",
+                "--smax", "1e-2", "--seed", "3"]
+        code, out, err = self.in_process(
+            capsys, *argv, "--out", str(tmp_path / "a.csv")
+        )
+        done = run_process(*argv, "--out", str(tmp_path / "b.csv"))
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        assert code == 0 and err == ""
+        assert len(out.encode()) > 1 << 17
+        assert out.startswith("spectrum: peaks at [") and out.endswith("]\n")
+        for suffix in (".csv", ".csv.meta"):
+            written = (tmp_path / f"b{suffix}").read_bytes()
+            assert written == (tmp_path / f"a{suffix}").read_bytes()
+
+    def test_process_entry_freezes_the_collector(self) -> None:
+        done = run_python(
+            "-c",
+            "import gc, sys\n"
+            "from shornoise.cli import main\n"
+            "sys.argv = ['shornoise', 'factor', '--N', '15', '--y', '7']\n"
+            "main()\n"
+            "print(gc.get_freeze_count() > 0)",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "True"
+
+    def test_main_with_argv_keeps_the_collector(self, tmp_path, capsys) -> None:
+        frozen = gc.get_freeze_count()
+        code = main(
+            ["spectrum", "--L", "7", "--r", "4", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 0
+        assert gc.get_freeze_count() == frozen

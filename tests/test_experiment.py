@@ -153,22 +153,28 @@ def ensemble_cases(draw) -> tuple[ShorInstance, ErrorModel, int, int]:
 def former_ensemble(
     inst: ShorInstance, model: ErrorModel, n_realizations: int, master_seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and std summed over the whole register, one direct sum per realization."""
+    """Mean and std summed over the whole register, one direct sum per realization.
+
+    The std comes from deviations from the first realization, in the
+    arithmetic order of `ensemble_spectrum`.
+    """
     count = 1 if model.deterministic else n_realizations
     m = inst.support_count
     total = np.zeros(inst.register_size)
-    total_sq = np.zeros(inst.register_size)
-    square = np.empty(inst.register_size)
+    dev = np.zeros(inst.register_size)
+    dev_sq = np.zeros(inst.register_size)
     for i in range(count):
         seed = derive_stream_seed(master_seed, i)
         phase = phase_errors(model, m, seed)
         amp = amplitude_errors(model, m, seed)
         values = direct_spectrum(inst, phase, amp, model.init_delta).values
+        if i == 0:
+            first = values
         total += values
-        total_sq += np.square(values, out=square)
-    mean = total / count
-    variance = np.maximum(total_sq / count - mean**2, 0.0)
-    return mean, np.sqrt(variance)
+        dev += values - first
+        dev_sq += np.square(values - first)
+    variance = np.maximum(dev_sq / count - np.square(dev / count), 0.0)
+    return total / count, np.sqrt(variance)
 
 
 def same_bits(first: np.ndarray, second: np.ndarray) -> bool:
@@ -387,6 +393,20 @@ class TestEnsembleSpectrum:
         expected_mean, expected_std = former_ensemble(inst, model, n_realizations, 8)
         assert same_bits(mean.values, expected_mean)
         assert same_bits(std, expected_std)
+
+    @pytest.mark.parametrize("sigma", [1e-9, 1e-7, 1e-5])
+    def test_spread_matches_two_pass_oracle(self, sigma) -> None:
+        # The spread falls far below P (max P = 1/4) as sigma shrinks.
+        # Both sides read the same P values, so a std that resolves the
+        # spread is off by less than P's own float64 rounding: 4 ulps of
+        # max P. E[P**2] - E[P]**2 cancels to ~sqrt(eps) * max P instead.
+        inst = ShorInstance.synthetic_instance(7, 4)
+        model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=sigma)
+        _, std = ensemble_spectrum(inst, model, 50, 42)
+        values = np.array(list(experiment._realizations(inst, model, 50, 42)))
+        expected = register_values(inst, values.std(axis=0))
+        tolerance = 4 * np.spacing(values.max())
+        assert np.abs(std - expected).max() <= tolerance
 
     def test_rejects_empty_ensemble(self) -> None:
         with pytest.raises(ValueError):
