@@ -15,7 +15,10 @@ magnitude, so --delta0 under a random mode sweeps combined errors.
 
 Spectra are written as `c,probability` CSV files with a key=value
 metadata sidecar next to them. Exit codes: 0 on success, 1 on runtime
-failure, 2 on invalid arguments.
+failure, 2 on invalid arguments. The library checks its own arguments
+and raises `UsageError` before any work, which exits 2 under the
+command's usage. This module checks only what the library never sees:
+flag pairing, seed text and the --mag-start/--mag-stop/--mag-step grid.
 """
 from __future__ import annotations
 
@@ -30,14 +33,13 @@ import numpy as np
 from .errmodel import ErrorMode, ErrorModel
 from .experiment import (
     DEFAULT_ETA,
-    SWEPT_FIELD,
     ensemble_spectrum,
     factor,
     peak_report,
     threshold_sweep,
     write_sweep_csv,
 )
-from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance
+from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, UsageError
 from .qcircuit import circuit_spectrum
 from .spectrum import Spectrum, model_spectrum, spectrum_metadata, write_spectrum_csv
 
@@ -51,26 +53,6 @@ def _parse_seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"seed {text!r} is not an integer")
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {value}")
-    return value
-
-
-def _parse_finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
-    return value
-
-
-def _parse_positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -94,10 +76,9 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
         default="none",
         help="error mode (default none)",
     )
-    number = _parse_finite_float
-    group.add_argument("--delta0", type=number, default=0.0, help="constant error part")
-    group.add_argument("--smax", type=number, default=0.0, help="uniform half-width")
-    group.add_argument("--sigma", type=number, default=0.0, help="gaussian std dev")
+    group.add_argument("--delta0", type=float, default=0.0, help="constant error part")
+    group.add_argument("--smax", type=float, default=0.0, help="uniform half-width")
+    group.add_argument("--sigma", type=float, default=0.0, help="gaussian std dev")
     group.add_argument(
         "--amp-errors",
         action="store_true",
@@ -105,7 +86,7 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--init-delta",
-        type=number,
+        type=float,
         default=0.0,
         help="preparation-weight miscalibration (default 0)",
     )
@@ -127,7 +108,7 @@ def _add_run_options(
     if realizations:
         group.add_argument(
             "--realizations",
-            type=_parse_positive_int,
+            type=int,
             default=1,
             help="realization count (default 1)",
         )
@@ -161,21 +142,21 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run_options(
             p, normalize=p is not p_sweep, realizations=p in (p_ensemble, p_sweep)
         )
-    p_sweep.add_argument("--mag-start", type=_parse_finite_float, default=0.0)
-    p_sweep.add_argument("--mag-stop", type=_parse_finite_float, required=True)
-    p_sweep.add_argument("--mag-step", type=_parse_finite_float, required=True)
-    p_sweep.add_argument("--eta", type=_parse_finite_float, default=DEFAULT_ETA)
+    p_sweep.add_argument("--mag-start", type=float, default=0.0)
+    p_sweep.add_argument("--mag-stop", type=float, required=True)
+    p_sweep.add_argument("--mag-step", type=float, required=True)
+    p_sweep.add_argument("--eta", type=float, default=DEFAULT_ETA)
     p_sweep.add_argument(
-        "--multiplier-bound", type=_parse_positive_int, default=DEFAULT_MULTIPLIER_BOUND
+        "--multiplier-bound", type=int, default=DEFAULT_MULTIPLIER_BOUND
     )
 
     p_factor = sub.add_parser("factor", help="measure, recover the order, factor")
     _add_instance_options(p_factor, synthetic=False)
     _add_model_options(p_factor)
     _add_run_options(p_factor, with_out=False, normalize=False)
-    p_factor.add_argument("--shots", type=_parse_positive_int, default=100)
+    p_factor.add_argument("--shots", type=int, default=100)
     p_factor.add_argument(
-        "--multiplier-bound", type=_parse_positive_int, default=DEFAULT_MULTIPLIER_BOUND
+        "--multiplier-bound", type=int, default=DEFAULT_MULTIPLIER_BOUND
     )
 
     for command in sub.choices.values():  # so usage errors show the command's usage
@@ -199,20 +180,15 @@ def _instance_from_args(
     return ShorInstance.synthetic_instance(args.L, args.r, offset=args.l)
 
 
-def _model_from_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> ErrorModel:
-    try:
-        return ErrorModel(
-            mode=ErrorMode(args.model),
-            delta0=args.delta0,
-            s_max=args.smax,
-            sigma0=args.sigma,
-            include_amplitude_errors=args.amp_errors,
-            init_delta=args.init_delta,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _model_from_args(args: argparse.Namespace) -> ErrorModel:
+    return ErrorModel(
+        mode=ErrorMode(args.model),
+        delta0=args.delta0,
+        s_max=args.smax,
+        sigma0=args.sigma,
+        include_amplitude_errors=args.amp_errors,
+        init_delta=args.init_delta,
+    )
 
 
 def _write_spectrum_outputs(
@@ -233,7 +209,7 @@ def _peak_summary(spec: Spectrum) -> str:
 
 def _run_readout(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
-    model = _model_from_args(parser, args)
+    model = _model_from_args(args)
     route = model_spectrum if args.command == "spectrum" else circuit_spectrum
     spec = route(inst, model, args.seed)
     spec = _write_spectrum_outputs(spec, args.out, args.seed, args.normalize)
@@ -243,9 +219,7 @@ def _run_readout(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def _run_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
-    model = _model_from_args(parser, args)
-    if model.deterministic and args.realizations > 1:
-        parser.error("the model is deterministic; drop --realizations")
+    model = _model_from_args(args)
     mean_spec, std = ensemble_spectrum(inst, model, args.realizations, args.seed)
     mean_spec = _write_spectrum_outputs(mean_spec, args.out, args.seed, args.normalize)
     print(f"ensemble: {_peak_summary(mean_spec)}; max std {float(np.max(std)):.3e}")
@@ -254,24 +228,11 @@ def _run_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     inst = _instance_from_args(parser, args)
-    if inst.modulus is None:
-        parser.error("sweep needs --N/--y so recovered orders can be checked")
-    model = _model_from_args(parser, args)
-    field = SWEPT_FIELD.get(model.mode)
-    if field is None:
-        parser.error("sweep needs --model systematic, uniform, or gaussian")
-    if getattr(model, field) != 0.0:
-        parser.error(f"a {args.model} sweep sets {field} itself; drop its flag")
-    if model.mode is ErrorMode.SYSTEMATIC and args.realizations > 1:
-        parser.error("systematic sweeps are deterministic; drop --realizations")
+    model = _model_from_args(args)
     if args.mag_step <= 0:
         parser.error("--mag-step must be positive")
-    if args.mag_start < 0:
-        parser.error("--mag-start must be >= 0")
     if args.mag_stop < args.mag_start:
         parser.error("--mag-stop must be >= --mag-start")
-    if not 0.0 < args.eta <= 1.0:
-        parser.error("--eta must be in (0, 1]")
     steps = (args.mag_stop - args.mag_start) / args.mag_step
     if not math.isfinite(steps):
         parser.error("(--mag-stop - --mag-start) / --mag-step must be finite")
@@ -301,7 +262,7 @@ def _run_factor(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.N is None or args.y is None:
         parser.error("factor needs --N and --y")
     inst = ShorInstance.from_factoring(args.N, args.y, offset=args.l)
-    model = _model_from_args(parser, args)
+    model = _model_from_args(args)
     result = factor(inst, model, args.seed, args.shots, args.multiplier_bound)
     if result is None:
         print("factor: no nontrivial factor found; retry with new y")
@@ -335,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _RUNNERS[args.command](args, args.parser)
+    except UsageError as exc:
+        args.parser.error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -44,6 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .numth import UsageError
+
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 2685821657736338717  # 0x2545F4914F6CDD1D
 
@@ -244,20 +246,20 @@ class ErrorModel:
         for name in ("delta0", "s_max", "sigma0", "init_delta"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise UsageError(f"{name} must be finite, got {value}")
         if self.s_max < 0.0:
-            raise ValueError(f"s_max must be >= 0, got {self.s_max}")
+            raise UsageError(f"s_max must be >= 0, got {self.s_max}")
         if self.sigma0 < 0.0:
-            raise ValueError(f"sigma0 must be >= 0, got {self.sigma0}")
+            raise UsageError(f"sigma0 must be >= 0, got {self.sigma0}")
         mode = self.mode.value
         if self.mode is ErrorMode.NONE and self.delta0 != 0.0:
-            raise ValueError(f"mode {mode} reads no delta0, got {self.delta0}")
+            raise UsageError(f"mode {mode} reads no delta0, got {self.delta0}")
         if self.mode is ErrorMode.NONE and self.include_amplitude_errors:
-            raise ValueError(f"mode {mode} draws no amplitude errors")
+            raise UsageError(f"mode {mode} draws no amplitude errors")
         if self.mode is not ErrorMode.UNIFORM and self.s_max != 0.0:
-            raise ValueError(f"mode {mode} reads no s_max, got {self.s_max}")
+            raise UsageError(f"mode {mode} reads no s_max, got {self.s_max}")
         if self.mode is not ErrorMode.GAUSSIAN and self.sigma0 != 0.0:
-            raise ValueError(f"mode {mode} reads no sigma0, got {self.sigma0}")
+            raise UsageError(f"mode {mode} reads no sigma0, got {self.sigma0}")
 
     @property
     def deterministic(self) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
 from .errmodel import sample_realizations
 from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, find_order, recover_orders
-from .numth import _LOCKSTEP_LANES, _check_recovery_inputs
+from .numth import _LOCKSTEP_LANES, UsageError, _check_recovery_inputs
 from .qcircuit import circuit_spectrum, outcome_cdf, sample_outcomes
 from .spectrum import Spectrum, SpectrumMethod, period_values, register_values
 from .spectrum import _check_probabilities, _period_plan
@@ -113,10 +113,7 @@ def _realizations(
     (`errmodel.sample_realizations`): as many as fit _CHUNK_BYTES per
     error stream at 16 bytes per support point, two uniforms of 8 bytes
     for each error. Each realization is still transformed alone.
-    Deterministic models yield a single realization since every draw
-    would repeat it.
     """
-    count = 1 if model.deterministic else count
     chunk = max(1, _CHUNK_BYTES // (16 * inst.support_count))
     for start in range(0, count, chunk):
         stop = min(count, start + chunk)
@@ -141,14 +138,16 @@ def ensemble_spectrum(
     onto the register once. The variance is mean(D**2) - mean(D)**2 over
     deviations D = P - P_0 from the first realization, which are as small
     as the spread, so it does not cancel away as in E[P**2] - E[P]**2.
-    Deterministic models collapse to a single realization since every
-    draw would repeat it.
+    A deterministic model takes n_realizations=1, since every draw would
+    repeat the first.
 
     Returns:
         (mean spectrum, population standard deviation per register value).
     """
     if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+        raise UsageError(f"n_realizations must be >= 1, got {n_realizations}")
+    if model.deterministic and n_realizations > 1:
+        raise UsageError("the model is deterministic; need n_realizations=1")
     period = inst.register_size // math.gcd(inst.order, inst.register_size)
     total = np.zeros(period)
     dev = np.zeros(period)
@@ -156,10 +155,8 @@ def ensemble_spectrum(
     realizations = _realizations(inst, model, n_realizations, master_seed)
     first = next(realizations)
     total += first
-    effective = 1
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan in the sums
         for values in realizations:
-            effective += 1
             total += values
             values -= first
             dev += values
@@ -168,9 +165,9 @@ def ensemble_spectrum(
     if not (np.isfinite(total.max()) and np.isfinite(dev_sq.max())):
         raise ValueError("the realizations' probabilities or their squares overflow")
     # In place: mean = total / n, std = sqrt(max(dev_sq / n - (dev / n)**2, 0)).
-    total /= effective
-    dev /= effective
-    dev_sq /= effective
+    total /= n_realizations
+    dev /= n_realizations
+    dev_sq /= n_realizations
     dev_sq -= np.square(dev, out=dev)
     np.maximum(dev_sq, 0.0, out=dev_sq)
     np.sqrt(dev_sq, out=dev_sq)
@@ -306,23 +303,29 @@ def threshold_sweep(
     n0 = min(q, max(q', 128)) values, which numpy's pairwise sum adds by
     exact doublings. So each point equals the register sum bit for bit.
     """
+    if inst.modulus is None or inst.base is None:
+        raise UsageError("threshold_sweep needs an instance with modulus and base")
     if not magnitudes:
-        raise ValueError("magnitudes must be nonempty")
-    if any(m < 0 for m in magnitudes):
-        raise ValueError("magnitudes must be nonnegative")
+        raise UsageError("magnitudes must be nonempty")
+    if not all(0.0 <= m < math.inf for m in magnitudes):
+        raise UsageError("magnitudes must be finite and >= 0")
     if sorted(magnitudes) != list(magnitudes):
-        raise ValueError("magnitudes must be ascending")
+        raise UsageError("magnitudes must be ascending")
     if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+        raise UsageError(f"eta must be in (0, 1], got {eta}")
     if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+        raise UsageError(f"n_realizations must be >= 1, got {n_realizations}")
     field = SWEPT_FIELD.get(model.mode)
-    if field is None or getattr(model, field) != 0.0:
-        raise ValueError(
-            "threshold sweeps need a systematic, uniform, or gaussian model of width 0"
+    if field is None:
+        raise UsageError("a sweep needs a systematic, uniform, or gaussian model")
+    if getattr(model, field) != 0.0:
+        raise UsageError(
+            f"a {model.mode.value} sweep sets {field} itself; need a systematic, "
+            "uniform, or gaussian model of width 0"
         )
     if model.mode is ErrorMode.SYSTEMATIC and n_realizations > 1:
-        raise ValueError("a systematic sweep is deterministic; need n_realizations=1")
+        raise UsageError("a systematic sweep is deterministic; need n_realizations=1")
+    _check_recovery_inputs(inst.modulus, inst.base, multiplier_bound)
 
     # model has zero width, so it is deterministic: the seed cannot matter.
     (zero_error,) = _realizations(inst, model, 1, master_seed)
@@ -349,10 +352,10 @@ def threshold_sweep(
         point = replace(model, **{field: magnitude})
         magnitude_seed = derive_stream_seed(master_seed, magnitude_index)
         acc = 0.0
-        realizations = _realizations(inst, point, n_realizations, magnitude_seed)
-        for effective, values in enumerate(realizations, start=1):
+        for values in _realizations(inst, point, n_realizations, magnitude_seed):
             acc += success_at_period(values)
-        return acc / effective
+            del values  # freed before the next realization is computed
+        return acc / n_realizations
 
     success_probs = [
         baseline if magnitude == 0.0 else mean_success(magnitude, index)
@@ -406,10 +409,11 @@ def factor(
     the stream in order, so any shot count fits in memory.
     """
     if inst.modulus is None or inst.base is None:
-        raise ValueError("factor needs an instance with modulus and base")
+        raise UsageError("factor needs an instance with modulus and base")
     if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+        raise UsageError(f"shots must be >= 1, got {shots}")
     q, modulus, base = inst.register_size, inst.modulus, inst.base
+    _check_recovery_inputs(modulus, base, multiplier_bound)
     cdf = outcome_cdf(circuit_spectrum(inst, model, seed).values)
     rng = Xorshift64Star(derive_stream_seed(seed, 0))
     for start in range(0, shots, _LOCKSTEP_LANES):

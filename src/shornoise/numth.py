@@ -26,6 +26,10 @@ MAX_QUBITS = 24
 _LOCKSTEP_LANES = 1 << 13
 
 
+class UsageError(ValueError):
+    """An argument the caller passed is invalid; raised before any work runs."""
+
+
 @lru_cache(maxsize=32)
 def find_order(y: int, modulus: int) -> int:
     """Least r >= 1 with y**r == 1 mod modulus, by brute-force stepping.
@@ -71,7 +75,7 @@ def find_order(y: int, modulus: int) -> int:
 def _check_recovery_inputs(modulus: int, base: int, multiplier_bound: int) -> None:
     """Raise ValueError unless (modulus, base, multiplier_bound) admit recovery."""
     if multiplier_bound < 1:
-        raise ValueError(f"multiplier_bound must be >= 1, got {multiplier_bound}")
+        raise UsageError(f"multiplier_bound must be >= 1, got {multiplier_bound}")
     if not 2 <= base < modulus:
         raise ValueError(f"need 2 <= base < modulus, got base={base}")
     if math.gcd(base, modulus) != 1:
@@ -160,13 +164,13 @@ class ShorInstance:
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(
+            raise UsageError(
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
             )
         if not 1 <= self.order <= self.register_size:
-            raise ValueError(f"order must be in [1, register_size], got {self.order}")
+            raise UsageError(f"order must be in [1, register_size], got {self.order}")
         if not 0 <= self.offset < self.order:
-            raise ValueError(
+            raise UsageError(
                 f"offset must satisfy 0 <= offset < order, got {self.offset}"
             )
 
@@ -186,7 +190,7 @@ class ShorInstance:
         order is found by brute force, and the support offset defaults to 0.
         """
         if not 2 <= base < modulus:
-            raise ValueError(f"need 2 <= base < modulus, got base={base}")
+            raise UsageError(f"need 2 <= base < modulus, got base={base}")
         return cls(
             modulus=modulus,
             base=base,

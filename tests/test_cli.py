@@ -763,6 +763,58 @@ class TestErrorHandling:
         assert np.isfinite(read_spectrum_csv(out)).all()
 
 
+SWEEP = ["sweep", "--N", "15", "--y", "7", "--mag-stop", "0.1", "--mag-step", "0.05"]
+GAUSSIAN_SWEEP = [*SWEEP, "--model", "gaussian"]
+SPECTRUM = ["spectrum", "--L", "7", "--r", "4"]
+FACTOR = ["factor", "--N", "15", "--y", "7"]
+
+# Arguments the library rejects before any work, with its message.
+LIBRARY_USAGE_ERRORS = [
+    ([*SWEEP, "--model", "gaussian", "--sigma", "0.1"],
+     "a gaussian sweep sets sigma0 itself; need a systematic, uniform, or "
+     "gaussian model of width 0"),
+    ([*SWEEP, "--model", "none"],
+     "a sweep needs a systematic, uniform, or gaussian model"),
+    ([*SWEEP, "--model", "systematic", "--realizations", "2"],
+     "a systematic sweep is deterministic; need n_realizations=1"),
+    (["sweep", "--L", "7", "--r", "4", "--model", "gaussian",
+      "--mag-stop", "0.1", "--mag-step", "0.05"],
+     "threshold_sweep needs an instance with modulus and base"),
+    ([*GAUSSIAN_SWEEP, "--eta", "0"], "eta must be in (0, 1], got 0.0"),
+    ([*GAUSSIAN_SWEEP, "--eta", "1.5"], "eta must be in (0, 1], got 1.5"),
+    ([*GAUSSIAN_SWEEP, "--eta", "nan"], "eta must be in (0, 1], got nan"),
+    ([*GAUSSIAN_SWEEP, "--mag-start", "-0.1"],
+     "magnitudes must be finite and >= 0"),
+    ([*GAUSSIAN_SWEEP, "--realizations", "0"],
+     "n_realizations must be >= 1, got 0"),
+    ([*GAUSSIAN_SWEEP, "--multiplier-bound", "0"],
+     "multiplier_bound must be >= 1, got 0"),
+    (["ensemble", "--L", "7", "--r", "4", "--model", "gaussian",
+      "--sigma", "0.1", "--realizations", "0"],
+     "n_realizations must be >= 1, got 0"),
+    (["ensemble", "--L", "7", "--r", "4", "--realizations", "2"],
+     "the model is deterministic; need n_realizations=1"),
+    ([*FACTOR, "--shots", "0"], "shots must be >= 1, got 0"),
+    ([*FACTOR, "--multiplier-bound", "0"],
+     "multiplier_bound must be >= 1, got 0"),
+    *(
+        ([*SPECTRUM, "--model", "gaussian", flag, value],
+         f"{field} must be finite, got {value}")
+        for flag, field in [("--delta0", "delta0"), ("--smax", "s_max"),
+                            ("--sigma", "sigma0"), ("--init-delta", "init_delta")]
+        for value in ("nan", "inf")
+    ),
+    # Instance values out of range; a base sharing a factor with N
+    # is a runtime failure (test_invalid_problem_returns_one).
+    (["spectrum", "--L", "30", "--r", "4"], "n_qubits must be in [1, 24], got 30"),
+    ([*SPECTRUM, "--l", "9"], "offset must satisfy 0 <= offset < order, got 9"),
+    (["spectrum", "--L", "7", "--r", "0"],
+     "order must be in [1, register_size], got 0"),
+    (["spectrum", "--N", "15", "--y", "20"],
+     "need 2 <= base < modulus, got base=20"),
+]
+
+
 class TestProcessEntry:
     """`python -m shornoise.cli` against main(argv) in this process.
 
@@ -828,6 +880,20 @@ class TestProcessEntry:
         for suffix in (".csv", ".csv.meta"):
             written = (tmp_path / f"b{suffix}").read_bytes()
             assert written == (tmp_path / f"a{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("argv, message", LIBRARY_USAGE_ERRORS)
+    def test_library_usage_error(self, tmp_path, capsys, argv, message) -> None:
+        # The library raises these; main prints them under the command's
+        # usage and exits 2, in this process and as its own.
+        out = tmp_path / "x.csv"
+        if argv[0] != "factor":
+            argv = [*argv, "--out", str(out)]
+        code, printed, err = self.assert_same_as_process(capsys, *argv)
+        assert code == 2
+        assert printed == ""
+        assert err.startswith(f"usage: shornoise {argv[0]}")
+        assert err.endswith(f"shornoise {argv[0]}: error: {message}\n")
+        assert not out.exists()
 
     def test_process_entry_freezes_the_collector(self) -> None:
         done = run_python(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from shornoise.experiment import (
     threshold_sweep,
     write_sweep_csv,
 )
-from shornoise.numth import ShorInstance, find_order, recover_orders
+from shornoise.numth import ShorInstance, UsageError, find_order, recover_orders
 from shornoise.qcircuit import circuit_spectrum, outcome_cdf, sample_outcomes
 from shornoise.spectrum import (
     Spectrum,
@@ -124,8 +125,8 @@ def ensemble_cases(draw) -> tuple[ShorInstance, ErrorModel, int, int]:
 
     Orders are multiples of 1, 2, 4 or 32 (so g = gcd(r, q) > 1 is common)
     or q itself (M = 1), with any offset < r. Models are uniform, gaussian
-    or systematic (deterministic), with or without amplitude errors and a
-    preparation error.
+    or systematic (deterministic, so its count is 1), with or without
+    amplitude errors and a preparation error.
     """
     n_qubits = draw(st.integers(1, 9))
     q = 1 << n_qubits
@@ -147,7 +148,8 @@ def ensemble_cases(draw) -> tuple[ShorInstance, ErrorModel, int, int]:
         init_delta=draw(st.sampled_from([0.0, 0.03])),
         **{widths[mode]: magnitude},
     )
-    return inst, model, draw(st.integers(1, 6)), draw(st.integers(0, 2**64 - 1))
+    count = 1 if model.deterministic else draw(st.integers(1, 6))
+    return inst, model, count, draw(st.integers(0, 2**64 - 1))
 
 
 def former_ensemble(
@@ -158,12 +160,11 @@ def former_ensemble(
     The std comes from deviations from the first realization, in the
     arithmetic order of `ensemble_spectrum`.
     """
-    count = 1 if model.deterministic else n_realizations
     m = inst.support_count
     total = np.zeros(inst.register_size)
     dev = np.zeros(inst.register_size)
     dev_sq = np.zeros(inst.register_size)
-    for i in range(count):
+    for i in range(n_realizations):
         seed = derive_stream_seed(master_seed, i)
         phase = phase_errors(model, m, seed)
         amp = amplitude_errors(model, m, seed)
@@ -173,8 +174,10 @@ def former_ensemble(
         total += values
         dev += values - first
         dev_sq += np.square(values - first)
-    variance = np.maximum(dev_sq / count - np.square(dev / count), 0.0)
-    return total / count, np.sqrt(variance)
+    variance = np.maximum(
+        dev_sq / n_realizations - np.square(dev / n_realizations), 0.0
+    )
+    return total / n_realizations, np.sqrt(variance)
 
 
 def same_bits(first: np.ndarray, second: np.ndarray) -> bool:
@@ -277,8 +280,11 @@ class TestPeakReport:
 
 class TestEnsembleSpectrum:
     def test_deterministic_model_collapses(self) -> None:
+        # Every draw would repeat the first, so a larger count is refused.
         model = ErrorModel(ErrorMode.SYSTEMATIC, delta0=0.05)
-        mean, std = ensemble_spectrum(STANDARD, model, 10, 42)
+        with pytest.raises(UsageError, match="deterministic"):
+            ensemble_spectrum(STANDARD, model, 10, 42)
+        mean, std = ensemble_spectrum(STANDARD, model, 1, 42)
         assert std.max() == 0.0
         assert mean.model is model
         closed = systematic_spectrum_closed_form(STANDARD, 0.05)
@@ -297,8 +303,10 @@ class TestEnsembleSpectrum:
     )
     def test_zero_width_model_collapses(self, model, fixed) -> None:
         inst = ShorInstance.synthetic_instance(12, 5, offset=3)
-        mean, std = ensemble_spectrum(inst, model, 30, 1)
-        expected, _ = ensemble_spectrum(inst, fixed, 30, 1)
+        with pytest.raises(UsageError, match="deterministic"):
+            ensemble_spectrum(inst, model, 2, 1)
+        mean, std = ensemble_spectrum(inst, model, 1, 1)
+        expected, _ = ensemble_spectrum(inst, fixed, 1, 1)
         assert np.array_equal(std, np.zeros(inst.register_size))
         assert mean.model is model
         assert np.array_equal(mean.values.view(np.uint64), expected.values.view(np.uint64))
@@ -782,6 +790,53 @@ class TestThresholdSweep:
             )
 
     @pytest.mark.parametrize(
+        "inst, model, magnitudes, kwargs",
+        [
+            (STANDARD, ErrorModel(ErrorMode.GAUSSIAN), [0.0], {}),
+            (RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0, math.inf], {}),
+            (RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [math.nan], {}),
+            (RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.1), [0.0], {}),
+            (RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0], {"eta": math.nan}),
+            (RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0],
+             {"multiplier_bound": 0}),
+        ],
+        ids=["no-modulus", "inf", "nan", "width-set", "eta-nan", "bound"],
+    )
+    def test_usage_errors_come_before_any_transform(
+        self, inst, model, magnitudes, kwargs, monkeypatch
+    ) -> None:
+        def refused(*args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(experiment, "period_values", refused)
+        with pytest.raises(UsageError):
+            threshold_sweep(inst, model, magnitudes, **kwargs)
+
+    def test_points_hold_one_realization_at_a_time(self, monkeypatch) -> None:
+        # When a point's next realization is computed, the last one's P at
+        # the q' points (8 * q' bytes) must already be freed.
+        inst = ShorInstance.from_factoring(1003, 2)
+        period = inst.register_size // math.gcd(inst.order, inst.register_size)
+        assert period == 131_072
+        held = []
+
+        def traced(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return period_values(*args)
+
+        monkeypatch.setattr(experiment, "period_values", traced)
+        tracemalloc.start()
+        try:
+            threshold_sweep(
+                inst, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 1e-6], n_realizations=2
+            )
+        finally:
+            tracemalloc.stop()
+        # The baseline, then the two realizations of the 1e-6 point.
+        assert len(held) == 3
+        assert held[2] - held[1] < 4 * period
+
+    @pytest.mark.parametrize(
         "model",
         [
             ErrorModel(ErrorMode.NONE),
@@ -1083,4 +1138,16 @@ class TestFactor:
         inst = ShorInstance.from_factoring(15, 7)
         with pytest.raises(ValueError, match="shots must be >= 1"):
             factor(inst, ErrorModel(), seed=1, shots=shots)
+
+    @pytest.mark.parametrize("shots, bound", [(0, 64), (10, 0)])
+    def test_usage_errors_come_before_the_circuit(
+        self, shots, bound, monkeypatch
+    ) -> None:
+        def refused(*args):
+            raise AssertionError("the circuit ran")
+
+        monkeypatch.setattr(experiment, "circuit_spectrum", refused)
+        inst = ShorInstance.from_factoring(15, 7)
+        with pytest.raises(UsageError):
+            factor(inst, ErrorModel(), 1, shots, bound)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from recovery_oracle import COPRIME_PAIRS, convergents, recover_order
 
 from shornoise import numth
-from shornoise.numth import ShorInstance, find_order, recover_orders
+from shornoise.numth import ShorInstance, UsageError, find_order, recover_orders
 
 
 def recover_one(c: int, q: int, modulus: int, base: int, bound: int) -> int:
@@ -292,3 +292,19 @@ class TestShorInstance:
             ShorInstance.synthetic_instance(3, 9)
         with pytest.raises(ValueError):
             ShorInstance.synthetic_instance(0, 1)
+
+    def test_out_of_range_values_are_usage_errors(self) -> None:
+        assert issubclass(UsageError, ValueError)
+        for build in (
+            lambda: ShorInstance.synthetic_instance(25, 4),
+            lambda: ShorInstance.synthetic_instance(3, 9),
+            lambda: ShorInstance.synthetic_instance(3, 3, offset=3),
+            lambda: ShorInstance.from_factoring(15, 20),
+        ):
+            with pytest.raises(UsageError):
+                build()
+        # A base sharing a factor with the modulus is not a usage error:
+        # that factor already answers the problem.
+        with pytest.raises(ValueError) as info:
+            ShorInstance.from_factoring(15, 5)
+        assert type(info.value) is ValueError
