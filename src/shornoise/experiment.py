@@ -331,6 +331,7 @@ def threshold_sweep(
     (zero_error,) = _realizations(inst, model, 1, master_seed)
     zero = Spectrum(register_values(inst, zero_error), SpectrumMethod.DIRECT_SUM, inst)
     baseline = success_probability(zero, multiplier_bound)
+    del zero, zero_error  # a register of P and its q' values, freed before the points
     q = inst.register_size
     _, _, plan = _period_plan(q, inst.order, inst.support_count)
     blocks = min(q, max(len(plan), _PAIRWISE_LEAF))

@@ -30,6 +30,13 @@ class UsageError(ValueError):
     """An argument the caller passed is invalid; raised before any work runs."""
 
 
+def _check_width(n_qubits: int) -> int:
+    """Return n_qubits, or raise UsageError unless 1 <= n_qubits <= MAX_QUBITS."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise UsageError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    return n_qubits
+
+
 @lru_cache(maxsize=32)
 def find_order(y: int, modulus: int) -> int:
     """Least r >= 1 with y**r == 1 mod modulus, by brute-force stepping.
@@ -163,10 +170,7 @@ class ShorInstance:
     synthetic: bool = False
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise UsageError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
+        _check_width(self.n_qubits)
         if not 1 <= self.order <= self.register_size:
             raise UsageError(f"order must be in [1, register_size], got {self.order}")
         if not 0 <= self.offset < self.order:
@@ -188,13 +192,14 @@ class ShorInstance:
 
         The register width L is the smallest with 2**L >= modulus**2, the
         order is found by brute force, and the support offset defaults to 0.
+        A modulus too large for the widest register fails before the search.
         """
         if not 2 <= base < modulus:
             raise UsageError(f"need 2 <= base < modulus, got base={base}")
         return cls(
             modulus=modulus,
             base=base,
-            n_qubits=max(1, (modulus * modulus - 1).bit_length()),
+            n_qubits=_check_width(max(1, (modulus * modulus - 1).bit_length())),
             order=find_order(base, modulus),
             offset=offset,
         )

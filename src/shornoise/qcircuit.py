@@ -13,6 +13,8 @@ matrix stays unitary for any delta) and B_jk picks up an extra phase
 delta_jk on its active branch. Each qubit j runs as one stage on a plain
 complex amplitude array: the A_j butterfly, then one phase vector over
 the later qubits, holding every B_jk, on the half where qubit j is set.
+The bit reversal runs before stage L//2, not after the last stage, so
+every stage works on contiguous rows of at least 2**(L//2) amplitudes.
 
 With exact A gates the noisy circuit is exactly
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errmodel import ErrorModel, Xorshift64Star, sample_realizations
-from .numth import MAX_QUBITS, ShorInstance
+from .numth import ShorInstance, _check_width
 from .spectrum import Spectrum, SpectrumMethod, init_error_weights
 
 _NORM_TOLERANCE = 1e-6
@@ -52,9 +54,7 @@ class GateErrorPlan:
     def __post_init__(self) -> None:
         for name in ("hadamard_deltas", "phase_deltas"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.n_qubits
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n}")
+        n = _check_width(self.n_qubits)
         if self.hadamard_deltas.shape != (n,):
             raise ValueError(f"hadamard_deltas must have length {n}")
         if self.phase_deltas.shape != (n * (n - 1) // 2,):
@@ -83,48 +83,68 @@ def _noisy_stage(
     A_j is the reflection (1/sqrt 2) * [[cos d - sin d, cos d + sin d],
     [cos d + sin d, -(cos d - sin d)]], unitary for any error d. It is the
     Walsh-Hadamard gate at d = 0 and sends |0> to ((1 - d)|0> + (1 + d)|1>)
-    / sqrt 2 to first order, as the preparation-weight model does.
-    buffer is scratch space of half the register size.
+    / sqrt 2 to first order, as the preparation-weight model does. An
+    exact gate (g == h below) scales the register, then takes one sum and
+    one difference of its halves, rounded as the four products would be:
+    fl(l*(-g)) = -fl(l*g).
+
+    Qubit j is index bit L-1-j before stage L//2 and index bit j from it
+    on (see `qft_noisy`). buffer is scratch space of the register size.
     """
     n = plan.n_qubits
-    view = amplitudes.reshape(1 << j, 2, -1)
+    later = n - 1 - j
+    natural = j < n // 2
+    view = amplitudes.reshape((1 << j, 2, -1) if natural else (-1, 2, 1 << j))
     upper, lower = view[:, 0, :], view[:, 1, :]
+    scratch, spare = buffer.reshape(2, *upper.shape)
     c, s = math.cos(plan.hadamard_deltas[j]), math.sin(plan.hadamard_deltas[j])
     g, h = (c - s) / math.sqrt(2.0), (c + s) / math.sqrt(2.0)
-    scratch = buffer.reshape(upper.shape)
-    np.multiply(lower, h, out=scratch)
-    lower *= -g
-    lower += h * upper
-    upper *= g
-    upper += scratch
+    if g == h:
+        amplitudes *= g
+        np.subtract(upper, lower, out=scratch)
+        upper += lower
+    else:
+        np.multiply(upper, h, out=scratch)
+        np.multiply(lower, h, out=spare)
+        lower *= -g
+        scratch += lower
+        upper *= g
+        upper += spare
     # The B_jk act on the qubit-j = 1 half, each where qubit k is set, so
     # together they are one phase vector over the later qubits, built by
     # doubling from qubit L-1 (the low bit of the tail index) upwards.
+    # From stage L//2 on the later qubits index the rows, low qubit first.
     start = j * (2 * n - j - 1) // 2
-    deltas = plan.phase_deltas[start : start + n - 1 - j]
+    deltas = plan.phase_deltas[start : start + later]
     angles = math.pi / 2.0 ** np.arange(1, n - j) + deltas
-    tail = buffer[: view.shape[2]]
+    tail = spare.ravel()[: 1 << later]
     tail[0] = 1.0
     for bit, factor in enumerate(np.exp(1j * angles[::-1])):
         np.multiply(tail[: 1 << bit], factor, out=tail[1 << bit : 2 << bit])
-    lower *= tail
+    if not natural:
+        tail = tail.reshape((2,) * later).T.reshape(-1, 1)
+    np.multiply(scratch, tail, out=lower)
 
 
 def qft_noisy(amplitudes: np.ndarray, plan: GateErrorPlan) -> np.ndarray:
     """Run the noisy Fourier-readout circuit on amplitudes in place.
 
     amplitudes is a complex array of length 2**plan.n_qubits. Runs one
-    stage per qubit, then the bit-reversal permutation, and returns the
-    same array. A zero-error plan reproduces the DFT matrix exactly.
+    stage per qubit, with the bit-reversal permutation before stage L//2;
+    stages act on their qubits wherever they sit, so every amplitude is
+    that of the reversal after the last stage. Returns the same array. A
+    zero-error plan reproduces the DFT matrix exactly.
     """
     n = plan.n_qubits
     if amplitudes.shape != (1 << n,) or amplitudes.dtype != complex:
         raise ValueError(f"amplitudes must be a complex array of length 2**{n}")
-    buffer = np.empty(1 << (n - 1), dtype=complex)
+    buffer = np.empty(1 << n, dtype=complex)
     for j in range(n):
+        if j == n // 2:
+            # One axis per qubit: reversing the axes is the bit reversal.
+            np.copyto(buffer.reshape((2,) * n), amplitudes.reshape((2,) * n).T)
+            amplitudes[:] = buffer
         _noisy_stage(amplitudes, plan, j, buffer)
-    # One axis per qubit: reversing the axes is the bit-reversal permutation.
-    amplitudes[:] = amplitudes.reshape((2,) * n).T.ravel()
     return amplitudes
 
 

@@ -812,6 +812,12 @@ LIBRARY_USAGE_ERRORS = [
      "order must be in [1, register_size], got 0"),
     (["spectrum", "--N", "15", "--y", "20"],
      "need 2 <= base < modulus, got base=20"),
+    # A modulus too wide for the register fails before its order search.
+    (["factor", "--N", "2000003", "--y", "3"], "n_qubits must be in [1, 24], got 42"),
+    (["factor", "--N", "1048573", "--y", "2"], "n_qubits must be in [1, 24], got 40"),
+    (["sweep", "--N", "2000003", "--y", "3", "--model", "gaussian",
+      "--mag-stop", "0.1", "--mag-step", "0.05"],
+     "n_qubits must be in [1, 24], got 42"),
 ]
 
 

@@ -814,10 +814,15 @@ class TestThresholdSweep:
 
     def test_points_hold_one_realization_at_a_time(self, monkeypatch) -> None:
         # When a point's next realization is computed, the last one's P at
-        # the q' points (8 * q' bytes) must already be freed.
+        # the q' points (8 * q' bytes) must already be freed, and so must
+        # the baseline's register of P (8 * q bytes) and its q' values.
         inst = ShorInstance.from_factoring(1003, 2)
         period = inst.register_size // math.gcd(inst.order, inst.register_size)
         assert period == 131_072
+        model, magnitudes = ErrorModel(ErrorMode.GAUSSIAN), [0.0, 1e-6]
+        # Fill the recovery and period-plan caches, so held memory counts
+        # only the arrays the sweep keeps.
+        threshold_sweep(inst, model, magnitudes)
         held = []
 
         def traced(*args):
@@ -827,13 +832,12 @@ class TestThresholdSweep:
         monkeypatch.setattr(experiment, "period_values", traced)
         tracemalloc.start()
         try:
-            threshold_sweep(
-                inst, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 1e-6], n_realizations=2
-            )
+            threshold_sweep(inst, model, magnitudes, n_realizations=2)
         finally:
             tracemalloc.stop()
         # The baseline, then the two realizations of the 1e-6 point.
         assert len(held) == 3
+        assert held[1] - held[0] < 4 * inst.register_size
         assert held[2] - held[1] < 4 * period
 
     @pytest.mark.parametrize(

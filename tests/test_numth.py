@@ -231,6 +231,12 @@ class TestShorInstance:
         with pytest.raises(ValueError, match="n_qubits"):
             ShorInstance.from_factoring(4097, 3)
 
+    def test_wide_modulus_fails_before_the_order_search(self) -> None:
+        misses = find_order.cache_info().misses
+        with pytest.raises(UsageError, match=r"n_qubits must be in \[1, 24\], got 40"):
+            ShorInstance.from_factoring(1048573, 2)
+        assert find_order.cache_info().misses == misses
+
     def test_from_factoring_twentyone(self) -> None:
         inst = ShorInstance.from_factoring(21, 2)
         assert inst.n_qubits == 9

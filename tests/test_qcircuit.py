@@ -12,6 +12,8 @@ on one- and two-qubit registers.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from shornoise.qcircuit import (
     sample_outcomes,
 )
 from shornoise.spectrum import direct_spectrum, init_error_weights
+from circuit_oracle import former_qft_noisy
 from prng_oracle import amplitude_errors, phase_errors, uniform01
 from weights_oracle import full_register_weights
 
@@ -64,6 +67,12 @@ def zero_plan(n_qubits: int) -> GateErrorPlan:
 
 def phase_plan(n_qubits: int, phase_deltas) -> GateErrorPlan:
     return GateErrorPlan(n_qubits, np.zeros(n_qubits), phase_deltas)
+
+
+def random_plan(n_qubits: int, rng: np.random.Generator, exact_a: bool) -> GateErrorPlan:
+    n_pairs = n_qubits * (n_qubits - 1) // 2
+    hadamard = np.zeros(n_qubits) if exact_a else rng.uniform(-1, 1, n_qubits)
+    return GateErrorPlan(n_qubits, hadamard, rng.uniform(-1, 1, n_pairs))
 
 
 def circuit_matrix(plan: GateErrorPlan) -> np.ndarray:
@@ -368,6 +377,55 @@ def test_bit_reversal_matches_scalar_oracle(n_qubits: int) -> None:
     expected = np.fft.ifft(state, norm="ortho")
     out = qft_noisy(state, zero_plan(n_qubits))
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+class TestFormerCircuit:
+    """qft_noisy against the natural-layout circuit of `circuit_oracle`.
+
+    Exact A gates take the sum-and-difference butterfly, perturbed ones
+    the four products; both must round as the former stages did.
+    """
+
+    @pytest.mark.parametrize("n_qubits", range(1, 15))
+    def test_equals_former_circuit_bit_for_bit(self, n_qubits: int) -> None:
+        rng = np.random.default_rng(900 + n_qubits)
+        comb = prepare_period_state(
+            ShorInstance.synthetic_instance(n_qubits, min(3, 1 << n_qubits), offset=0)
+        )
+        for exact_a in (True, True, False, False):
+            plan = random_plan(n_qubits, rng, exact_a)
+            for state in (random_state(n_qubits, rng), comb.copy()):
+                expected = former_qft_noisy(state.copy(), plan)
+                assert same_bits(qft_noisy(state, plan), expected)
+
+    @settings(max_examples=40)
+    @given(
+        n_qubits=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        exact_a=st.booleans(),
+    )
+    def test_equals_former_circuit_for_any_plan(
+        self, n_qubits: int, seed: int, exact_a: bool
+    ) -> None:
+        rng = np.random.default_rng(seed)
+        plan = random_plan(n_qubits, rng, exact_a)
+        state = random_state(n_qubits, rng)
+        expected = former_qft_noisy(state.copy(), plan)
+        assert same_bits(qft_noisy(state, plan), expected)
+
+    def test_exact_gates_need_one_register_of_scratch(self) -> None:
+        # The former circuit peaked at 1.5 registers: half a register of
+        # scratch, a product temporary and the reversed copy at the end.
+        rng = np.random.default_rng(18)
+        state = random_state(18, rng)
+        plan = random_plan(18, rng, exact_a=True)
+        tracemalloc.start()
+        try:
+            qft_noisy(state, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * state.nbytes
 
 
 class TestPreparePeriodState:
