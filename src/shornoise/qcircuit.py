@@ -83,10 +83,7 @@ def _noisy_stage(
     A_j is the reflection (1/sqrt 2) * [[cos d - sin d, cos d + sin d],
     [cos d + sin d, -(cos d - sin d)]], unitary for any error d. It is the
     Walsh-Hadamard gate at d = 0 and sends |0> to ((1 - d)|0> + (1 + d)|1>)
-    / sqrt 2 to first order, as the preparation-weight model does. An
-    exact gate (g == h below) scales the register, then takes one sum and
-    one difference of its halves, rounded as the four products would be:
-    fl(l*(-g)) = -fl(l*g).
+    / sqrt 2 to first order, as the preparation-weight model does.
 
     Qubit j is index bit L-1-j before stage L//2 and index bit j from it
     on (see `qft_noisy`). buffer is scratch space of the register size.
@@ -99,17 +96,12 @@ def _noisy_stage(
     scratch, spare = buffer.reshape(2, *upper.shape)
     c, s = math.cos(plan.hadamard_deltas[j]), math.sin(plan.hadamard_deltas[j])
     g, h = (c - s) / math.sqrt(2.0), (c + s) / math.sqrt(2.0)
-    if g == h:
-        amplitudes *= g
-        np.subtract(upper, lower, out=scratch)
-        upper += lower
-    else:
-        np.multiply(upper, h, out=scratch)
-        np.multiply(lower, h, out=spare)
-        lower *= -g
-        scratch += lower
-        upper *= g
-        upper += spare
+    np.multiply(upper, h, out=scratch)
+    np.multiply(lower, h, out=spare)
+    lower *= -g
+    scratch += lower
+    upper *= g
+    upper += spare
     # The B_jk act on the qubit-j = 1 half, each where qubit k is set, so
     # together they are one phase vector over the later qubits, built by
     # doubling from qubit L-1 (the low bit of the tail index) upwards.

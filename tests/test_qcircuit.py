@@ -382,8 +382,8 @@ def test_bit_reversal_matches_scalar_oracle(n_qubits: int) -> None:
 class TestFormerCircuit:
     """qft_noisy against the natural-layout circuit of `circuit_oracle`.
 
-    Exact A gates take the sum-and-difference butterfly, perturbed ones
-    the four products; both must round as the former stages did.
+    Both run the same four products per A gate, so exact and perturbed
+    A gates must round as the former stages did, signed zeros included.
     """
 
     @pytest.mark.parametrize("n_qubits", range(1, 15))
@@ -392,9 +392,14 @@ class TestFormerCircuit:
         comb = prepare_period_state(
             ShorInstance.synthetic_instance(n_qubits, min(3, 1 << n_qubits), offset=0)
         )
+        # With g = h, l * (-g) and -(l * g) differ only in the sign of a
+        # zero: at upper = -0 + 0j, lower = 0 - 0j the four products give
+        # +0 on the lower half, a scaled difference gives -0.
+        half = 1 << (n_qubits - 1)
+        zeros = np.array([complex(-0.0, 0.0)] * half + [complex(0.0, -0.0)] * half)
         for exact_a in (True, True, False, False):
             plan = random_plan(n_qubits, rng, exact_a)
-            for state in (random_state(n_qubits, rng), comb.copy()):
+            for state in (random_state(n_qubits, rng), comb.copy(), zeros.copy()):
                 expected = former_qft_noisy(state.copy(), plan)
                 assert same_bits(qft_noisy(state, plan), expected)
 
