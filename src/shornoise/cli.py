@@ -41,7 +41,7 @@ from .experiment import (
 )
 from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, UsageError
 from .qcircuit import circuit_spectrum
-from .spectrum import Spectrum, model_spectrum, spectrum_metadata, write_spectrum_csv
+from .spectrum import model_spectrum, spectrum_metadata, write_spectrum_csv
 
 DEFAULT_SEED = 42
 
@@ -56,70 +56,64 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _add_instance_options(
-    parser: argparse.ArgumentParser, synthetic: bool = True
-) -> None:
-    group = parser.add_argument_group("instance")
-    group.add_argument("--N", type=int, help="modulus to factor")
-    group.add_argument("--y", type=int, help="base coprime to the modulus")
-    if synthetic:
-        group.add_argument("--L", type=int, help="register width in qubits (synthetic)")
-        group.add_argument("--r", type=int, help="period of the support (synthetic)")
-    group.add_argument("--l", type=int, default=0, help="support offset (default 0)")
-
-
-def _add_model_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("error model")
-    group.add_argument(
-        "--model",
+# Every option, declared once; each command names the ones it takes.
+_OPTIONS = {
+    "--N": dict(type=int, help="modulus to factor"),
+    "--y": dict(type=int, help="base coprime to the modulus"),
+    "--L": dict(type=int, help="register width in qubits (synthetic)"),
+    "--r": dict(type=int, help="period of the support (synthetic)"),
+    "--l": dict(type=int, default=0, help="support offset (default 0)"),
+    "--model": dict(
         choices=[mode.value for mode in ErrorMode],
         default="none",
         help="error mode (default none)",
-    )
-    group.add_argument("--delta0", type=float, default=0.0, help="constant error part")
-    group.add_argument("--smax", type=float, default=0.0, help="uniform half-width")
-    group.add_argument("--sigma", type=float, default=0.0, help="gaussian std dev")
-    group.add_argument(
-        "--amp-errors",
-        action="store_true",
-        help="enable amplitude errors (default off)",
-    )
-    group.add_argument(
-        "--init-delta",
-        type=float,
-        default=0.0,
-        help="preparation-weight miscalibration (default 0)",
-    )
-
-
-def _add_run_options(
-    parser: argparse.ArgumentParser,
-    with_out: bool = True,
-    normalize: bool = True,
-    realizations: bool = False,
-) -> None:
-    group = parser.add_argument_group("run")
-    group.add_argument(
-        "--seed",
+    ),
+    "--delta0": dict(type=float, default=0.0, help="constant error part"),
+    "--smax": dict(type=float, default=0.0, help="uniform half-width"),
+    "--sigma": dict(type=float, default=0.0, help="gaussian std dev"),
+    "--amp-errors": dict(
+        action="store_true", help="enable amplitude errors (default off)"
+    ),
+    "--init-delta": dict(
+        type=float, default=0.0, help="preparation-weight miscalibration (default 0)"
+    ),
+    "--seed": dict(
         type=_parse_seed,
         default=DEFAULT_SEED,
         help="64-bit seed, decimal or 0x-hex (default 42)",
-    )
-    if realizations:
-        group.add_argument(
-            "--realizations",
-            type=int,
-            default=1,
-            help="realization count (default 1)",
-        )
-    if normalize:
-        group.add_argument(
-            "--normalize",
-            action="store_true",
-            help="scale the written spectrum to unit total (default off)",
-        )
-    if with_out:
-        group.add_argument("--out", required=True, help="output CSV path")
+    ),
+    "--realizations": dict(type=int, default=1, help="realization count (default 1)"),
+    "--normalize": dict(
+        action="store_true",
+        help="scale the written spectrum to unit total (default off)",
+    ),
+    "--out": dict(required=True, help="output CSV path"),
+    "--mag-start": dict(type=float, default=0.0),
+    "--mag-stop": dict(type=float, required=True),
+    "--mag-step": dict(type=float, required=True),
+    "--eta": dict(type=float, default=DEFAULT_ETA),
+    "--shots": dict(type=int, default=100),
+    "--multiplier-bound": dict(type=int, default=DEFAULT_MULTIPLIER_BOUND),
+}
+_MODEL = ("--model", "--delta0", "--smax", "--sigma", "--amp-errors", "--init-delta")
+_INSTANCE = ("--N", "--y", "--L", "--r", "--l")
+
+
+def _add_command(sub, name, run, instance, run_flags, extra=(), **kwargs) -> None:
+    """Subcommand `name` with instance, error model and run groups.
+
+    Its own flags, `extra`, stay ungrouped. The runner and the parser are
+    bound as defaults, so a usage error shows this command's usage.
+    """
+    parser = sub.add_parser(name, **kwargs)
+    groups = ("instance", instance), ("error model", _MODEL), ("run", run_flags)
+    for title, flags in groups:
+        group = parser.add_argument_group(title)
+        for flag in flags:
+            group.add_argument(flag, **_OPTIONS[flag])
+    for flag in extra:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    parser.set_defaults(run=run, parser=parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,55 +122,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Order-finding readout spectra under miscalibrated gates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spectrum = sub.add_parser(
-        "spectrum", help="effective-model spectrum (closed form or direct sum)"
-    )
-    p_circuit = sub.add_parser("circuit", help="gate-level simulated spectrum")
-    p_ensemble = sub.add_parser("ensemble", help="mean spectrum over realizations")
+    readout = ("--seed", "--normalize", "--out")
+    _add_command(sub, "spectrum", _run_spectrum, _INSTANCE, readout,
+                 help="effective-model spectrum (closed form or direct sum)")
+    _add_command(sub, "circuit", _run_spectrum, _INSTANCE, readout,
+                 help="gate-level simulated spectrum")
+    _add_command(sub, "ensemble", _run_spectrum, _INSTANCE,
+                 ("--seed", "--realizations", "--normalize", "--out"),
+                 help="mean spectrum over realizations")
     # The sweep sets the mode's width itself and writes no spectrum.
-    p_sweep = sub.add_parser("sweep", help="threshold sweep over error magnitudes")
-    for p in (p_spectrum, p_circuit, p_ensemble, p_sweep):
-        _add_instance_options(p)
-        _add_model_options(p)
-        _add_run_options(
-            p, normalize=p is not p_sweep, realizations=p in (p_ensemble, p_sweep)
-        )
-    p_sweep.add_argument("--mag-start", type=float, default=0.0)
-    p_sweep.add_argument("--mag-stop", type=float, required=True)
-    p_sweep.add_argument("--mag-step", type=float, required=True)
-    p_sweep.add_argument("--eta", type=float, default=DEFAULT_ETA)
-    p_sweep.add_argument(
-        "--multiplier-bound", type=int, default=DEFAULT_MULTIPLIER_BOUND
-    )
-
-    p_factor = sub.add_parser("factor", help="measure, recover the order, factor")
-    _add_instance_options(p_factor, synthetic=False)
-    _add_model_options(p_factor)
-    _add_run_options(p_factor, with_out=False, normalize=False)
-    p_factor.add_argument("--shots", type=int, default=100)
-    p_factor.add_argument(
-        "--multiplier-bound", type=int, default=DEFAULT_MULTIPLIER_BOUND
-    )
-
-    for command in sub.choices.values():  # so usage errors show the command's usage
-        command.set_defaults(parser=command)
+    _add_command(sub, "sweep", _run_sweep, _INSTANCE,
+                 ("--seed", "--realizations", "--out"),
+                 ("--mag-start", "--mag-stop", "--mag-step", "--eta",
+                  "--multiplier-bound"),
+                 help="threshold sweep over error magnitudes")
+    _add_command(sub, "factor", _run_factor, ("--N", "--y", "--l"), ("--seed",),
+                 ("--shots", "--multiplier-bound"),
+                 help="measure, recover the order, factor")
     return parser
 
 
-def _instance_from_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> ShorInstance:
+def _instance_from_args(args: argparse.Namespace) -> ShorInstance:
+    synthetic = "L" in args  # factor takes no --L/--r
     has_factoring = args.N is not None or args.y is not None
-    has_synthetic = args.L is not None or args.r is not None
-    if has_factoring == has_synthetic:
-        parser.error("give exactly one of --N/--y or --L/--r")
-    if has_factoring:
+    has_synthetic = synthetic and (args.L is not None or args.r is not None)
+    if synthetic and has_factoring == has_synthetic:
+        args.parser.error("give exactly one of --N/--y or --L/--r")
+    if not has_synthetic:
         if args.N is None or args.y is None:
-            parser.error("--N and --y must be given together")
+            args.parser.error("--N and --y must be given together")
         return ShorInstance.from_factoring(args.N, args.y, offset=args.l)
     if args.L is None or args.r is None:
-        parser.error("--L and --r must be given together")
+        args.parser.error("--L and --r must be given together")
     return ShorInstance.synthetic_instance(args.L, args.r, offset=args.l)
 
 
@@ -191,43 +168,32 @@ def _model_from_args(args: argparse.Namespace) -> ErrorModel:
     )
 
 
-def _write_spectrum_outputs(
-    spec: Spectrum, out: str, seed: int, normalize: bool
-) -> Spectrum:
-    if normalize:
+def _run_spectrum(args: argparse.Namespace) -> int:
+    """spectrum, circuit and ensemble: write the spectrum and its peaks."""
+    inst = _instance_from_args(args)
+    model = _model_from_args(args)
+    spread = ""
+    if args.command == "ensemble":
+        spec, std = ensemble_spectrum(inst, model, args.realizations, args.seed)
+        spread = f"; max std {float(np.max(std)):.3e}"
+    elif args.command == "spectrum":
+        spec = model_spectrum(inst, model, args.seed)
+    else:
+        spec = circuit_spectrum(inst, model, args.seed)
+    if args.normalize:
         spec = spec.normalize()
-    write_spectrum_csv(spec, out)
-    Path(out + ".meta").write_text(spectrum_metadata(spec, seed=seed), newline="\n")
-    return spec
-
-
-def _peak_summary(spec: Spectrum) -> str:
+    write_spectrum_csv(spec, args.out)
+    meta = spectrum_metadata(spec, seed=args.seed)
+    Path(args.out + ".meta").write_text(meta, newline="\n")
     report = peak_report(spec)
     positions = report.positions()
-    return f"peaks at {positions} with shifts {report.shifts}"
-
-
-def _run_readout(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    inst = _instance_from_args(parser, args)
-    model = _model_from_args(args)
-    route = model_spectrum if args.command == "spectrum" else circuit_spectrum
-    spec = route(inst, model, args.seed)
-    spec = _write_spectrum_outputs(spec, args.out, args.seed, args.normalize)
-    print(f"{args.command}: {_peak_summary(spec)}")
+    print(f"{args.command}: peaks at {positions} with shifts {report.shifts}{spread}")
     return 0
 
 
-def _run_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    inst = _instance_from_args(parser, args)
-    model = _model_from_args(args)
-    mean_spec, std = ensemble_spectrum(inst, model, args.realizations, args.seed)
-    mean_spec = _write_spectrum_outputs(mean_spec, args.out, args.seed, args.normalize)
-    print(f"ensemble: {_peak_summary(mean_spec)}; max std {float(np.max(std)):.3e}")
-    return 0
-
-
-def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    inst = _instance_from_args(parser, args)
+def _run_sweep(args: argparse.Namespace) -> int:
+    parser = args.parser
+    inst = _instance_from_args(args)
     model = _model_from_args(args)
     if args.mag_step <= 0:
         parser.error("--mag-step must be positive")
@@ -258,10 +224,8 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _run_factor(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.N is None or args.y is None:
-        parser.error("factor needs --N and --y")
-    inst = ShorInstance.from_factoring(args.N, args.y, offset=args.l)
+def _run_factor(args: argparse.Namespace) -> int:
+    inst = _instance_from_args(args)
     model = _model_from_args(args)
     result = factor(inst, model, args.seed, args.shots, args.multiplier_bound)
     if result is None:
@@ -271,15 +235,6 @@ def _run_factor(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         found = f"r={order}" if order == inst.order else f"order multiple {order}"
         print(f"factor: recovered {found}; factors {factors}")
     return 0
-
-
-_RUNNERS = {
-    "spectrum": _run_readout,
-    "circuit": _run_readout,
-    "ensemble": _run_ensemble,
-    "sweep": _run_sweep,
-    "factor": _run_factor,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -295,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](args, args.parser)
+        return args.run(args)
     except UsageError as exc:
         args.parser.error(str(exc))
     except (ValueError, OSError) as exc:

@@ -7,6 +7,7 @@ from the argument parser; runtime failures return 1; success returns 0.
 
 from __future__ import annotations
 
+import argparse
 import gc
 import os
 import subprocess
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shornoise.cli import main
+from shornoise.cli import build_parser, main
 from shornoise.errmodel import ErrorMode, ErrorModel
 from spectrum_csv import read_spectrum_csv
 
@@ -347,6 +348,57 @@ class TestFactorCommand:
         assert "retry with new y" in capsys.readouterr().out
 
 
+def option_table(parser: argparse.ArgumentParser) -> dict[str, list[tuple]]:
+    """Per subcommand, each action's (group title, flags, default, required)."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [
+            (group.title, tuple(action.option_strings), action.default, action.required)
+            for group in command._action_groups
+            for action in group._group_actions
+        ]
+        for name, command in sub.choices.items()
+    }
+
+
+HELP = [("options", ("-h", "--help"), argparse.SUPPRESS, False)]
+INSTANCE = [
+    ("instance", (flag,), default, False)
+    for flag, default in [("--N", None), ("--y", None), ("--L", None), ("--r", None),
+                          ("--l", 0)]
+]
+MODEL = [
+    ("error model", (flag,), default, False)
+    for flag, default in [("--model", "none"), ("--delta0", 0.0), ("--smax", 0.0),
+                          ("--sigma", 0.0), ("--amp-errors", False),
+                          ("--init-delta", 0.0)]
+]
+SEED = ("run", ("--seed",), 42, False)
+REALIZATIONS = ("run", ("--realizations",), 1, False)
+NORMALIZE = ("run", ("--normalize",), False, False)
+OUT = ("run", ("--out",), None, True)
+BOUND = ("options", ("--multiplier-bound",), 64, False)
+SPECTRUM_OPTIONS = HELP + INSTANCE + MODEL + [SEED, NORMALIZE, OUT]
+
+
+class TestOptionTable:
+    def test_every_command_option(self) -> None:
+        assert option_table(build_parser()) == {
+            "spectrum": SPECTRUM_OPTIONS,
+            "circuit": SPECTRUM_OPTIONS,
+            "ensemble": HELP + INSTANCE + MODEL + [SEED, REALIZATIONS, NORMALIZE, OUT],
+            "sweep": HELP + [
+                ("options", ("--mag-start",), 0.0, False),
+                ("options", ("--mag-stop",), None, True),
+                ("options", ("--mag-step",), None, True),
+                ("options", ("--eta",), 0.5, False),
+                BOUND,
+            ] + INSTANCE + MODEL + [SEED, REALIZATIONS, OUT],
+            "factor": HELP + [("options", ("--shots",), 100, False), BOUND]
+            + INSTANCE[:2] + INSTANCE[4:] + MODEL + [SEED],
+        }
+
+
 class TestErrorHandling:
     def test_missing_instance_is_usage_error(self, tmp_path) -> None:
         with pytest.raises(SystemExit) as info:
@@ -652,6 +704,16 @@ class TestErrorHandling:
         printed = capsys.readouterr()
         assert "factor:" not in printed.out
         assert "mode none draws no amplitude errors" in printed.err
+
+    @pytest.mark.parametrize("argv", [[], ["--N", "15"], ["--y", "7", "--l", "1"]])
+    def test_factor_needs_modulus_and_base(self, argv, capsys) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["factor", *argv])
+        assert info.value.code == 2
+        printed = capsys.readouterr()
+        assert "factor:" not in printed.out
+        assert printed.err.endswith("error: --N and --y must be given together\n")
+        assert "--L" not in printed.err and "--r" not in printed.err
 
     def test_factor_multiplier_bound_below_one_is_usage_error(self) -> None:
         with pytest.raises(SystemExit) as info:
