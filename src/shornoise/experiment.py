@@ -245,7 +245,7 @@ def success_probability(
     """
     inst = spec.instance
     if inst.modulus is None or inst.base is None:
-        raise ValueError("success_probability needs an instance with modulus and base")
+        raise UsageError("success_probability needs an instance with modulus and base")
     mask = np.frombuffer(
         _recovery_mask(
             inst.register_size, inst.modulus, inst.base, inst.order, multiplier_bound

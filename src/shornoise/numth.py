@@ -221,7 +221,7 @@ class ShorInstance:
         case the order of base mod modulus must equal the given order.
         """
         if (modulus is None) != (base is None):
-            raise ValueError("modulus and base must be given together")
+            raise UsageError("modulus and base must be given together")
         if modulus is not None and base is not None:
             actual = find_order(base, modulus)
             if actual != order:

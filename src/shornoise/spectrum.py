@@ -141,10 +141,9 @@ def _assemble(
     m = inst.support_count
     support = inst.support_values()
     phase_errors = _checked("phase_errors", phase_errors, m)
-    if amp_errors is None:
-        amp_errors = np.zeros(m)
-    amp_errors = _checked("amp_errors", amp_errors, m)
-    coeff = (1.0 + amp_errors) * np.exp(1j * phase_errors * support)
+    coeff = np.exp(1j * phase_errors * support)
+    if amp_errors is not None:
+        coeff *= 1.0 + _checked("amp_errors", amp_errors, m)
     if init_delta != 0.0:
         coeff *= init_error_weights(inst, init_delta)
     return coeff

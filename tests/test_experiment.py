@@ -449,7 +449,7 @@ class TestSuccessProbability:
         )
 
     def test_requires_attached_problem(self) -> None:
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="needs an instance with modulus and base"):
             success_probability(exact_spectrum(STANDARD), 1)
 
     def test_all_zero_spectrum_raises(self) -> None:

@@ -306,6 +306,8 @@ class TestShorInstance:
             lambda: ShorInstance.synthetic_instance(3, 9),
             lambda: ShorInstance.synthetic_instance(3, 3, offset=3),
             lambda: ShorInstance.from_factoring(15, 20),
+            lambda: ShorInstance.synthetic_instance(3, 4, modulus=15),
+            lambda: ShorInstance.synthetic_instance(3, 4, base=7),
         ):
             with pytest.raises(UsageError):
                 build()
