@@ -8,10 +8,13 @@ Commands:
     sweep      success probability versus error magnitude, with threshold
     factor     full pipeline: measure, recover the order, split the modulus
 
-Every command takes the same error-model flags. The sweep sets its
-mode's width itself (systematic --delta0, uniform --smax, gaussian
---sigma), so that flag must stay zero; the other flags hold at every
-magnitude, so --delta0 under a random mode sweeps combined errors.
+Every command takes the same error-model flags and --seed. Of the other
+run flags, --realizations belongs to ensemble and sweep, --normalize to
+spectrum, circuit and ensemble, and --out to every command but factor.
+The sweep sets its mode's width itself (systematic --delta0, uniform
+--smax, gaussian --sigma), so that flag must stay zero; the other flags
+hold at every magnitude, so --delta0 under a random mode sweeps combined
+errors.
 
 Spectra are written as `c,probability` CSV files with a key=value
 metadata sidecar next to them. Exit codes: 0 on success, 1 on runtime
@@ -88,12 +91,22 @@ _OPTIONS = {
         help="scale the written spectrum to unit total (default off)",
     ),
     "--out": dict(required=True, help="output CSV path"),
-    "--mag-start": dict(type=float, default=0.0),
-    "--mag-stop": dict(type=float, required=True),
-    "--mag-step": dict(type=float, required=True),
-    "--eta": dict(type=float, default=DEFAULT_ETA),
-    "--shots": dict(type=int, default=100),
-    "--multiplier-bound": dict(type=int, default=DEFAULT_MULTIPLIER_BOUND),
+    "--mag-start": dict(type=float, default=0.0, help="first magnitude (default 0)"),
+    "--mag-stop": dict(type=float, required=True, help="last magnitude, included"),
+    "--mag-step": dict(type=float, required=True, help="magnitude spacing"),
+    "--eta": dict(
+        type=float,
+        default=DEFAULT_ETA,
+        help="the threshold is where success falls below eta * baseline "
+        "(default %(default)s)",
+    ),
+    "--shots": dict(type=int, default=100, help="most shots to measure (default 100)"),
+    "--multiplier-bound": dict(
+        type=int,
+        default=DEFAULT_MULTIPLIER_BOUND,
+        help="largest r/d for a convergent denominator d of c/q (default "
+        "%(default)s); a bound >= r lets classical search find r from any outcome",
+    ),
 }
 _MODEL = ("--model", "--delta0", "--smax", "--sigma", "--amp-errors", "--init-delta")
 _INSTANCE = ("--N", "--y", "--L", "--r", "--l")
@@ -207,13 +220,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         parser.error(f"the magnitude grid has {count} points, more than 1000000")
     magnitudes = [args.mag_start + i * args.mag_step for i in range(count)]
     result = threshold_sweep(
-        inst,
-        model,
-        magnitudes,
-        n_realizations=args.realizations,
-        eta=args.eta,
-        master_seed=args.seed,
-        multiplier_bound=args.multiplier_bound,
+        inst, model, magnitudes, n_realizations=args.realizations, eta=args.eta,
+        master_seed=args.seed, multiplier_bound=args.multiplier_bound,
     )
     write_sweep_csv(result, args.out)
     threshold = "none" if result.threshold is None else f"{result.threshold:g}"

@@ -348,16 +348,21 @@ class TestFactorCommand:
         assert "retry with new y" in capsys.readouterr().out
 
 
-def option_table(parser: argparse.ArgumentParser) -> dict[str, list[tuple]]:
-    """Per subcommand, each action's (group title, flags, default, required)."""
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def option_table() -> dict[str, list[tuple]]:
+    """Per subcommand, each action's (group title, flags, default, required)."""
     return {
         name: [
             (group.title, tuple(action.option_strings), action.default, action.required)
             for group in command._action_groups
             for action in group._group_actions
         ]
-        for name, command in sub.choices.items()
+        for name, command in subcommands().items()
     }
 
 
@@ -383,7 +388,7 @@ SPECTRUM_OPTIONS = HELP + INSTANCE + MODEL + [SEED, NORMALIZE, OUT]
 
 class TestOptionTable:
     def test_every_command_option(self) -> None:
-        assert option_table(build_parser()) == {
+        assert option_table() == {
             "spectrum": SPECTRUM_OPTIONS,
             "circuit": SPECTRUM_OPTIONS,
             "ensemble": HELP + INSTANCE + MODEL + [SEED, REALIZATIONS, NORMALIZE, OUT],
@@ -397,6 +402,13 @@ class TestOptionTable:
             "factor": HELP + [("options", ("--shots",), 100, False), BOUND]
             + INSTANCE[:2] + INSTANCE[4:] + MODEL + [SEED],
         }
+
+    def test_every_option_has_help(self) -> None:
+        commands = subcommands()
+        for command in commands.values():
+            assert all(action.help for action in command._actions)
+        text = " ".join(commands["factor"].format_help().split())
+        assert "a bound >= r lets classical search find r from any outcome" in text
 
 
 class TestErrorHandling:
