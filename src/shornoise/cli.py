@@ -112,13 +112,13 @@ _MODEL = ("--model", "--delta0", "--smax", "--sigma", "--amp-errors", "--init-de
 _INSTANCE = ("--N", "--y", "--L", "--r", "--l")
 
 
-def _add_command(sub, name, run, instance, run_flags, extra=(), **kwargs) -> None:
+def _add_command(sub, name, run, instance, run_flags, extra=(), *, help) -> None:
     """Subcommand `name` with instance, error model and run groups.
 
     Its own flags, `extra`, stay ungrouped. The runner and the parser are
     bound as defaults, so a usage error shows this command's usage.
     """
-    parser = sub.add_parser(name, **kwargs)
+    parser = sub.add_parser(name, help=help)
     groups = ("instance", instance), ("error model", _MODEL), ("run", run_flags)
     for title, flags in groups:
         group = parser.add_argument_group(title)
