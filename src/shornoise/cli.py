@@ -92,7 +92,9 @@ _OPTIONS = {
     ),
     "--out": dict(required=True, help="output CSV path"),
     "--mag-start": dict(type=float, default=0.0, help="first magnitude (default 0)"),
-    "--mag-stop": dict(type=float, required=True, help="last magnitude, included"),
+    "--mag-stop": dict(
+        type=float, required=True, help="last magnitude, rounded to whole steps"
+    ),
     "--mag-step": dict(type=float, required=True, help="magnitude spacing"),
     "--eta": dict(
         type=float,
