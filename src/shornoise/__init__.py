@@ -10,45 +10,56 @@ state-vector simulation, which puts an error on every gate and agrees
 with the other two only at zero error.  On top of those sit ensemble
 averaging, peak-shift reports, order-recovery success rates,
 error-threshold sweeps, and the end-to-end factoring run.
+
+`import shornoise` loads neither numpy nor a submodule: each public name
+and each submodule is imported on first use (PEP 562), so the command
+line can parse its arguments, and print its help, without them.
 """
 from __future__ import annotations
 
-from .numth import ShorInstance, recover_orders
-from .errmodel import ErrorMode, ErrorModel
-from .spectrum import (
-    Spectrum,
-    SpectrumMethod,
-    direct_spectrum,
-    model_spectrum,
-    systematic_spectrum_closed_form,
-    total_variation_distance,
-)
-from .qcircuit import circuit_spectrum
-from .experiment import (
-    ensemble_spectrum,
-    factor,
-    peak_report,
-    success_probability,
-    threshold_sweep,
-)
+import importlib
 
-__all__ = [
-    "ShorInstance",
-    "recover_orders",
-    "ErrorMode",
-    "ErrorModel",
-    "Spectrum",
-    "SpectrumMethod",
-    "direct_spectrum",
-    "model_spectrum",
-    "systematic_spectrum_closed_form",
-    "total_variation_distance",
-    "circuit_spectrum",
-    "ensemble_spectrum",
-    "factor",
-    "peak_report",
-    "success_probability",
-    "threshold_sweep",
-]
+# Defaults the command-line parser shows before it loads the library;
+# the library modules take them from here.
+ERROR_MODES = ("none", "systematic", "uniform", "gaussian")
+DEFAULT_ETA = 0.5
+DEFAULT_MULTIPLIER_BOUND = 64
+
+_SUBMODULES = ("numth", "errmodel", "spectrum", "qcircuit", "experiment")
+# Each public name, by the submodule that defines it.
+_HOMES = {
+    "ShorInstance": "numth",
+    "recover_orders": "numth",
+    "ErrorMode": "errmodel",
+    "ErrorModel": "errmodel",
+    "Spectrum": "spectrum",
+    "SpectrumMethod": "spectrum",
+    "direct_spectrum": "spectrum",
+    "model_spectrum": "spectrum",
+    "systematic_spectrum_closed_form": "spectrum",
+    "total_variation_distance": "spectrum",
+    "circuit_spectrum": "qcircuit",
+    "ensemble_spectrum": "experiment",
+    "factor": "experiment",
+    "peak_report": "experiment",
+    "success_probability": "experiment",
+    "threshold_sweep": "experiment",
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULES, *__all__})

@@ -21,7 +21,12 @@ metadata sidecar next to them. Exit codes: 0 on success, 1 on runtime
 failure, 2 on invalid arguments. The library checks its own arguments
 and raises `UsageError` before any work, which exits 2 under the
 command's usage. This module checks only what the library never sees:
-flag pairing, seed text and the --mag-start/--mag-stop/--mag-step grid.
+flag pairing, seed text and the --mag-start/--mag-stop/--mag-step grid,
+whose stop must lie a whole number of steps from its start.
+
+At import this module loads only the standard library and the package's
+numpy-free defaults. The library, and numpy with it, loads once the
+arguments parse, so --help and usage errors return without it.
 """
 from __future__ import annotations
 
@@ -31,20 +36,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .errmodel import ErrorMode, ErrorModel
-from .experiment import (
-    DEFAULT_ETA,
-    ensemble_spectrum,
-    factor,
-    peak_report,
-    threshold_sweep,
-    write_sweep_csv,
-)
-from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, UsageError
-from .qcircuit import circuit_spectrum
-from .spectrum import model_spectrum, spectrum_metadata, write_spectrum_csv
+from . import DEFAULT_ETA, DEFAULT_MULTIPLIER_BOUND, ERROR_MODES
 
 DEFAULT_SEED = 42
 
@@ -67,7 +59,7 @@ _OPTIONS = {
     "--r": dict(type=int, help="period of the support (synthetic)"),
     "--l": dict(type=int, default=0, help="support offset (default 0)"),
     "--model": dict(
-        choices=[mode.value for mode in ErrorMode],
+        choices=ERROR_MODES,
         default="none",
         help="error mode (default none)",
     ),
@@ -93,7 +85,9 @@ _OPTIONS = {
     "--out": dict(required=True, help="output CSV path"),
     "--mag-start": dict(type=float, default=0.0, help="first magnitude (default 0)"),
     "--mag-stop": dict(
-        type=float, required=True, help="last magnitude, rounded to whole steps"
+        type=float,
+        required=True,
+        help="last magnitude, a whole number of steps from the first",
     ),
     "--mag-step": dict(type=float, required=True, help="magnitude spacing"),
     "--eta": dict(
@@ -157,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _instance_from_args(args: argparse.Namespace) -> ShorInstance:
+def _instance_from_args(args: argparse.Namespace) -> numth.ShorInstance:
     synthetic = "L" in args  # factor takes no --L/--r
     has_factoring = args.N is not None or args.y is not None
     has_synthetic = synthetic and (args.L is not None or args.r is not None)
@@ -166,15 +160,15 @@ def _instance_from_args(args: argparse.Namespace) -> ShorInstance:
     if not has_synthetic:
         if args.N is None or args.y is None:
             args.parser.error("--N and --y must be given together")
-        return ShorInstance.from_factoring(args.N, args.y, offset=args.l)
+        return numth.ShorInstance.from_factoring(args.N, args.y, offset=args.l)
     if args.L is None or args.r is None:
         args.parser.error("--L and --r must be given together")
-    return ShorInstance.synthetic_instance(args.L, args.r, offset=args.l)
+    return numth.ShorInstance.synthetic_instance(args.L, args.r, offset=args.l)
 
 
-def _model_from_args(args: argparse.Namespace) -> ErrorModel:
-    return ErrorModel(
-        mode=ErrorMode(args.model),
+def _model_from_args(args: argparse.Namespace) -> errmodel.ErrorModel:
+    return errmodel.ErrorModel(
+        mode=errmodel.ErrorMode(args.model),
         delta0=args.delta0,
         s_max=args.smax,
         sigma0=args.sigma,
@@ -189,18 +183,20 @@ def _run_spectrum(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     spread = ""
     if args.command == "ensemble":
-        spec, std = ensemble_spectrum(inst, model, args.realizations, args.seed)
-        spread = f"; max std {float(np.max(std)):.3e}"
+        spec, std = experiment.ensemble_spectrum(
+            inst, model, args.realizations, args.seed
+        )
+        spread = f"; max std {float(std.max()):.3e}"
     elif args.command == "spectrum":
-        spec = model_spectrum(inst, model, args.seed)
+        spec = spectrum.model_spectrum(inst, model, args.seed)
     else:
-        spec = circuit_spectrum(inst, model, args.seed)
+        spec = qcircuit.circuit_spectrum(inst, model, args.seed)
     if args.normalize:
         spec = spec.normalize()
-    write_spectrum_csv(spec, args.out)
-    meta = spectrum_metadata(spec, seed=args.seed)
+    spectrum.write_spectrum_csv(spec, args.out)
+    meta = spectrum.spectrum_metadata(spec, seed=args.seed)
     Path(args.out + ".meta").write_text(meta, newline="\n")
-    report = peak_report(spec)
+    report = experiment.peak_report(spec)
     positions = report.positions()
     print(f"{args.command}: peaks at {positions} with shifts {report.shifts}{spread}")
     return 0
@@ -217,15 +213,24 @@ def _run_sweep(args: argparse.Namespace) -> int:
     steps = (args.mag_stop - args.mag_start) / args.mag_step
     if not math.isfinite(steps):
         parser.error("(--mag-stop - --mag-start) / --mag-step must be finite")
-    count = int(round(steps)) + 1
+    # The grid ends at --mag-stop: its last point may miss it by rounding
+    # alone, a few ulps of the largest magnitude.
+    whole = round(steps)
+    miss = abs(args.mag_start + whole * args.mag_step - args.mag_stop)
+    if miss > 4 * math.ulp(max(abs(args.mag_start), abs(args.mag_stop))):
+        parser.error(
+            f"(--mag-stop - --mag-start) / --mag-step must be a whole number, "
+            f"got {steps:g}"
+        )
+    count = whole + 1
     if count > 1_000_000:
         parser.error(f"the magnitude grid has {count} points, more than 1000000")
     magnitudes = [args.mag_start + i * args.mag_step for i in range(count)]
-    result = threshold_sweep(
+    result = experiment.threshold_sweep(
         inst, model, magnitudes, n_realizations=args.realizations, eta=args.eta,
         master_seed=args.seed, multiplier_bound=args.multiplier_bound,
     )
-    write_sweep_csv(result, args.out)
+    experiment.write_sweep_csv(result, args.out)
     threshold = "none" if result.threshold is None else f"{result.threshold:g}"
     print(
         f"sweep: threshold={threshold} baseline={result.baseline:.6f} "
@@ -237,7 +242,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_factor(args: argparse.Namespace) -> int:
     inst = _instance_from_args(args)
     model = _model_from_args(args)
-    result = factor(inst, model, args.seed, args.shots, args.multiplier_bound)
+    result = experiment.factor(
+        inst, model, args.seed, args.shots, args.multiplier_bound
+    )
     if result is None:
         print("factor: no nontrivial factor found; retry with new y")
     else:
@@ -250,18 +257,23 @@ def _run_factor(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    With argv None, main parses sys.argv and owns the process (`python -m
-    shornoise.cli`, the `shornoise` script): it first freezes the collector
+    Once the arguments parse, main imports the five library modules, and
+    numpy with them, as globals of this module; the runners look each
+    library function up through them at call time. With argv None, main
+    parses sys.argv and owns the process (`python -m shornoise.cli`, the
+    `shornoise` script): after that import it freezes the collector
     (`gc.freeze`), so the exit does not walk every object that numpy and
     the package made at import. Given argv, the collector is left as is.
     """
+    args = build_parser().parse_args(argv)
+    global errmodel, experiment, numth, qcircuit, spectrum
+    from . import errmodel, experiment, numth, qcircuit, spectrum
+
     if argv is None:
         gc.freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except UsageError as exc:
+    except numth.UsageError as exc:
         args.parser.error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

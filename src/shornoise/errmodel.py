@@ -44,6 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import ERROR_MODES
 from .numth import UsageError
 
 _MASK64 = (1 << 64) - 1
@@ -215,10 +216,7 @@ def _substream(seed: int, salt: int) -> Xorshift64Star:
 class ErrorMode(Enum):
     """How per-term gate errors are generated."""
 
-    NONE = "none"
-    SYSTEMATIC = "systematic"
-    UNIFORM = "uniform"
-    GAUSSIAN = "gaussian"
+    NONE, SYSTEMATIC, UNIFORM, GAUSSIAN = ERROR_MODES
 
 
 @dataclass(frozen=True)

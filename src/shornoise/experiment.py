@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DEFAULT_ETA
 from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
 from .errmodel import sample_realizations
 from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, find_order, recover_orders
@@ -18,7 +19,6 @@ from .spectrum import Spectrum, SpectrumMethod, period_values, register_values
 from .spectrum import _check_probabilities, _period_plan
 
 DEFAULT_HEIGHT_FLOOR_FRACTION = 0.1
-DEFAULT_ETA = 0.5
 # Bytes of uniform draws per error stream that a chunk of realizations
 # holds at once. At 256 KiB the standalone peak RSS of the benchmark's
 # ensembles stays within 0.2 MiB of drawing one realization at a time.

@@ -12,10 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import DEFAULT_MULTIPLIER_BOUND
+
 # Brute-force order search walks up to N multiplications; keep N bounded.
 ORDER_SEARCH_CAP = 1 << 20
-
-DEFAULT_MULTIPLIER_BOUND = 64
 
 # Widest register: every route holds 2**MAX_QUBITS values in memory.
 MAX_QUBITS = 24

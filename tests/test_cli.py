@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +25,10 @@ from shornoise.errmodel import ErrorMode, ErrorModel
 from spectrum_csv import read_spectrum_csv
 
 ROOT = Path(__file__).resolve().parent.parent
+LIBRARY_MODULES = [
+    f"shornoise.{name}"
+    for name in ("numth", "errmodel", "spectrum", "qcircuit", "experiment")
+]
 
 
 def run_spectrum(tmp_path, name: str, *args: str) -> tuple[int, str]:
@@ -603,6 +609,40 @@ class TestErrorHandling:
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
+    def test_sweep_stop_off_the_grid_is_usage_error(self, tmp_path, capsys) -> None:
+        # 0.27 is 2.7 steps of 0.1: a grid rounded to 3 steps would end at 0.3.
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", "systematic",
+                  "--mag-stop", "0.27", "--mag-step", "0.1",
+                  "--multiplier-bound", "1", "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shornoise sweep")
+        assert err.endswith(
+            "error: (--mag-stop - --mag-start) / --mag-step must be a whole "
+            "number, got 2.7\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "start, stop, step, count",
+        # 2.9999999999999996, 5.999999999999999 and 29.999999999999996 steps.
+        [("0", "0.3", "0.1", 4), ("0.1", "0.7", "0.1", 7), ("0", "3e-4", "1e-5", 31)],
+    )
+    def test_sweep_stop_within_rounding_of_the_grid_ends_it(
+        self, tmp_path, start, stop, step, count
+    ) -> None:
+        code, out = run_spectrum(
+            tmp_path, "w.csv", "sweep", "--N", "15", "--y", "7",
+            "--model", "systematic", "--mag-start", start, "--mag-stop", stop,
+            "--mag-step", step, "--multiplier-bound", "1",
+        )
+        assert code == 0
+        rows = Path(out).read_text().splitlines()[1:-1]
+        assert len(rows) == count
+        assert float(rows[-1].split(",")[0]) == pytest.approx(float(stop))
+
     def test_sweep_grid_over_a_million_points_is_usage_error(
         self, tmp_path, capsys
     ) -> None:
@@ -898,8 +938,9 @@ LIBRARY_USAGE_ERRORS = [
 class TestProcessEntry:
     """`python -m shornoise.cli` against main(argv) in this process.
 
-    The process entry (argv None) freezes the collector before it parses;
-    these pin that its exit codes and output stay those of main(argv).
+    The process entry (argv None) freezes the collector once it has
+    parsed and loaded the library; these pin that its exit codes and
+    output stay those of main(argv).
     """
 
     @pytest.fixture(autouse=True)
@@ -976,16 +1017,64 @@ class TestProcessEntry:
         assert not out.exists()
 
     def test_process_entry_freezes_the_collector(self) -> None:
+        # Frozen objects sit in no collected generation, so the module
+        # dicts of numpy and of the library must be missing from them.
         done = run_python(
             "-c",
             "import gc, sys\n"
             "from shornoise.cli import main\n"
             "sys.argv = ['shornoise', 'factor', '--N', '15', '--y', '7']\n"
             "main()\n"
-            "print(gc.get_freeze_count() > 0)",
+            "collected = {id(obj) for obj in gc.get_objects()}\n"
+            f"names = ['numpy', *{LIBRARY_MODULES}]\n"
+            "print([n for n in names if id(vars(sys.modules[n])) in collected])\n"
+            "print(gc.get_freeze_count())",
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "True"
+        unfrozen, frozen = done.stdout.splitlines()[-2:]
+        assert unfrozen == "[]"
+        # Every object alive once numpy and the library are imported.
+        imported = run_python(
+            "-c",
+            "import gc, importlib\n"
+            f"for name in ['shornoise.cli', *{LIBRARY_MODULES}]:\n"
+            "    importlib.import_module(name)\n"
+            "gc.collect()\n"
+            "print(len(gc.get_objects()))",
+        )
+        assert imported.returncode == 0, imported.stderr
+        assert int(frozen) >= int(imported.stdout)
+
+    def test_help_and_usage_errors_load_no_library(self) -> None:
+        # The process entry parses before it imports numpy or the library.
+        cases = [
+            ["--help"],
+            *([command, "--help"] for command in subcommands()),
+            ["spectrum", "--L", "7", "--r", "4"],
+            ["factor", "--N", "15", "--y", "7", "--seed", "xyz"],
+        ]
+        done = run_python(
+            "-c",
+            "import json, sys\n"
+            "from shornoise.cli import main\n"
+            "report = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    sys.argv = ['shornoise', *argv]\n"
+            "    try:\n"
+            "        main()\n"
+            "    except SystemExit as exc:\n"
+            "        report.append(exc.code)\n"
+            "    report.append(sorted(\n"
+            "        name for name in sys.modules\n"
+            "        if name.split('.')[0] == 'numpy'\n"
+            "        or name.startswith('shornoise.') and name != 'shornoise.cli'\n"
+            "    ))\n"
+            "print(json.dumps(report))",
+            json.dumps(cases),
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report == [0, []] * 6 + [2, []] * 2
 
     def test_main_with_argv_keeps_the_collector(self, tmp_path, capsys) -> None:
         frozen = gc.get_freeze_count()
@@ -994,3 +1083,56 @@ class TestProcessEntry:
         )
         assert code == 0
         assert gc.get_freeze_count() == frozen
+
+
+class TestLazyPackage:
+    """`shornoise` imports each public name and submodule on first use."""
+
+    HOMES = {
+        "numth": ["ShorInstance", "recover_orders"],
+        "errmodel": ["ErrorMode", "ErrorModel"],
+        "spectrum": ["Spectrum", "SpectrumMethod", "direct_spectrum",
+                     "model_spectrum", "systematic_spectrum_closed_form",
+                     "total_variation_distance"],
+        "qcircuit": ["circuit_spectrum"],
+        "experiment": ["ensemble_spectrum", "factor", "peak_report",
+                       "success_probability", "threshold_sweep"],
+    }
+
+    def test_import_loads_no_submodule(self) -> None:
+        done = run_python(
+            "-c",
+            "import sys\n"
+            "import shornoise\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] in ('numpy', 'shornoise')))",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "['shornoise']"
+
+    def test_each_public_name_is_its_modules(self) -> None:
+        import shornoise
+
+        names = [name for names in self.HOMES.values() for name in names]
+        assert sorted(shornoise.__all__) == sorted(names) and len(names) == 16
+        for module, names in self.HOMES.items():
+            home = importlib.import_module(f"shornoise.{module}")
+            assert getattr(shornoise, module) is home
+            for name in names:
+                assert getattr(shornoise, name) is getattr(home, name)
+        assert set(shornoise.__all__) | set(self.HOMES) <= set(dir(shornoise))
+
+    def test_star_import_binds_every_public_name(self) -> None:
+        import shornoise
+
+        namespace: dict = {}
+        exec("from shornoise import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(shornoise.__all__)
+        assert all(namespace[name] is getattr(shornoise, name) for name in namespace)
+
+    def test_unknown_attribute_is_named(self) -> None:
+        import shornoise
+
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            shornoise.no_such_name
