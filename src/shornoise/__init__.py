@@ -25,7 +25,6 @@ ERROR_MODES = ("none", "systematic", "uniform", "gaussian")
 DEFAULT_ETA = 0.5
 DEFAULT_MULTIPLIER_BOUND = 64
 
-_SUBMODULES = ("numth", "errmodel", "spectrum", "qcircuit", "experiment")
 # Each public name, by the submodule that defines it.
 _HOMES = {
     "ShorInstance": "numth",
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
+    if name in _HOMES.values():
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -62,4 +61,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_SUBMODULES, *__all__})
+    return sorted({*globals(), *_HOMES.values(), *__all__})

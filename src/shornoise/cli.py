@@ -213,13 +213,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
     steps = (args.mag_stop - args.mag_start) / args.mag_step
     if not math.isfinite(steps):
         parser.error("(--mag-stop - --mag-start) / --mag-step must be finite")
-    # The grid ends at --mag-stop: its last point may miss it by rounding
-    # alone, a few ulps of the largest magnitude.
+    # The last grid point must be --mag-stop up to rounding: 4 ulps of the
+    # largest magnitude.
     whole = round(steps)
     miss = abs(args.mag_start + whole * args.mag_step - args.mag_stop)
     if miss > 4 * math.ulp(max(abs(args.mag_start), abs(args.mag_stop))):
         parser.error(
-            f"(--mag-stop - --mag-start) / --mag-step must be a whole number, "
+            "(--mag-stop - --mag-start) / --mag-step must be a whole number, "
             f"got {steps:g}"
         )
     count = whole + 1
