@@ -18,7 +18,7 @@ from .qcircuit import circuit_spectrum, outcome_cdf, sample_outcomes
 from .spectrum import Spectrum, SpectrumMethod, period_values, register_values
 from .spectrum import _check_probabilities, _period_plan
 
-DEFAULT_HEIGHT_FLOOR_FRACTION = 0.1
+_HEIGHT_FLOOR_FRACTION = 0.1
 # Bytes of uniform draws per error stream that a chunk of realizations
 # holds at once. At 256 KiB the standalone peak RSS of the benchmark's
 # ensembles stays within 0.2 MiB of drawing one realization at a time.
@@ -37,45 +37,29 @@ SWEPT_FIELD = {
 class PeakReport:
     """Local maxima of a spectrum matched against the ideal peak grid.
 
-    peaks holds (position, height) pairs sorted by position;
-    reference_positions is the ideal grid k*q/r for k = 0 .. r-1; shifts
-    gives, per peak, the signed cyclic distance to its nearest reference.
+    peaks holds (position, height) pairs sorted by position. shifts gives,
+    per peak, its signed cyclic distance from the nearest ideal point
+    k*q/r, k = 0 .. r-1, rounded to a whole number of register values;
+    a tie goes to the lower k.
     """
 
     peaks: list[tuple[int, float]]
-    reference_positions: list[float]
     shifts: list[int]
 
     def positions(self) -> list[int]:
         return [position for position, _ in self.peaks]
 
 
-def _cyclic_shift(positions: np.ndarray, refs: np.ndarray, size: int) -> np.ndarray:
-    raw = np.remainder(positions - refs, size)
-    return np.where(raw > size / 2, raw - size, raw)
-
-
-def reference_positions(inst: ShorInstance) -> list[float]:
-    q = inst.register_size
-    r = inst.order
-    return [k * q / r for k in range(r)]
-
-
-def peak_report(
-    spec: Spectrum,
-    height_floor_fraction: float = DEFAULT_HEIGHT_FLOOR_FRACTION,
-) -> PeakReport:
+def peak_report(spec: Spectrum) -> PeakReport:
     """Find cyclic local maxima above a height floor and their shifts.
 
     A position qualifies when it is at least as high as both cyclic
-    neighbors, strictly higher than at least one of them, and reaches
-    height_floor_fraction of the global maximum. A flat spectrum
-    therefore yields an empty peak list.
+    neighbors, strictly higher than at least one of them, and reaches a
+    tenth of the global maximum. A flat spectrum therefore yields an
+    empty peak list. The shifts are found in exact integers.
     """
-    if not 0.0 <= height_floor_fraction <= 1.0:
-        raise ValueError("height_floor_fraction must be in [0, 1]")
     values = spec.values
-    floor = height_floor_fraction * float(np.max(values))
+    floor = _HEIGHT_FLOOR_FRACTION * float(np.max(values))
     # Only values at or above the floor are compared with their neighbors.
     candidates = np.flatnonzero(values >= floor)
     heights = values[candidates]
@@ -85,21 +69,19 @@ def peak_report(
         (heights >= left) & (heights >= right) & ((heights > left) | (heights > right))
     )
     positions = candidates[is_peak]
-    references = reference_positions(spec.instance)
-    size = spec.register_size
-    order = spec.instance.order
     peaks = list(zip(positions.tolist(), heights[is_peak].tolist()))
-    # The nearest reference is one of the two that bracket the position;
-    # a tie goes to the lower index.
-    grid = np.array(references)
-    low = positions * order // size
-    high = (low + 1) % order
-    below = _cyclic_shift(positions, grid[low], size)
-    above = _cyclic_shift(positions, grid[high], size)
-    nearer = np.abs(above) - np.abs(below)
-    take_above = (nearer < 0.0) | ((nearer == 0.0) & (high < low))
-    shifts = np.rint(np.where(take_above, above, below)).astype(int).tolist()
-    return PeakReport(peaks=peaks, reference_positions=references, shifts=shifts)
+    q = spec.register_size
+    r = spec.instance.order
+    # Peak p lies rest/r above point k and (q - rest)/r below point k + 1,
+    # which is point 0 past the last; p*r < 2**48, so this is exact. A tie
+    # goes to the lower index; with r = 1 both are point 0, at +q/2.
+    k, rest = np.divmod(positions * r, q)
+    upper = (2 * rest > q) | ((2 * rest == q) & (k == r - 1) & (r > 1))
+    # q is a power of two, so 2**v2(r) divides rest and chosen/r is never
+    # a half-integer: its rounding cannot go either way.
+    chosen = np.where(upper, rest - q, rest)
+    shifts = np.rint(chosen / r).astype(int).tolist()
+    return PeakReport(peaks=peaks, shifts=shifts)
 
 
 def _realizations(

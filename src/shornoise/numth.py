@@ -196,10 +196,16 @@ class ShorInstance:
         """
         if not 2 <= base < modulus:
             raise UsageError(f"need 2 <= base < modulus, got base={base}")
+        n_qubits = max(1, (modulus * modulus - 1).bit_length())
+        if n_qubits > MAX_QUBITS:
+            raise UsageError(
+                f"modulus {modulus} needs {n_qubits} qubits; "
+                f"the widest register has {MAX_QUBITS}"
+            )
         return cls(
             modulus=modulus,
             base=base,
-            n_qubits=_check_width(max(1, (modulus * modulus - 1).bit_length())),
+            n_qubits=n_qubits,
             order=find_order(base, modulus),
             offset=offset,
         )

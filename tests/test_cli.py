@@ -927,11 +927,13 @@ LIBRARY_USAGE_ERRORS = [
     (["spectrum", "--N", "15", "--y", "20"],
      "need 2 <= base < modulus, got base=20"),
     # A modulus too wide for the register fails before its order search.
-    (["factor", "--N", "2000003", "--y", "3"], "n_qubits must be in [1, 24], got 42"),
-    (["factor", "--N", "1048573", "--y", "2"], "n_qubits must be in [1, 24], got 40"),
+    (["factor", "--N", "2000003", "--y", "3"],
+     "modulus 2000003 needs 42 qubits; the widest register has 24"),
+    (["factor", "--N", "1048573", "--y", "2"],
+     "modulus 1048573 needs 40 qubits; the widest register has 24"),
     (["sweep", "--N", "2000003", "--y", "3", "--model", "gaussian",
       "--mag-stop", "0.1", "--mag-step", "0.05"],
-     "n_qubits must be in [1, 24], got 42"),
+     "modulus 2000003 needs 42 qubits; the widest register has 24"),
 ]
 
 

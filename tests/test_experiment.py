@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from shornoise.experiment import (
     ensemble_spectrum,
     factor,
     peak_report,
-    reference_positions,
     success_probability,
     threshold_sweep,
     write_sweep_csv,
@@ -64,21 +64,32 @@ def constant_spectrum(inst: ShorInstance, value: float) -> Spectrum:
     )
 
 
-def scalar_shifts(
-    positions: list[int], references: list[float], size: int
-) -> list[int]:
-    """Per peak, the rounded cyclic shift to the first nearest reference."""
+def marked_spectrum(inst: ShorInstance, positions: list[int]) -> Spectrum:
+    """Height 1 at the given positions and 0 elsewhere."""
+    values = np.zeros(inst.register_size)
+    values[positions] = 1.0
+    return Spectrum(values=values, method=SpectrumMethod.DIRECT_SUM, instance=inst)
 
-    def cyclic_shift(position: int, reference: float) -> float:
-        raw = (position - reference) % size
-        if raw > size / 2:
-            raw -= size
-        return raw
+
+def scalar_shifts(positions: list[int], inst: ShorInstance) -> list[int]:
+    """Per peak, the rounded cyclic shift to the first nearest k*q/r.
+
+    The references and distances are exact fractions, so a tie is a true
+    tie and goes to the lower k.
+    """
+    q, r = inst.register_size, inst.order
+    references = [Fraction(k * q, r) for k in range(r)]
+
+    def cyclic_shift(position: int, reference: Fraction) -> Fraction:
+        raw = (position - reference) % q
+        return raw - q if 2 * raw > q else raw
 
     shifts = []
     for position in positions:
         nearest = min(references, key=lambda ref: abs(cyclic_shift(position, ref)))
-        shifts.append(int(round(cyclic_shift(position, nearest))))
+        shift = cyclic_shift(position, nearest)
+        assert shift.denominator != 2  # so rounding cannot go either way
+        shifts.append(round(shift))
     return shifts
 
 
@@ -105,7 +116,7 @@ def peak_cases(draw) -> tuple[ShorInstance, list[int]]:
     return ShorInstance.synthetic_instance(n_qubits, order), positions
 
 
-def former_peaks(values: np.ndarray, height_floor_fraction: float) -> list:
+def former_peaks(values: np.ndarray) -> list:
     """(position, height) of every peak, found by comparing whole rolled copies."""
     left = np.roll(values, 1)
     right = np.roll(values, -1)
@@ -113,7 +124,7 @@ def former_peaks(values: np.ndarray, height_floor_fraction: float) -> list:
         (values >= left)
         & (values >= right)
         & ((values > left) | (values > right))
-        & (values >= height_floor_fraction * float(np.max(values)))
+        & (values >= 0.1 * float(np.max(values)))
     )
     positions = np.nonzero(is_peak)[0]
     return list(zip(positions.tolist(), values[positions].tolist()))
@@ -184,21 +195,11 @@ def same_bits(first: np.ndarray, second: np.ndarray) -> bool:
     return np.array_equal(first.view(np.uint64), second.view(np.uint64))
 
 
-class TestReferencePositions:
-    def test_full_period(self) -> None:
-        assert reference_positions(STANDARD) == [0.0, 32.0, 64.0, 96.0]
-
-    def test_ragged_period(self) -> None:
-        refs = reference_positions(ShorInstance.synthetic_instance(3, 3))
-        np.testing.assert_allclose(refs, [0.0, 8 / 3, 16 / 3])
-
-
 class TestPeakReport:
     def test_noiseless_peaks(self) -> None:
         report = peak_report(exact_spectrum(STANDARD))
         assert report.positions() == [0, 32, 64, 96]
         assert report.shifts == [0, 0, 0, 0]
-        assert report.reference_positions == [0.0, 32.0, 64.0, 96.0]
 
     def test_systematic_error_shifts_peaks(self) -> None:
         report = peak_report(systematic_spectrum_closed_form(STANDARD, 0.05))
@@ -210,18 +211,19 @@ class TestPeakReport:
         assert report.positions() == []
         assert report.shifts == []
 
-    def test_height_floor_drops_sidelobes(self) -> None:
+    @pytest.mark.parametrize(
+        "sidelobe, positions", [(0.05, [8]), (0.0999, [8]), (0.1, [8, 40])]
+    )
+    def test_height_floor_drops_sidelobes(self, sidelobe, positions) -> None:
+        # The floor is a tenth of the tallest peak; a peak at it counts.
         inst = ShorInstance.synthetic_instance(6, 4)
         values = np.zeros(64)
         values[8] = 1.0
-        values[40] = 0.05
+        values[40] = sidelobe
         spec = Spectrum(
             values=values, method=SpectrumMethod.DIRECT_SUM, instance=inst
         )
-        tall_only = peak_report(spec, height_floor_fraction=0.1)
-        assert tall_only.positions() == [8]
-        both = peak_report(spec, height_floor_fraction=0.01)
-        assert both.positions() == [8, 40]
+        assert peak_report(spec).positions() == positions
 
     def test_wraparound_peak_counts_as_shift_minus_one(self) -> None:
         # A maximum at the last outcome sits one bin below the c = 0
@@ -236,33 +238,52 @@ class TestPeakReport:
         assert report.positions() == [63]
         assert report.shifts == [-1]
 
+    @pytest.mark.parametrize(
+        "n_qubits, order, position, shift",
+        [
+            # 8 lies 8/3 from both 16/3 and 32/3.
+            (4, 3, 8, 3),
+            # 12 lies 4 from both 8 and 16, which is point 0 once more.
+            (4, 2, 12, -4),
+            # With one point, q/2 lies as far above it as below it.
+            (4, 1, 8, 8),
+        ],
+    )
+    def test_a_tie_goes_to_the_lower_index(
+        self, n_qubits, order, position, shift
+    ) -> None:
+        spec = marked_spectrum(
+            ShorInstance.synthetic_instance(n_qubits, order), [position]
+        )
+        assert peak_report(spec).shifts == [shift]
+
+    def test_ragged_period_shifts(self) -> None:
+        # Points 0, 8/3 and 16/3; 4 lies 4/3 from both of the last two.
+        inst = ShorInstance.synthetic_instance(3, 3)
+        shifts = [peak_report(marked_spectrum(inst, [c])).shifts for c in range(8)]
+        assert shifts == [[0], [1], [-1], [0], [1], [0], [1], [-1]]
+
     @settings(max_examples=150)
     @given(peak_cases())
     def test_shifts_match_scalar_loop(self, case) -> None:
         inst, marked = case
-        values = np.zeros(inst.register_size)
-        values[marked] = 1.0
-        spec = Spectrum(values=values, method=SpectrumMethod.DIRECT_SUM, instance=inst)
-        report = peak_report(spec, height_floor_fraction=0.0)
-        expected = scalar_shifts(
-            report.positions(), report.reference_positions, inst.register_size
-        )
-        assert report.shifts == expected
+        report = peak_report(marked_spectrum(inst, marked))
+        assert report.shifts == scalar_shifts(report.positions(), inst)
         assert all(type(shift) is int for shift in report.shifts)
 
     @settings(max_examples=150)
     @given(
         n_qubits=st.integers(1, 8),
-        heights=st.lists(st.integers(0, 3), min_size=256, max_size=256),
-        fraction=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        heights=st.lists(st.integers(0, 12), min_size=256, max_size=256),
     )
-    def test_peaks_match_rolled_copies(self, n_qubits, heights, fraction) -> None:
-        # Small integer heights give plateaus, ties and peaks at 0 and q - 1.
+    def test_peaks_match_rolled_copies(self, n_qubits, heights) -> None:
+        # Small integer heights give plateaus, ties, peaks at 0 and q - 1
+        # and peaks below the floor of a tenth of the maximum.
         inst = ShorInstance.synthetic_instance(n_qubits, 1)
         values = np.array(heights[: inst.register_size], dtype=float)
         spec = Spectrum(values=values, method=SpectrumMethod.DIRECT_SUM, instance=inst)
-        report = peak_report(spec, height_floor_fraction=fraction)
-        assert report.peaks == former_peaks(values, fraction)
+        report = peak_report(spec)
+        assert report.peaks == former_peaks(values)
 
     def test_shifts_match_scalar_loop_on_noise_floor(self) -> None:
         # The benchmark's `floor` spectrum: tens of thousands of peaks.
@@ -270,12 +291,9 @@ class TestPeakReport:
         spec = model_spectrum(inst, ErrorModel(ErrorMode.UNIFORM, s_max=1e-3), 1)
         report = peak_report(spec)
         assert len(report.peaks) > 40_000
-        assert report.peaks == former_peaks(spec.values, 0.1)
+        assert report.peaks == former_peaks(spec.values)
         assert all(type(p) is int and type(h) is float for p, h in report.peaks)
-        expected = scalar_shifts(
-            report.positions(), report.reference_positions, inst.register_size
-        )
-        assert report.shifts == expected
+        assert report.shifts == scalar_shifts(report.positions(), inst)
 
 
 class TestEnsembleSpectrum:

@@ -228,12 +228,13 @@ class TestShorInstance:
             q = inst.register_size
             assert q >= modulus * modulus
             assert q // 2 < modulus * modulus
-        with pytest.raises(ValueError, match="n_qubits"):
+        with pytest.raises(UsageError, match="modulus 4097 needs 25 qubits"):
             ShorInstance.from_factoring(4097, 3)
 
     def test_wide_modulus_fails_before_the_order_search(self) -> None:
         misses = find_order.cache_info().misses
-        with pytest.raises(UsageError, match=r"n_qubits must be in \[1, 24\], got 40"):
+        message = "modulus 1048573 needs 40 qubits; the widest register has 24"
+        with pytest.raises(UsageError, match=message):
             ShorInstance.from_factoring(1048573, 2)
         assert find_order.cache_info().misses == misses
 
