@@ -181,18 +181,20 @@ def _run_spectrum(args: argparse.Namespace) -> int:
     """spectrum, circuit and ensemble: write the spectrum and its peaks."""
     inst = _instance_from_args(args)
     model = _model_from_args(args)
-    spread = ""
+    std = None
     if args.command == "ensemble":
         spec, std = experiment.ensemble_spectrum(
             inst, model, args.realizations, args.seed
         )
-        spread = f"; max std {float(std.max()):.3e}"
     elif args.command == "spectrum":
         spec = spectrum.model_spectrum(inst, model, args.seed)
     else:
         spec = qcircuit.circuit_spectrum(inst, model, args.seed)
+    scale = 1.0  # the spread is printed in the units of the written values
     if args.normalize:
+        scale = spec.positive_total()
         spec = spec.normalize()
+    spread = "" if std is None else f"; max std {float(std.max()) / scale:.3e}"
     spectrum.write_spectrum_csv(spec, args.out)
     meta = spectrum.spectrum_metadata(spec, seed=args.seed)
     Path(args.out + ".meta").write_text(meta, newline="\n")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -103,20 +104,22 @@ def init_error_weights(inst: ShorInstance, init_delta: float) -> np.ndarray:
 
     Models a constant miscalibration of the state-preparation rotations:
     each set bit of a pulls its weight up by init_delta, each clear bit
-    down. Returns one weight per value of inst.support_values(). Rejects
-    weights whose squared norm overflows or is zero, which no route can
-    normalize.
+    down. Returns one weight per value of inst.support_values(). Every
+    route calls this, so all reject alike weights that are all zero or
+    whose (sum_j |w_j|)**2, a bound on the squared norm and on the
+    effective |Z|**2, reaches half the largest float (half for rounding).
     """
     if not math.isfinite(init_delta):
         raise ValueError(f"init_delta must be finite, got {init_delta}")
     bits = np.bitwise_count(inst.support_values())
     with np.errstate(over="ignore"):
         weights = 1.0 + init_delta * (2.0 * bits - inst.n_qubits)
-        norm_squared = float(np.sum(np.square(weights)))
-    if not 0.0 < norm_squared < math.inf:
+        total = float(np.sum(np.abs(weights)))
+    if not 0.0 < 2.0 * total * total < math.inf:
         raise ValueError(
-            f"init_delta={init_delta:g} gives preparation weights of squared "
-            f"norm {norm_squared:g}; it must be finite and positive"
+            f"init_delta={init_delta:g} gives preparation weights whose "
+            f"(sum |w|)**2 is {total * total:g}; it must be positive and "
+            f"below {sys.float_info.max / 2:.3g}"
         )
     return weights
 
@@ -359,15 +362,15 @@ def spectrum_metadata(spec: Spectrum, seed: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-# 8,192 rows keep each chunk's temporaries at or below 254 KiB, small enough to
-# be reused from the heap rather than mapped and faulted in again per chunk.
+# 8,192 rows keep a chunk's largest temporaries, its words and row bytes, at 224
+# KiB each, small enough to be reused from the heap rather than mapped afresh.
 _CSV_CHUNK_ROWS = 1 << 13
 
 
 @functools.cache
 def _format_tables() -> tuple[np.ndarray, ...]:
     """Words "0000".."9999", ",0.0"..",9.9", "000e".."999e" and "-99\\n".."+99\\n",
-    then fl(10**(12-e)) and its error 10**(12-e) - fl(10**(12-e)) for e = -99..99."""
+    then fl(10**(12-e)), parsed so correctly rounded, for e = -99..99."""
     # numpy writes the 10,000 groups several times faster than f-strings would.
     groups = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype("u1")
     texts = (
@@ -375,49 +378,38 @@ def _format_tables() -> tuple[np.ndarray, ...]:
         [f"{i:03d}e" for i in range(1000)],
         [f"{e:+03d}\n" for e in range(-99, 100)],
     )
-    scales, tails = [], []  # each correctly rounded: parsed, and exact ints divided
-    for k in range(12 + 99, 12 - 100, -1):
-        scales.append(float(f"1e{k}"))
-        (n, d), u = scales[-1].as_integer_ratio(), 10 ** max(-k, 0)
-        tails.append((10 ** max(k, 0) * d - n * u) / (d * u))
+    scales = np.array([float(f"1e{12 - e}") for e in range(-99, 100)])
     words = [np.frombuffer("".join(t).encode(), dtype="<u4") for t in texts]
-    return (groups.view("<u4").ravel(), *words, np.array(scales), np.array(tails))
+    return (groups.view("<u4").ravel(), *words, scales)
 
 
 def _decimal_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The 13 digits and the exponent e + 99 that `%.12e` prints for each value.
 
-    None unless all values are +0.0 or in [1e-99, 1e100), with digits in
-    [10**12, 10**13) and no exact residual within 1e-9 of a tie. e is clipped
-    to [-99, 99]: e = 100 overflows 13 digits, and a value just below 10**-99
-    rounds to 10**12 at e = -99, as `%.12e` prints it.
+    None unless all values are +0.0 or in [1e-99, 9.9999999999995e99), the
+    values `%.12e` prints with a two-digit exponent. The digits are
+    rint(v * fl(10**(12-e))) for e = floor(log10(v)), clipped to [-99, 99].
     """
-    scale_table, tail_table = _format_tables()[4:]
     safe = np.where(values == 0.0, 1.0, values)
-    if np.signbit(values).any() or not (safe.min() >= 1e-99 and safe.max() < 1e100):
+    if np.signbit(values).any() or not (
+        safe.min() >= 1e-99 and safe.max() < 9.9999999999995e99
+    ):
         return None
     biased = np.floor(np.log10(safe)).astype(np.intp) + 99
-    scaled = safe * np.take(scale_table, biased, mode="clip")
-    if scaled.min() < 1e12 or scaled.max() >= 1e13:  # log10 may be one off
-        biased += (scaled >= 1e13).astype(np.intp) - (scaled < 1e12)
-        scaled = safe * np.take(scale_table, biased, mode="clip")
+    scaled = safe * np.take(_format_tables()[4], biased, mode="clip")
     digits = np.rint(scaled)
     # v * fl(10**(12-e)) has two roundings of 2**-53 relative, so below 10**13 it is
-    # within 2.3e-3 of exact, and its rounding is exact 5e-3 or more from a tie.
-    near = np.flatnonzero(np.abs(scaled - digits) > 0.5 - 5e-3)
-    if len(near):
-        # v * 10**(12-e) - digits to 1e-15: the product's rounding error, exact by
-        # Dekker's TwoProduct of 26-bit Veltkamp halves, plus v times the scale's.
-        v, product, i = safe[near], scaled[near], np.clip(biased[near], 0, 198)
-        vh, sh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (v, scale_table[i]))
-        vl, sl = v - vh, scale_table[i] - sh
-        residual = product - digits[near] + v * tail_table[i]
-        residual += ((vh * sh - product) + vh * sl + vl * sh) + vl * sl
-        if (np.abs(np.abs(residual) - 0.5) < 1e-9).any():
-            return None
-        digits[near] += np.rint(residual)
-    if digits.min() < 1e12 or digits.max() >= 1e13:
-        return None
+    # within 2.3e-3 of exact, and its rint is exact 2.5e-3 or more from a tie.
+    # `%.12e` itself settles the rest, about one value in 200, and every product
+    # below 10**12 (log10 a decade high) or rounding to 10**13 (a decade low, or
+    # digits that carry into the next decade).
+    doubt = np.abs(scaled - digits) > 0.5 - 2.5e-3
+    doubt |= (scaled < 1e12) | (digits >= 1e13)
+    if doubt.any():
+        # d.dddddddddddde+XX without its point, split at e: the digits, then e.
+        text = " ".join(format(v, ".12e") for v in safe[doubt].tolist())
+        printed = np.array(text.replace(".", "").replace("e", " ").split(), np.int64)
+        digits[doubt], biased[doubt] = printed[::2], printed[1::2] + 99
     digits[values == 0.0] = 0.0
     return digits.astype(np.intp), biased
 
@@ -427,7 +419,8 @@ def _csv_rows(values: np.ndarray, first_c: int) -> np.ndarray:
 
     A row is seven uint32 words: c in 8 digits, ",L.D", 8 digits, "DDDe" and
     "+EE\\n". A decade of c is one strided copy that drops unused c digits.
-    Values `_decimal_digits` refuses send the chunk to the f-string.
+    A chunk with rows of another width, from a sign bit (-0.0 included), a
+    nonzero value below 1e-99 or a three-digit exponent, is the f-string's.
     """
     decimal = _decimal_digits(values)
     if decimal is None:  # the f-string formats the whole chunk

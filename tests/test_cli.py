@@ -245,6 +245,20 @@ class TestEnsembleCommand:
         values = read_spectrum_csv(out)
         assert len(values) == 128
 
+    def test_normalized_spread_is_in_the_written_units(self, tmp_path, capsys) -> None:
+        # L = 4, r = 7 fills part of a period: the mean totals r*M/q = 1.3125,
+        # and --normalize divides the printed spread by it as well.
+        argv = ["ensemble", "--L", "4", "--r", "7", "--model", "gaussian",
+                "--sigma", "0.1", "--realizations", "4"]
+        spreads, totals = [], []
+        for flags in ([], ["--normalize"]):
+            code, out = run_spectrum(tmp_path, "e.csv", *argv, *flags)
+            assert code == 0
+            spreads.append(float(capsys.readouterr().out.split("max std ")[1]))
+            totals.append(read_spectrum_csv(out).sum())
+        assert totals == [pytest.approx(1.3125), pytest.approx(1.0)]
+        assert spreads[1] == pytest.approx(spreads[0] / 1.3125, rel=1e-3)
+
 
 class TestSweepCommand:
     def test_sweep_run(self, tmp_path, capsys) -> None:
@@ -785,8 +799,9 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_overflowing_init_delta_returns_one(self, tmp_path, capsys) -> None:
-        # The preparation weights' squared norm overflows from about 1e154
-        # at L = 7; filterwarnings = error fails the test on a numpy warning.
+        # The preparation weights' (sum |w|)**2 reaches half the largest float
+        # from about 1.2e152 at L = 7, r = 4; filterwarnings = error fails the
+        # test on a numpy warning.
         out = tmp_path / "z.csv"
         code = main(["circuit", "--L", "7", "--r", "4", "--model", "none",
                      "--init-delta", "1e300", "--out", str(out)])
@@ -810,6 +825,11 @@ class TestErrorHandling:
             (["ensemble", "--L", "7", "--r", "4"], "1e308", "inf"),
             (["circuit", "--L", "7", "--r", "4"], "1e308", "inf"),
             (["factor", "--N", "15", "--y", "7"], "1e308", "inf"),
+            # The squared norm is finite, the bound (sum |w|)**2 on |Z|**2 not.
+            (["spectrum", "--L", "7", "--r", "4"], "5e152", "inf"),
+            (["circuit", "--L", "7", "--r", "4"], "5e152", "inf"),
+            (["ensemble", "--L", "7", "--r", "4"], "5e152", "inf"),
+            (["circuit", "--N", "15", "--y", "7"], "5e152", "inf"),
         ],
     )
     def test_unnormalizable_preparation_weights_fail_alike_on_every_route(
@@ -823,19 +843,19 @@ class TestErrorHandling:
         assert done.stdout == ""
         assert done.stderr == (
             f"error: init_delta={float(init_delta):g} gives preparation weights "
-            f"of squared norm {norm}; it must be finite and positive\n"
+            f"whose (sum |w|)**2 is {norm}; it must be positive and below 8.99e+307\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # |Z|**2 reaches M times the weights' squared norm, which is finite.
-            (["spectrum", "--L", "7", "--r", "4", "--model", "none",
-              "--init-delta", "5e152"], "probabilities must be finite"),
+            # Amplitude factors 1 + 1e160 on the direct sum.
+            (["spectrum", "--L", "7", "--r", "4", "--model", "systematic",
+              "--delta0", "1e160", "--amp-errors"], "probabilities must be finite"),
             (["sweep", "--N", "15", "--y", "7", "--model", "gaussian",
-              "--init-delta", "5e152", "--mag-stop", "0.1", "--mag-step", "0.05"],
-             "probabilities must be finite"),
+              "--delta0", "1e160", "--amp-errors", "--mag-stop", "0.1",
+              "--mag-step", "0.05"], "probabilities must be finite"),
             # P is finite, its square is not.
             (["ensemble", "--L", "7", "--r", "4", "--model", "gaussian",
               "--sigma", "0.01", "--init-delta", "1e152", "--realizations", "3"],
@@ -861,14 +881,14 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "argv",
-        [["circuit", "--init-delta", "5e152"], ["spectrum", "--init-delta", "1e152"],
+        [["circuit", "--init-delta", "1e152"], ["spectrum", "--init-delta", "1e152"],
          ["ensemble", "--init-delta", "1e152"]],
         ids=["circuit", "spectrum", "ensemble"],
     )
     def test_huge_normalizable_preparation_weights_run(self, tmp_path, argv) -> None:
-        # The circuit normalizes its state before the readout, and below
-        # 3e152 the direct sum's P stays finite. The ensemble squares only
-        # deviations from its first realization, here all zero.
+        # Below about 1.2e152 the bound (sum |w|)**2 on |Z|**2 keeps P finite.
+        # The ensemble squares only deviations from its first realization,
+        # here all zero.
         out = tmp_path / "w.csv"
         done = run_process(*argv, "--L", "7", "--r", "4", "--model", "none",
                            "--out", str(out))

@@ -480,14 +480,17 @@ class TestPreparePeriodState:
 
     @pytest.mark.parametrize(
         "n_qubits, order, init_delta, norm",
-        # The squared norm overflows; the one support value 0 has weight 0.
-        [(7, 4, 1e154, "inf"), (7, 4, -1e300, "inf"), (2, 4, 0.5, "0")],
+        # (sum |w|)**2 overflows, from a finite squared norm at 5e152; the one
+        # support value 0 has weight 0.
+        [(7, 4, 5e152, "inf"), (7, 4, 1e154, "inf"), (7, 4, -1e300, "inf"),
+         (2, 4, 0.5, "0")],
     )
     def test_rejects_weights_without_finite_positive_norm(
         self, n_qubits, order, init_delta, norm
     ) -> None:
         inst = ShorInstance.synthetic_instance(n_qubits, order)
-        with pytest.raises(ValueError, match=f"init_delta=.* squared norm {norm};"):
+        message = rf"init_delta=.* \(sum \|w\|\)\*\*2 is {norm};"
+        with pytest.raises(ValueError, match=message):
             prepare_period_state(inst, init_delta)
 
 

@@ -117,16 +117,19 @@ class TestInitErrorWeights:
 
     @pytest.mark.parametrize(
         "n_qubits, order, init_delta, norm",
-        # Squares overflow, weights overflow, the one weight is 1 - 2 * 0.5.
-        [(7, 4, 1e300, "inf"), (7, 4, 1e308, "inf"), (2, 4, 0.5, "0")],
+        # The bound overflows with a finite squared norm, squares overflow,
+        # weights overflow, the one weight is 1 - 2 * 0.5.
+        [(7, 4, 5e152, "inf"), (7, 4, 1e300, "inf"), (7, 4, 1e308, "inf"),
+         (2, 4, 0.5, "0")],
     )
     def test_rejects_weights_without_finite_positive_norm(
         self, n_qubits, order, init_delta, norm
     ) -> None:
         inst = ShorInstance.synthetic_instance(n_qubits, order)
-        with pytest.raises(ValueError, match=f"init_delta=.* squared norm {norm};"):
+        message = rf"init_delta=.* \(sum \|w\|\)\*\*2 is {norm};"
+        with pytest.raises(ValueError, match=message):
             init_error_weights(inst, init_delta)
-        with pytest.raises(ValueError, match=f"init_delta=.* squared norm {norm};"):
+        with pytest.raises(ValueError, match=message):
             direct_spectrum(inst, np.zeros(inst.support_count), init_delta=init_delta)
 
     @settings(max_examples=200)
@@ -878,7 +881,8 @@ class TestCsvWriter:
         assert_csv_matches_reference(systematic_spectrum_closed_form(inst, 1e-5).values)
 
 
-# Values the word rows hold: +0.0 and magnitudes in [1e-99, 1e100).
+# Values the word rows hold: +0.0 and magnitudes in [1e-99, 1e100), but for
+# the few from 9.9999999999995e99 up, which `%.12e` prints with e+100.
 plain_values = st.one_of(
     st.just(0.0),
     st.floats(min_value=1e-99, max_value=1e100, exclude_max=True),
@@ -923,9 +927,11 @@ class TestCsvWordRows:
             (-0.0, True),
             (-1e-16, True),
             (1e-120, True),
-            (2.0**-20, True),  # exact tie 9.5367431640625e-07, rounds to even
+            (2.0**-20, False),  # exact tie 9.5367431640625e-07, rounds to even
             (0.99999999999999995, False),  # parses to 1.0: log10 exactly 0
-            (np.nextafter(1.0, 0.0), True),  # its 13 digits round up to 10**13
+            (np.nextafter(1.0, 0.0), False),  # its 13 digits round up to 10**13
+            (np.nextafter(9.9999999999995e99, 0.0), False),  # 9.999999999999e+99
+            (9.9999999999995e99, True),  # 1.000000000000e+100, a longer row
         ],
     )
     def test_one_odd_row_in_a_plain_chunk(
@@ -944,6 +950,17 @@ class TestCsvWordRows:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
         values = 10.0 ** np.random.default_rng(20).uniform(-30.0, 0.0, 1 << 13)
+        assert_csv_matches_reference(values)
+        assert fallback_chunks == []
+
+    def test_digits_that_carry_below_a_decade_high_log10(
+        self, monkeypatch, fallback_chunks
+    ) -> None:
+        # With e one high, v * 10**(12-e) lies just below 10**12 and rounds to
+        # it, but `%.12e` prints 9.999999999997e-01 at the decade below.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + 1e-12)
+        values = np.array([0.9999999999997, 0.5, 0.99999999999999])
         assert_csv_matches_reference(values)
         assert fallback_chunks == []
 
