@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -162,6 +162,13 @@ def ensemble_spectrum(
     return mean_spec, register_values(inst, dev_sq)
 
 
+def _check_recovery(inst: ShorInstance, multiplier_bound: int, caller: str) -> None:
+    """Raise UsageError unless inst carries (modulus, base) and the bound is valid."""
+    if inst.modulus is None:
+        raise UsageError(f"{caller} needs an instance with modulus and base")
+    _check_recovery_inputs(multiplier_bound)
+
+
 @lru_cache(maxsize=32)
 def _recovery_hits(
     q: int, modulus: int, base: int, order: int, multiplier_bound: int
@@ -174,7 +181,6 @@ def _recovery_hits(
     floor(p*q/d), p = 0 .. d, are expanded. Any bound >= r lets d = 1,
     always a convergent denominator, give r from every c, unexpanded.
     """
-    _check_recovery_inputs(modulus, base, multiplier_bound)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     r = find_order(base, modulus)
@@ -226,8 +232,7 @@ def success_probability(
     The instance must carry (modulus, base) for recovery to be defined.
     """
     inst = spec.instance
-    if inst.modulus is None or inst.base is None:
-        raise UsageError("success_probability needs an instance with modulus and base")
+    _check_recovery(inst, multiplier_bound, "success_probability")
     mask = np.frombuffer(
         _recovery_mask(
             inst.register_size, inst.modulus, inst.base, inst.order, multiplier_bound
@@ -262,7 +267,7 @@ class SweepResult:
 def threshold_sweep(
     inst: ShorInstance,
     model: ErrorModel,
-    magnitudes: list[float],
+    magnitudes: Sequence[float],
     n_realizations: int = 1,
     eta: float = DEFAULT_ETA,
     master_seed: int = 42,
@@ -284,14 +289,15 @@ def threshold_sweep(
     c mod q', and its total is that of q/n0 identical blocks of
     n0 = min(q, max(q', 128)) values, which numpy's pairwise sum adds by
     exact doublings. So each point equals the register sum bit for bit.
+    magnitudes may be any sequence; each is taken as a Python float.
     """
-    if inst.modulus is None or inst.base is None:
-        raise UsageError("threshold_sweep needs an instance with modulus and base")
+    _check_recovery(inst, multiplier_bound, "threshold_sweep")
+    magnitudes = [float(magnitude) for magnitude in magnitudes]
     if not magnitudes:
         raise UsageError("magnitudes must be nonempty")
     if not all(0.0 <= m < math.inf for m in magnitudes):
         raise UsageError("magnitudes must be finite and >= 0")
-    if sorted(magnitudes) != list(magnitudes):
+    if sorted(magnitudes) != magnitudes:
         raise UsageError("magnitudes must be ascending")
     if not 0.0 < eta <= 1.0:
         raise UsageError(f"eta must be in (0, 1], got {eta}")
@@ -307,7 +313,6 @@ def threshold_sweep(
         )
     if model.mode is ErrorMode.SYSTEMATIC and n_realizations > 1:
         raise UsageError("a systematic sweep is deterministic; need n_realizations=1")
-    _check_recovery_inputs(inst.modulus, inst.base, multiplier_bound)
 
     # model has zero width, so it is deterministic: the seed cannot matter.
     (zero_error,) = _realizations(inst, model, 1, master_seed)
@@ -352,7 +357,7 @@ def threshold_sweep(
             threshold = magnitude
     return SweepResult(
         model=model,
-        magnitudes=list(magnitudes),
+        magnitudes=magnitudes,
         success_probs=success_probs,
         baseline=baseline,
         threshold=threshold,
@@ -391,12 +396,10 @@ def factor(
     Shots are drawn and recovered in blocks of _LOCKSTEP_LANES, which read
     the stream in order, so any shot count fits in memory.
     """
-    if inst.modulus is None or inst.base is None:
-        raise UsageError("factor needs an instance with modulus and base")
+    _check_recovery(inst, multiplier_bound, "factor")
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
     q, modulus, base = inst.register_size, inst.modulus, inst.base
-    _check_recovery_inputs(modulus, base, multiplier_bound)
     cdf = outcome_cdf(circuit_spectrum(inst, model, seed).values)
     rng = Xorshift64Star(derive_stream_seed(seed, 0))
     for start in range(0, shots, _LOCKSTEP_LANES):

@@ -41,29 +41,30 @@ def _check_width(n_qubits: int) -> int:
 def find_order(y: int, modulus: int) -> int:
     """Least r >= 1 with y**r == 1 mod modulus, by brute-force stepping.
 
-    Cached, so the search runs once per (y, modulus) in a process: the
-    `ShorInstance` constructors run it, and `recover_orders` reuses it.
+    The one check of a (modulus, base) pair. Cached, so the search runs
+    once per (y, modulus) in a process and every later check is a hit.
 
     Args:
-        y: base, must satisfy 1 <= y < modulus and gcd(y, modulus) == 1.
-        modulus: modulus, bounded by ORDER_SEARCH_CAP.
+        y: base, must satisfy 2 <= y < modulus and gcd(y, modulus) == 1.
+        modulus: modulus, at least 2 and at most ORDER_SEARCH_CAP.
 
     Returns:
         The multiplicative order of y modulo modulus.
 
     Raises:
-        ValueError: on out-of-range arguments or when y shares a factor
-            with the modulus (that factor already solves the factoring
+        UsageError: when modulus < 2 or y is outside [2, modulus).
+        ValueError: when modulus exceeds ORDER_SEARCH_CAP or y shares a
+            factor with it (that factor already solves the factoring
             problem, so order finding is the wrong tool).
     """
     if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+        raise UsageError(f"modulus must be >= 2, got {modulus}")
+    if not 2 <= y < modulus:
+        raise UsageError(f"need 2 <= base < modulus, got base={y}")
     if modulus > ORDER_SEARCH_CAP:
         raise ValueError(
             f"modulus {modulus} exceeds brute-force cap {ORDER_SEARCH_CAP}"
         )
-    if not 1 <= y < modulus:
-        raise ValueError(f"base must satisfy 1 <= y < modulus, got y={y}")
     g = math.gcd(y, modulus)
     if g != 1:
         raise ValueError(
@@ -79,14 +80,10 @@ def find_order(y: int, modulus: int) -> int:
     return order
 
 
-def _check_recovery_inputs(modulus: int, base: int, multiplier_bound: int) -> None:
-    """Raise ValueError unless (modulus, base, multiplier_bound) admit recovery."""
+def _check_recovery_inputs(multiplier_bound: int) -> None:
+    """Raise UsageError unless multiplier_bound >= 1."""
     if multiplier_bound < 1:
         raise UsageError(f"multiplier_bound must be >= 1, got {multiplier_bound}")
-    if not 2 <= base < modulus:
-        raise ValueError(f"need 2 <= base < modulus, got base={base}")
-    if math.gcd(base, modulus) != 1:
-        raise ValueError(f"base {base} shares a factor with modulus {modulus}")
 
 
 def recover_orders(
@@ -114,9 +111,10 @@ def recover_orders(
     time. A lane stops when its expansion ends or its denominator reaches
     modulus, since denominators never decrease. Every value stays at or
     below q <= 2**MAX_QUBITS, so the lanes are int32; only the returned
-    orders are int64.
+    orders are int64. The (modulus, base) pair is checked by `find_order`.
     """
-    _check_recovery_inputs(modulus, base, multiplier_bound)
+    _check_recovery_inputs(multiplier_bound)
+    r = find_order(base, modulus)
     if not 1 <= q <= 1 << MAX_QUBITS:
         raise ValueError(f"need 1 <= q <= 2**{MAX_QUBITS}, got q={q}")
     c = np.asarray(outcomes)
@@ -124,7 +122,6 @@ def recover_orders(
         raise ValueError("outcomes must be a 1-D integer array")
     if c.size and not (0 <= c.min() and c.max() <= q):
         raise ValueError(f"need 0 <= c <= q, got c in [{c.min()}, {c.max()}], q={q}")
-    r = find_order(base, modulus)
     # Per outcome, the least lcm(d, r) / r over the reachable d so far.
     unreached = np.iinfo(np.int32).max
     least = np.full(c.size, unreached, dtype=np.int32)
@@ -158,8 +155,10 @@ class ShorInstance:
     j = 0 .. support_count-1, all below register_size. The spectra in
     this package are distributions of the Fourier readout of that state.
 
-    modulus and base are optional: synthetic instances fix the register
-    shape directly and only need them when order recovery is evaluated.
+    modulus and base are optional but come together: synthetic instances
+    fix the register shape directly and only need them for order
+    recovery. Given, order must be base's order mod modulus. Every
+    constructor runs this one check; `find_order` checks the pair.
     """
 
     modulus: int | None
@@ -170,12 +169,20 @@ class ShorInstance:
     synthetic: bool = False
 
     def __post_init__(self) -> None:
+        if (self.modulus is None) != (self.base is None):
+            raise UsageError("modulus and base must be given together")
+        actual = None if self.base is None else find_order(self.base, self.modulus)
         _check_width(self.n_qubits)
         if not 1 <= self.order <= self.register_size:
             raise UsageError(f"order must be in [1, register_size], got {self.order}")
         if not 0 <= self.offset < self.order:
             raise UsageError(
                 f"offset must satisfy 0 <= offset < order, got {self.offset}"
+            )
+        if actual is not None and actual != self.order:
+            raise ValueError(
+                f"base {self.base} has order {actual} mod {self.modulus}, "
+                f"not {self.order}"
             )
 
     @property
@@ -194,21 +201,13 @@ class ShorInstance:
         order is found by brute force, and the support offset defaults to 0.
         A modulus too large for the widest register fails before the search.
         """
-        if not 2 <= base < modulus:
-            raise UsageError(f"need 2 <= base < modulus, got base={base}")
         n_qubits = max(1, (modulus * modulus - 1).bit_length())
         if n_qubits > MAX_QUBITS:
             raise UsageError(
                 f"modulus {modulus} needs {n_qubits} qubits; "
                 f"the widest register has {MAX_QUBITS}"
             )
-        return cls(
-            modulus=modulus,
-            base=base,
-            n_qubits=n_qubits,
-            order=find_order(base, modulus),
-            offset=offset,
-        )
+        return cls(modulus, base, n_qubits, find_order(base, modulus), offset)
 
     @classmethod
     def synthetic_instance(
@@ -223,25 +222,10 @@ class ShorInstance:
 
         The usual size constraint modulus**2 <= register_size is not
         enforced here; the instance is flagged synthetic. An optional
-        (modulus, base) pair may be attached for order recovery, in which
-        case the order of base mod modulus must equal the given order.
+        (modulus, base) pair may be attached for order recovery; the
+        instance checks that order is the order of base mod modulus.
         """
-        if (modulus is None) != (base is None):
-            raise UsageError("modulus and base must be given together")
-        if modulus is not None and base is not None:
-            actual = find_order(base, modulus)
-            if actual != order:
-                raise ValueError(
-                    f"base {base} has order {actual} mod {modulus}, not {order}"
-                )
-        return cls(
-            modulus=modulus,
-            base=base,
-            n_qubits=n_qubits,
-            order=order,
-            offset=offset,
-            synthetic=True,
-        )
+        return cls(modulus, base, n_qubits, order, offset, synthetic=True)
 
     def support_values(self) -> np.ndarray:
         """Basis values offset, offset+order, ... that carry amplitude."""

@@ -99,6 +99,17 @@ class Spectrum:
         return replace(self, values=self.values / total, normalized=True)
 
 
+def _check_coefficient_sum(magnitudes: np.ndarray, whose: str) -> None:
+    """Raise ValueError unless (sum magnitudes)**2 is in (0, half the largest float)."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(magnitudes))
+    if not 0.0 < 2.0 * total * total < math.inf:
+        raise ValueError(
+            f"{whose}**2 is {total * total:g}; it must be positive and "
+            f"below {sys.float_info.max / 2:.3g}"
+        )
+
+
 def init_error_weights(inst: ShorInstance, init_delta: float) -> np.ndarray:
     """Preparation weights 1 + init_delta*(2*popcount(a) - n) at the support.
 
@@ -114,13 +125,8 @@ def init_error_weights(inst: ShorInstance, init_delta: float) -> np.ndarray:
     bits = np.bitwise_count(inst.support_values())
     with np.errstate(over="ignore"):
         weights = 1.0 + init_delta * (2.0 * bits - inst.n_qubits)
-        total = float(np.sum(np.abs(weights)))
-    if not 0.0 < 2.0 * total * total < math.inf:
-        raise ValueError(
-            f"init_delta={init_delta:g} gives preparation weights whose "
-            f"(sum |w|)**2 is {total * total:g}; it must be positive and "
-            f"below {sys.float_info.max / 2:.3g}"
-        )
+    whose = f"init_delta={init_delta:g} gives preparation weights whose (sum |w|)"
+    _check_coefficient_sum(np.abs(weights), whose)
     return weights
 
 
@@ -145,10 +151,14 @@ def _assemble(
     support = inst.support_values()
     phase_errors = _checked("phase_errors", phase_errors, m)
     coeff = np.exp(1j * phase_errors * support)
+    weights = 1.0 if init_delta == 0.0 else init_error_weights(inst, init_delta)
     if amp_errors is not None:
-        coeff *= 1.0 + _checked("amp_errors", amp_errors, m)
+        factors = 1.0 + _checked("amp_errors", amp_errors, m)
+        coeff *= factors
+        whose = "the amplitude errors give coefficients whose (sum |w (1 + d)|)"
+        _check_coefficient_sum(np.abs(factors * weights), whose)
     if init_delta != 0.0:
-        coeff *= init_error_weights(inst, init_delta)
+        coeff *= weights
     return coeff
 
 

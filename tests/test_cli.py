@@ -431,6 +431,13 @@ class TestOptionTable:
         assert "a bound >= r lets classical search find r from any outcome" in text
 
 
+# The one stderr line of the amplitude factors' bound, given (sum)**2.
+AMPLITUDE_BOUND = (
+    "the amplitude errors give coefficients whose (sum |w (1 + d)|)**2 is {}; "
+    "it must be positive and below 8.99e+307"
+)
+
+
 class TestErrorHandling:
     def test_missing_instance_is_usage_error(self, tmp_path) -> None:
         with pytest.raises(SystemExit) as info:
@@ -852,22 +859,34 @@ class TestErrorHandling:
         [
             # Amplitude factors 1 + 1e160 on the direct sum.
             (["spectrum", "--L", "7", "--r", "4", "--model", "systematic",
-              "--delta0", "1e160", "--amp-errors"], "probabilities must be finite"),
+              "--delta0", "1e160", "--amp-errors"], AMPLITUDE_BOUND.format("inf")),
             (["sweep", "--N", "15", "--y", "7", "--model", "gaussian",
               "--delta0", "1e160", "--amp-errors", "--mag-stop", "0.1",
-              "--mag-step", "0.05"], "probabilities must be finite"),
+              "--mag-step", "0.05"], AMPLITUDE_BOUND.format("inf")),
             # P is finite, its square is not.
             (["ensemble", "--L", "7", "--r", "4", "--model", "gaussian",
               "--sigma", "0.01", "--init-delta", "1e152", "--realizations", "3"],
              "the realizations' probabilities or their squares overflow"),
-            # Huge amplitude factors overflow the same way.
+            # Huge amplitude factors fail the same bound.
             (["spectrum", "--L", "7", "--r", "4", "--model", "gaussian",
-              "--sigma", "1e160", "--amp-errors"], "probabilities must be finite"),
+              "--sigma", "1e160", "--amp-errors"], AMPLITUDE_BOUND.format("inf")),
             (["ensemble", "--L", "7", "--r", "4", "--model", "gaussian",
               "--sigma", "1e200", "--amp-errors", "--realizations", "3"],
-             "the realizations' probabilities or their squares overflow"),
+             AMPLITUDE_BOUND.format("inf")),
+            (["sweep", "--N", "15", "--y", "7", "--model", "gaussian",
+              "--amp-errors", "--mag-stop", "1e160", "--mag-step", "1e160"],
+             AMPLITUDE_BOUND.format("inf")),
+            # Every amplitude factor 1 + d_j is 1 - 1 = 0.
+            (["spectrum", "--L", "7", "--r", "4", "--model", "systematic",
+              "--delta0", "-1", "--amp-errors"], AMPLITUDE_BOUND.format("0")),
+            (["ensemble", "--L", "7", "--r", "4", "--model", "systematic",
+              "--delta0", "-1", "--amp-errors"], AMPLITUDE_BOUND.format("0")),
+            (["sweep", "--N", "15", "--y", "7", "--model", "gaussian", "--delta0",
+              "-1", "--amp-errors", "--mag-stop", "0.1", "--mag-step", "0.05"],
+             AMPLITUDE_BOUND.format("0")),
         ],
-        ids=["spectrum", "sweep", "ensemble", "spectrum-amp", "ensemble-amp"],
+        ids=["spectrum", "sweep", "ensemble", "spectrum-amp", "ensemble-amp",
+             "sweep-amp", "spectrum-zero", "ensemble-zero", "sweep-zero"],
     )
     def test_overflowing_probabilities_fail_without_a_warning(
         self, tmp_path, argv, message
@@ -878,6 +897,17 @@ class TestErrorHandling:
         assert done.stdout == ""
         assert done.stderr == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("errors", [["--delta0", "-1"], ["--sigma", "1e160"]],
+                             ids=["zero", "huge"])
+    def test_circuit_takes_any_finite_amplitude_error(self, tmp_path, errors) -> None:
+        # There an amplitude error is an A-gate rotation angle: unitary.
+        out = tmp_path / "w.csv"
+        done = run_process("circuit", "--L", "7", "--r", "4", "--model", "gaussian",
+                           *errors, "--amp-errors", "--out", str(out))
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert read_spectrum_csv(out).sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "argv",

@@ -515,9 +515,9 @@ class TestRecoveryMask:
         assert list(_recovery_mask(*args)) == [int(hit) for hit in scalar_mask(*args)]
 
     def test_wrong_order_fails_everywhere(self) -> None:
-        # 7 has order 4 mod 15; no candidate is ever 3.
-        inst = ShorInstance(modulus=15, base=7, n_qubits=8, order=3, offset=0)
-        assert success_probability(exact_spectrum(inst), 64) == 0.0
+        # 7 has order 4 mod 15: no instance claims 3, and no candidate is 3.
+        with pytest.raises(ValueError, match="order 4 mod 15, not 3"):
+            ShorInstance(modulus=15, base=7, n_qubits=8, order=3, offset=0)
         assert _recovery_mask(256, 15, 7, 3, 64) == bytes(256)
 
     def test_multiple_of_order_matches_scalar(self) -> None:
@@ -699,6 +699,19 @@ class TestThresholdSweep:
         )
         assert sweep.baseline == sweep.success_probs[0]
         assert sweep.baseline == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "magnitudes",
+        [np.array([0.0, 0.1, 0.27]), (0, 0.1, 0.27)],
+        ids=["array", "tuple"],
+    )
+    def test_takes_any_sequence_of_magnitudes(self, magnitudes) -> None:
+        model = ErrorModel(ErrorMode.SYSTEMATIC)
+        sweep = threshold_sweep(RECOVERABLE, model, magnitudes, multiplier_bound=1)
+        assert sweep == threshold_sweep(
+            RECOVERABLE, model, [0.0, 0.1, 0.27], multiplier_bound=1
+        )
+        assert all(type(magnitude) is float for magnitude in sweep.magnitudes)
 
     def test_threshold_location(self) -> None:
         sweep = threshold_sweep(

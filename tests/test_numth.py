@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,23 @@ from shornoise.numth import ShorInstance, UsageError, find_order, recover_orders
 def recover_one(c: int, q: int, modulus: int, base: int, bound: int) -> int:
     (order,) = recover_orders(np.array([c]), q, modulus, base, bound).tolist()
     return order
+
+
+def pair_order(base: int | None, modulus: int | None) -> int | None:
+    """The order of base mod modulus by plain powers; None for an invalid pair."""
+    if base is None or modulus is None or not 2 <= base < modulus:
+        return None
+    if math.gcd(base, modulus) != 1:
+        return None
+    return next(k for k in range(1, modulus) if pow(base, k, modulus) == 1)
+
+
+def outcome(build):
+    """What build returns, or the class and message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestFindOrder:
@@ -47,6 +65,22 @@ class TestFindOrder:
             find_order(0, 15)
         with pytest.raises(ValueError):
             find_order(15, 15)
+
+    def test_pair_rules_and_their_classes(self) -> None:
+        # Out-of-range arguments are usage errors; a shared factor and the
+        # search cap are runtime failures.
+        for y, modulus, message in [
+            (2, 1, "modulus must be >= 2, got 1"),
+            (1, 15, "need 2 <= base < modulus, got base=1"),
+            (15, 15, "need 2 <= base < modulus, got base=15"),
+        ]:
+            with pytest.raises(UsageError) as info:
+                find_order(y, modulus)
+            assert str(info.value) == message
+        for y, modulus in [(5, 15), (3, numth.ORDER_SEARCH_CAP + 1)]:
+            with pytest.raises(ValueError) as info:
+                find_order(y, modulus)
+            assert type(info.value) is ValueError
 
 
 class TestConvergents:
@@ -154,14 +188,15 @@ class TestRecoverOrder:
             recover_orders(np.array([[1]]), 256, 15, 7)
 
     def test_reuses_the_order_found_for_the_instance(self) -> None:
-        # The brute-force search runs when the instance is built; recovery
-        # at the same (modulus, base) takes the order from the cache.
+        # The brute-force search runs when the instance is built; the
+        # instance's own check and recovery at the same (modulus, base)
+        # take the order from the cache.
         find_order.cache_clear()
         inst = ShorInstance.from_factoring(221, 2)
         orders = recover_orders(np.array([0, 2731]), inst.register_size, 221, 2, 1)
         assert orders.tolist() == [0, 24]
         info = find_order.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestRecoverOrdersMatchesScalarOracle:
@@ -269,6 +304,50 @@ class TestShorInstance:
     def test_synthetic_rejects_mismatched_order(self) -> None:
         with pytest.raises(ValueError):
             ShorInstance.synthetic_instance(7, 3, modulus=15, base=7)
+
+    def test_every_constructor_runs_the_one_check(self) -> None:
+        with pytest.raises(ValueError, match=r"^base 7 has order 4 mod 15, not 3$"):
+            ShorInstance(modulus=15, base=7, n_qubits=8, order=3, offset=0)
+        with pytest.raises(UsageError, match="modulus and base must be given together"):
+            ShorInstance(modulus=15, base=None, n_qubits=8, order=4, offset=0)
+        with pytest.raises(UsageError, match=r"got base=1$"):
+            ShorInstance.synthetic_instance(8, 1, modulus=15, base=1)
+        with pytest.raises(UsageError, match=r"^modulus must be >= 2, got 1$"):
+            ShorInstance.from_factoring(1, 2)
+
+    @settings(max_examples=300)
+    @given(
+        modulus=st.none() | st.integers(-1, 64),
+        n_qubits=st.integers(0, 12),
+        data=st.data(),
+    )
+    def test_constructors_agree_property(self, modulus, n_qubits, data) -> None:
+        # Each rule has one home, so the dataclass, synthetic_instance and,
+        # at its own width, from_factoring build equal instances or raise
+        # the same error. An instance's order is always its base's order.
+        top = 64 if modulus is None else modulus
+        base = data.draw(st.none() | st.integers(-2, top + 2))
+        r = pair_order(base, modulus)
+        order = data.draw(st.integers(0, 2 * (r or max(top, 1))))
+        offset = data.draw(st.integers(-1, order))
+        built = outcome(lambda: ShorInstance(modulus, base, n_qubits, order, offset))
+        synthetic = outcome(
+            lambda: ShorInstance.synthetic_instance(
+                n_qubits, order, offset, modulus=modulus, base=base
+            )
+        )
+        if isinstance(built, ShorInstance):
+            assert synthetic == replace(built, synthetic=True)
+            assert modulus is None or built.order == r
+        else:
+            assert synthetic == built
+        if modulus is None or base is None:
+            return
+        width = max(1, (modulus * modulus - 1).bit_length())
+        factored = outcome(lambda: ShorInstance.from_factoring(modulus, base, offset))
+        assert factored == outcome(
+            lambda: ShorInstance(modulus, base, width, r or order, offset)
+        )
 
     def test_support_count_formula(self) -> None:
         # support_count = floor((q - 1 - l) / r) + 1 for every offset.

@@ -722,6 +722,17 @@ class TestSpectrumContainer:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             direct_spectrum(SMALL, **inputs)
 
+    def test_direct_sum_bounds_weighted_amplitude_factors(self) -> None:
+        # Weights near 6e150 and factors 1 + 1e10 each pass alone; the
+        # (sum |w (1 + d)|)**2 of their products does not. Factors 1 - 1
+        # leave every coefficient zero.
+        m = SMALL.support_count
+        init_error_weights(SMALL, 1e150)
+        with pytest.raises(ValueError, match=r"amplitude errors .* is inf;"):
+            direct_spectrum(SMALL, np.zeros(m), np.full(m, 1e10), init_delta=1e150)
+        with pytest.raises(ValueError, match=r"amplitude errors .* is 0;"):
+            direct_spectrum(SMALL, np.zeros(m), np.full(m, -1.0))
+
     def test_direct_sum_rejects_nan_init_delta(self) -> None:
         m = SMALL.support_count
         with pytest.raises(ValueError, match="init_delta must be finite"):
