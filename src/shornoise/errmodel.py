@@ -37,6 +37,7 @@ and sums are IEEE-exact either way.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -132,15 +133,16 @@ class Xorshift64Star:
     """xorshift64* pseudo-random stream.
 
     State transition: x ^= x >> 12; x ^= x << 25; x ^= x >> 27 on 64 bits,
-    output = x * 2685821657736338717 mod 2**64. The all-zero state is a
-    fixed point of the transition, so seed 0 is remapped to a fixed
-    nonzero constant instead of being rejected.
+    output = x * 2685821657736338717 mod 2**64. Any integer seed, numpy's
+    included, is taken mod 2**64; as the all-zero state is a fixed point
+    of the transition, seed 0 is remapped to a fixed nonzero constant
+    instead of being rejected.
     """
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
-        state = seed & _MASK64
+        state = operator.index(seed) & _MASK64
         if state == 0:
             state = _ZERO_STATE_SUBSTITUTE
         self.state = state
@@ -203,13 +205,13 @@ def derive_stream_seed(master_seed: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
-    mixed = (master_seed ^ ((index + 1) * _INDEX_STRIDE)) & _MASK64
+    mixed = (operator.index(master_seed) ^ ((index + 1) * _INDEX_STRIDE)) & _MASK64
     return Xorshift64Star(mixed).next_u64()
 
 
 def _substream(seed: int, salt: int) -> Xorshift64Star:
     # One mixing step between the user seed and the draws proper.
-    mixed = (seed ^ salt) & _MASK64
+    mixed = (operator.index(seed) ^ salt) & _MASK64
     return Xorshift64Star(Xorshift64Star(mixed).next_u64())
 
 

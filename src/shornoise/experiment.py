@@ -175,11 +175,12 @@ def _recovery_hits(
 ) -> np.ndarray:
     """The outcomes c in range(q) from which `recover_orders` gives order.
 
-    Sorted, read-only int32. order comes from a convergent p/d of c/q with
-    d dividing order and d * multiplier_bound >= r, the true order, and
-    |c/q - p/d| < 1/d**2 (Legendre). So only c within q/d**2 + 1 of
-    floor(p*q/d), p = 0 .. d, are expanded. Any bound >= r lets d = 1,
-    always a convergent denominator, give r from every c, unexpanded.
+    Sorted, read-only int32; `_hit_share` gathers success at them. order
+    comes from a convergent p/d of c/q with d dividing order and
+    d * multiplier_bound >= r, the true order, and |c/q - p/d| < 1/d**2
+    (Legendre). So only c within q/d**2 + 1 of floor(p*q/d), p = 0 .. d,
+    are expanded. Any bound >= r lets d = 1, always a convergent
+    denominator, give r from every c, unexpanded.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -208,12 +209,32 @@ def _recovery_mask(
 ) -> bytes:
     """Per outcome c in range(q), one byte: 1 if c is in `_recovery_hits`.
 
-    The mask is immutable bytes, so the cached value can be viewed as a
-    bool array without a copy.
+    The library gathers success at the hits instead; this cached bytes
+    copy stays only for perfbench/ until the library counts its own work.
     """
     mask = np.zeros(q, dtype=bool)
     mask[_recovery_hits(q, modulus, base, order, multiplier_bound)] = True
     return mask.tobytes()
+
+
+def _hit_share(head: np.ndarray, at: np.ndarray | None, q: int) -> float:
+    """The share of P's register total on the hits, as summed over q values.
+
+    head is P_c for c < q' = len(head), P repeating with period q' (q' = q
+    for any register spectrum); at indexes head at the hits, None if all
+    hit. numpy's pairwise sum doubles up from leaves of up to 128 values, so
+    q/n0 blocks of n0 = min(q, max(q', 128)) sum to q/n0 times one, exactly.
+    """
+    _check_probabilities(head)
+    tiles = min(q, max(len(head), _PAIRWISE_LEAF)) // len(head)
+    block = head if tiles == 1 else np.tile(head, tiles)  # no copy of a register
+    scale = q / len(block)
+    total = scale * np.sum(block)
+    if total <= 0.0:
+        raise ValueError("cannot normalize an all-zero spectrum")
+    if at is None:  # every c hits
+        return float(scale * np.sum(block / total))
+    return float(np.sum(head[at] / total))
 
 
 def success_probability(
@@ -223,24 +244,19 @@ def success_probability(
     """Probability mass on register values whose recovery yields the order.
 
     Outcome c counts when `numth.recover_orders` recovers the order r
-    from it. A multiplier_bound >= r gives success 1.0 whatever the
-    spectrum; multiplier_bound=1 demands the convergent denominator r.
-    The sum runs over the whole register, so any spectrum, a circuit's
-    included, may be passed.
+    from it. A multiplier_bound >= r gives success 1 up to rounding;
+    multiplier_bound=1 demands the convergent denominator r. `_hit_share`
+    sums over the whole register at the cached `_recovery_hits`, so any
+    spectrum, a circuit's included, may be passed.
 
     The spectrum is normalized internally, so relative spectra are fine.
     The instance must carry (modulus, base) for recovery to be defined.
     """
     inst = spec.instance
     _check_recovery(inst, multiplier_bound, "success_probability")
-    mask = np.frombuffer(
-        _recovery_mask(
-            inst.register_size, inst.modulus, inst.base, inst.order, multiplier_bound
-        ),
-        dtype=bool,
-    )
-    # Dividing only the gathered entries gives normalize().values[mask] exactly.
-    return float(np.sum(spec.values[mask] / spec.positive_total()))
+    q = inst.register_size
+    hits = _recovery_hits(q, inst.modulus, inst.base, inst.order, multiplier_bound)
+    return _hit_share(spec.values, None if len(hits) == q else hits, q)
 
 
 @dataclass(frozen=True)
@@ -284,15 +300,12 @@ def threshold_sweep(
     magnitude 0.0 once. The baseline is `success_probability`, on the
     register, of model itself, with its delta0, amplitude errors and
     init_delta, and every magnitude of 0.0 reuses it. Every other
-    realization's success is taken at the period: its P at the
-    `_recovery_hits` is gathered from `spectrum.period_values` at
-    c mod q', and its total is that of q/n0 identical blocks of
-    n0 = min(q, max(q', 128)) values, which numpy's pairwise sum adds by
-    exact doublings. So each point equals the register sum bit for bit.
-    magnitudes may be any sequence; each is taken as a Python float.
+    realization's success is `_hit_share` of its `spectrum.period_values`,
+    the register sum bit for bit. magnitudes may be any sequence; each,
+    and eta, is taken as a Python float.
     """
     _check_recovery(inst, multiplier_bound, "threshold_sweep")
-    magnitudes = [float(magnitude) for magnitude in magnitudes]
+    magnitudes, eta = [float(magnitude) for magnitude in magnitudes], float(eta)
     if not magnitudes:
         raise UsageError("magnitudes must be nonempty")
     if not all(0.0 <= m < math.inf for m in magnitudes):
@@ -321,27 +334,15 @@ def threshold_sweep(
     del zero, zero_error  # a register of P and its q' values, freed before the points
     q = inst.register_size
     _, _, plan = _period_plan(q, inst.order, inst.support_count)
-    blocks = min(q, max(len(plan), _PAIRWISE_LEAF))
-    scale, tiles = q / blocks, blocks // len(plan)
     hits = _recovery_hits(q, inst.modulus, inst.base, inst.order, multiplier_bound)
     at = None if len(hits) == q else hits % len(plan)
-
-    def success_at_period(values: np.ndarray) -> float:
-        head = values[plan]  # P_c for c < q'
-        _check_probabilities(head)
-        total = scale * np.sum(np.tile(head, tiles))
-        if total <= 0.0:
-            raise ValueError("cannot normalize an all-zero spectrum")
-        if at is None:  # every c hits
-            return float(scale * np.sum(np.tile(head / total, tiles)))
-        return float(np.sum(head[at] / total))
 
     def mean_success(magnitude: float, magnitude_index: int) -> float:
         point = replace(model, **{field: magnitude})
         magnitude_seed = derive_stream_seed(master_seed, magnitude_index)
         acc = 0.0
         for values in _realizations(inst, point, n_realizations, magnitude_seed):
-            acc += success_at_period(values)
+            acc += _hit_share(values[plan], at, q)
             del values  # freed before the next realization is computed
         return acc / n_realizations
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from shornoise.errmodel import (
 )
 from shornoise.experiment import (
     SweepResult,
+    _hit_share,
     _recovery_hits,
     _recovery_mask,
     ensemble_spectrum,
@@ -537,19 +542,16 @@ class TestRecoveryMask:
     def test_is_one_bounded_cache(self) -> None:
         assert _recovery_mask.cache_parameters()["maxsize"] == 32
 
-    def test_success_probability_views_the_cached_mask(self, monkeypatch) -> None:
-        frombuffer = np.frombuffer
-        views = []
-
-        def recording_frombuffer(*args, **kwargs):
-            views.append(frombuffer(*args, **kwargs))
-            return views[-1]
-
-        monkeypatch.setattr(np, "frombuffer", recording_frombuffer)
+    def test_library_leaves_the_mask_unbuilt(self) -> None:
+        # Success is gathered at the hits; only the benchmark reads the mask.
+        _recovery_mask.cache_clear()
         success_probability(exact_spectrum(RECOVERABLE), 1)
-        (view,) = views
-        assert not view.flags.writeable
-        assert view.base is _recovery_mask(128, 15, 7, 4, 1)
+        success_probability(exact_spectrum(RECOVERABLE), 64)
+        threshold_sweep(
+            RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 0.1], 2,
+            multiplier_bound=1,
+        )
+        assert _recovery_mask.cache_info().currsize == 0
 
     def test_rejects_inputs_recover_order_rejects(self) -> None:
         for args in [(256, 15, 7, 4, 0), (256, 15, 1, 4, 1),
@@ -642,6 +644,38 @@ class TestRecoveryHits:
         for args in [(256, 15, 7, 4, 0), (256, 15, 1, 4, 1), (256, 15, 7, 0, 1)]:
             with pytest.raises(ValueError):
                 _recovery_hits(*args)
+
+
+class TestHitShare:
+    """The evaluator at the period equals np.sum over the tiled register."""
+
+    @pytest.mark.parametrize("n_qubits", range(13))
+    def test_matches_register_sum(self, n_qubits) -> None:
+        q = 1 << n_qubits
+        rng = np.random.default_rng(n_qubits)
+        for period in [1 << k for k in range(n_qubits + 1)]:
+            for scale in [1e-300, 1e-8, 1.0, 1e300]:
+                head = rng.random(period) * scale
+                head[rng.random(period) < 0.25] = 0.0
+                head[rng.integers(period)] = scale  # the total is positive
+                register = np.tile(head, q // period)
+                total = np.sum(register)
+                for share in [0.0, 0.01, 0.5, 0.99, 1.0]:
+                    hits = np.flatnonzero(rng.random(q) < share)
+                    expected = np.float64(np.sum(register[hits] / total))
+                    got = np.float64(_hit_share(head, hits % period, q))
+                    assert got.view(np.uint64) == expected.view(np.uint64)
+                    if len(hits) == q:
+                        got = np.float64(_hit_share(head, None, q))
+                        assert got.view(np.uint64) == expected.view(np.uint64)
+
+    def test_rejects_what_a_spectrum_rejects(self) -> None:
+        with pytest.raises(ValueError, match="all-zero"):
+            _hit_share(np.zeros(4), None, 16)
+        with pytest.raises(ValueError, match="finite"):
+            _hit_share(np.array([1.0, np.nan]), np.array([0]), 16)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _hit_share(np.array([1.0, -1e-9]), np.array([0]), 16)
 
 
 def former_success(spec: Spectrum, bound: int) -> float:
@@ -1031,6 +1065,19 @@ class TestSweepAtPeriod:
             threshold_sweep(RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 0.1])
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_module(name: str):
+    """Load perfbench/<name>.py by path, under the name its siblings import."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestSweepCsv:
     def test_format_and_footer(self, tmp_path) -> None:
         sweep = threshold_sweep(
@@ -1050,6 +1097,21 @@ class TestSweepCsv:
         assert float(mag) == 0.0
         assert float(prob) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("eta", [np.float64(0.5), np.float32(0.5)], ids=repr)
+    def test_numpy_eta_writes_a_footer_the_benchmark_parses(
+        self, tmp_path, eta
+    ) -> None:
+        args = (RECOVERABLE, ErrorModel(ErrorMode.SYSTEMATIC), [0.0, 0.1, 0.27])
+        sweep = threshold_sweep(*args, eta=eta, multiplier_bound=1)
+        assert sweep == threshold_sweep(*args, eta=0.5, multiplier_bound=1)
+        assert type(sweep.eta) is float
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(sweep, path)
+        assert " eta=0.5 " in path.read_text().splitlines()[-1]
+        perfbench_module("workloads")  # checks imports it by this name
+        _, threshold, baseline = perfbench_module("checks").read_sweep(path)
+        assert (threshold, baseline) == (sweep.threshold, sweep.baseline)
+
     def test_footer_reports_missing_threshold(self, tmp_path) -> None:
         inst = ShorInstance.synthetic_instance(2, 3, modulus=7, base=2)
         sweep = threshold_sweep(
@@ -1058,6 +1120,45 @@ class TestSweepCsv:
         path = tmp_path / "sweep.csv"
         write_sweep_csv(sweep, path)
         assert "threshold=none" in path.read_text().splitlines()[-1]
+
+
+NOISY = ErrorModel(ErrorMode.GAUSSIAN, sigma0=0.1, include_amplitude_errors=True)
+
+
+def seeded_ensemble(seed) -> tuple[bytes, bytes]:
+    mean, std = ensemble_spectrum(FIFTEEN, NOISY, 3, seed)
+    return mean.values.tobytes(), std.tobytes()
+
+
+SEEDED = {
+    "model_spectrum": lambda seed: model_spectrum(FIFTEEN, NOISY, seed).values.tobytes(),
+    "circuit_spectrum": lambda seed: circuit_spectrum(
+        FIFTEEN, NOISY, seed
+    ).values.tobytes(),
+    "ensemble_spectrum": seeded_ensemble,
+    "threshold_sweep": lambda seed: threshold_sweep(
+        FIFTEEN, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 0.3, 0.6], 2, master_seed=seed
+    ),
+    "factor": lambda seed: factor(FIFTEEN, NOISY, seed, 8),
+}
+
+
+class TestNumpySeeds:
+    """A numpy integer seeds every entry point as the equal Python int does."""
+
+    @pytest.mark.parametrize("entry", SEEDED)
+    @pytest.mark.parametrize(
+        "seed", [np.int64(5), np.uint64(5), np.uint64(2**63 + 5)], ids=repr
+    )
+    def test_matches_python_int(self, entry, seed) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SEEDED[entry](seed) == SEEDED[entry](int(seed))
+
+    @pytest.mark.parametrize("entry", SEEDED)
+    def test_float_seed_raises_type_error(self, entry) -> None:
+        with pytest.raises(TypeError):
+            SEEDED[entry](5.0)
 
 
 def scalar_factor(
