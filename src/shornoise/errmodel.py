@@ -243,10 +243,18 @@ class ErrorModel:
     init_delta: float = 0.0
 
     def __post_init__(self) -> None:
+        # A mode name is stored as its member, numpy scalars as Python values.
+        if not (isinstance(self.mode, ErrorMode) or self.mode in ERROR_MODES):
+            modes = ", ".join(ERROR_MODES)
+            raise UsageError(f"mode must be one of {modes}, got {self.mode!r}")
+        object.__setattr__(self, "mode", ErrorMode(self.mode))
         for name in ("delta0", "s_max", "sigma0", "init_delta"):
-            value = getattr(self, name)
+            value = float(getattr(self, name))
+            object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
+        flag = bool(self.include_amplitude_errors)
+        object.__setattr__(self, "include_amplitude_errors", flag)
         if self.s_max < 0.0:
             raise UsageError(f"s_max must be >= 0, got {self.s_max}")
         if self.sigma0 < 0.0:

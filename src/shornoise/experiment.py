@@ -13,7 +13,7 @@ from . import DEFAULT_ETA
 from .errmodel import ErrorMode, ErrorModel, Xorshift64Star, derive_stream_seed
 from .errmodel import sample_realizations
 from .numth import DEFAULT_MULTIPLIER_BOUND, ShorInstance, find_order, recover_orders
-from .numth import _LOCKSTEP_LANES, UsageError, _check_recovery_inputs
+from .numth import _LOCKSTEP_LANES, UsageError, _check_recovery_inputs, _recovery_hits
 from .qcircuit import circuit_spectrum, outcome_cdf, sample_outcomes
 from .spectrum import Spectrum, SpectrumMethod, period_values, register_values
 from .spectrum import _check_probabilities, _period_plan
@@ -170,71 +170,38 @@ def _check_recovery(inst: ShorInstance, multiplier_bound: int, caller: str) -> N
 
 
 @lru_cache(maxsize=32)
-def _recovery_hits(
-    q: int, modulus: int, base: int, order: int, multiplier_bound: int
-) -> np.ndarray:
-    """The outcomes c in range(q) from which `recover_orders` gives order.
-
-    Sorted, read-only int32; `_hit_share` gathers success at them. order
-    comes from a convergent p/d of c/q with d dividing order and
-    d * multiplier_bound >= r, the true order, and |c/q - p/d| < 1/d**2
-    (Legendre). So only c within q/d**2 + 1 of floor(p*q/d), p = 0 .. d,
-    are expanded. Any bound >= r lets d = 1, always a convergent
-    denominator, give r from every c, unexpanded.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    r = find_order(base, modulus)
-    if multiplier_bound >= r:
-        hits = np.arange(q if order == r else 0, dtype=np.int32)
-    else:
-        small = [k for k in range(1, math.isqrt(order) + 1) if order % k == 0]
-        near = np.zeros(q, dtype=bool)
-        for d in {*small, *(order // k for k in small)}:
-            if d * multiplier_bound >= r:
-                half = q // (d * d) + 1
-                for p in range(d + 1):
-                    center = p * q // d
-                    near[max(0, center - half) : center + half + 1] = True
-        candidates = np.flatnonzero(near).astype(np.int32)
-        orders = recover_orders(candidates, q, modulus, base, multiplier_bound)
-        hits = candidates[orders == order]
-    hits.flags.writeable = False
-    return hits
-
-
-@lru_cache(maxsize=32)
 def _recovery_mask(
     q: int, modulus: int, base: int, order: int, multiplier_bound: int
 ) -> bytes:
-    """Per outcome c in range(q), one byte: 1 if c is in `_recovery_hits`.
+    """Per outcome c in range(q), one byte: 1 if recovery from c gives order.
 
-    The library gathers success at the hits instead; this cached bytes
-    copy stays only for perfbench/ until the library counts its own work.
+    Ones at `numth._recovery_hits` (all for None) if order is r, else zeros;
+    a cached bytes copy kept only for perfbench/.
     """
+    hits = _recovery_hits(q, modulus, base, multiplier_bound)
     mask = np.zeros(q, dtype=bool)
-    mask[_recovery_hits(q, modulus, base, order, multiplier_bound)] = True
+    if order == find_order(base, modulus):
+        mask[slice(None) if hits is None else hits] = True
     return mask.tobytes()
 
 
-def _hit_share(head: np.ndarray, at: np.ndarray | None, q: int) -> float:
+def _hit_share(head: np.ndarray, hits: np.ndarray | None, q: int) -> float:
     """The share of P's register total on the hits, as summed over q values.
 
-    head is P_c for c < q' = len(head), P repeating with period q' (q' = q
-    for any register spectrum); at indexes head at the hits, None if all
-    hit. numpy's pairwise sum doubles up from leaves of up to 128 values, so
+    head is P_c for c < q' = len(head), already checked, P repeating with
+    period q' (q' = q for any register spectrum). hits, from
+    `numth._recovery_hits`, lie at hits % q' in head; None gives exactly 1.
+    numpy's pairwise sum doubles up from leaves of up to 128 values, so
     q/n0 blocks of n0 = min(q, max(q', 128)) sum to q/n0 times one, exactly.
     """
-    _check_probabilities(head)
     tiles = min(q, max(len(head), _PAIRWISE_LEAF)) // len(head)
     block = head if tiles == 1 else np.tile(head, tiles)  # no copy of a register
-    scale = q / len(block)
-    total = scale * np.sum(block)
+    total = q / len(block) * np.sum(block)
     if total <= 0.0:
         raise ValueError("cannot normalize an all-zero spectrum")
-    if at is None:  # every c hits
-        return float(scale * np.sum(block / total))
-    return float(np.sum(head[at] / total))
+    if hits is None:
+        return 1.0
+    return float(np.sum(head[hits % len(head)] / total))
 
 
 def success_probability(
@@ -244,10 +211,10 @@ def success_probability(
     """Probability mass on register values whose recovery yields the order.
 
     Outcome c counts when `numth.recover_orders` recovers the order r
-    from it. A multiplier_bound >= r gives success 1 up to rounding;
+    from it. A multiplier_bound >= r gives success exactly 1;
     multiplier_bound=1 demands the convergent denominator r. `_hit_share`
-    sums over the whole register at the cached `_recovery_hits`, so any
-    spectrum, a circuit's included, may be passed.
+    sums over the whole register at the cached `numth._recovery_hits`, so
+    any spectrum, a circuit's included, may be passed.
 
     The spectrum is normalized internally, so relative spectra are fine.
     The instance must carry (modulus, base) for recovery to be defined.
@@ -255,8 +222,8 @@ def success_probability(
     inst = spec.instance
     _check_recovery(inst, multiplier_bound, "success_probability")
     q = inst.register_size
-    hits = _recovery_hits(q, inst.modulus, inst.base, inst.order, multiplier_bound)
-    return _hit_share(spec.values, None if len(hits) == q else hits, q)
+    hits = _recovery_hits(q, inst.modulus, inst.base, multiplier_bound)
+    return _hit_share(spec.values, hits, q)
 
 
 @dataclass(frozen=True)
@@ -300,9 +267,9 @@ def threshold_sweep(
     magnitude 0.0 once. The baseline is `success_probability`, on the
     register, of model itself, with its delta0, amplitude errors and
     init_delta, and every magnitude of 0.0 reuses it. Every other
-    realization's success is `_hit_share` of its `spectrum.period_values`,
-    the register sum bit for bit. magnitudes may be any sequence; each,
-    and eta, is taken as a Python float.
+    realization's `spectrum.period_values`, checked once, give its success
+    by `_hit_share`, the register sum bit for bit. magnitudes may be any
+    sequence; each, and eta, is taken as a Python float.
     """
     _check_recovery(inst, multiplier_bound, "threshold_sweep")
     magnitudes, eta = [float(magnitude) for magnitude in magnitudes], float(eta)
@@ -334,15 +301,15 @@ def threshold_sweep(
     del zero, zero_error  # a register of P and its q' values, freed before the points
     q = inst.register_size
     _, _, plan = _period_plan(q, inst.order, inst.support_count)
-    hits = _recovery_hits(q, inst.modulus, inst.base, inst.order, multiplier_bound)
-    at = None if len(hits) == q else hits % len(plan)
+    hits = _recovery_hits(q, inst.modulus, inst.base, multiplier_bound)
 
     def mean_success(magnitude: float, magnitude_index: int) -> float:
         point = replace(model, **{field: magnitude})
         magnitude_seed = derive_stream_seed(master_seed, magnitude_index)
         acc = 0.0
         for values in _realizations(inst, point, n_realizations, magnitude_seed):
-            acc += _hit_share(values[plan], at, q)
+            _check_probabilities(values)
+            acc += _hit_share(values[plan], hits, q)
             del values  # freed before the next realization is computed
         return acc / n_realizations
 

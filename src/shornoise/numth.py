@@ -7,6 +7,7 @@ and the `ShorInstance` problem container.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,8 +105,7 @@ def recover_orders(
     built on d is lcm(d, r), reachable when r/gcd(d, r) <= multiplier_bound.
     So the result is r exactly when some d divides r with
     r/d <= multiplier_bound. d = 1 is always a convergent denominator, so
-    any multiplier_bound >= r recovers r from every c. The sweep's cached
-    hits (`experiment._recovery_hits`) rely on both facts.
+    any multiplier_bound >= r recovers r from every c.
 
     The expansions of c/q run in lockstep, _LOCKSTEP_LANES outcomes at a
     time. A lane stops when its expansion ends or its denominator reaches
@@ -146,6 +146,36 @@ def recover_orders(
     return np.multiply(least, r, dtype=np.int64)
 
 
+@lru_cache(maxsize=32)
+def _recovery_hits(
+    q: int, modulus: int, base: int, multiplier_bound: int
+) -> np.ndarray | None:
+    """The outcomes c in range(q) from which `recover_orders` gives r.
+
+    None, every outcome, exactly when multiplier_bound >= r, as d = 1
+    then reaches r; else sorted, read-only int32. r comes from a
+    convergent p/d of c/q with d dividing r, d * multiplier_bound >= r
+    and |c/q - p/d| < 1/d**2 (Legendre), so only c within q/d**2 + 1 of
+    floor(p*q/d), p = 0 .. d, are expanded.
+    """
+    r = find_order(base, modulus)
+    if multiplier_bound >= r:
+        return None
+    small = [k for k in range(1, math.isqrt(r) + 1) if r % k == 0]
+    near = np.zeros(q, dtype=bool)
+    for d in {*small, *(r // k for k in small)}:
+        if d * multiplier_bound >= r:
+            half = q // (d * d) + 1
+            for p in range(d + 1):
+                center = p * q // d
+                near[max(0, center - half) : center + half + 1] = True
+    candidates = np.flatnonzero(near).astype(np.int32)
+    orders = recover_orders(candidates, q, modulus, base, multiplier_bound)
+    hits = candidates[orders == r]
+    hits.flags.writeable = False
+    return hits
+
+
 @dataclass(frozen=True)
 class ShorInstance:
     """One order-finding setup: register size, period, and offset.
@@ -169,6 +199,10 @@ class ShorInstance:
     synthetic: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("modulus", "base", "n_qubits", "order", "offset"):
+            value = getattr(self, name)  # numpy integers become Python ints
+            if value is not None:
+                object.__setattr__(self, name, operator.index(value))
         if (self.modulus is None) != (self.base is None):
             raise UsageError("modulus and base must be given together")
         actual = None if self.base is None else find_order(self.base, self.modulus)
@@ -201,6 +235,7 @@ class ShorInstance:
         order is found by brute force, and the support offset defaults to 0.
         A modulus too large for the widest register fails before the search.
         """
+        modulus, base = operator.index(modulus), operator.index(base)
         n_qubits = max(1, (modulus * modulus - 1).bit_length())
         if n_qubits > MAX_QUBITS:
             raise UsageError(

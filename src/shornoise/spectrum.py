@@ -78,6 +78,7 @@ class Spectrum:
         if values.ndim != 1 or len(values) != self.instance.register_size:
             raise ValueError("values must have one entry per register value")
         _check_probabilities(values)
+        values.flags.writeable = False  # so the check holds for its lifetime
 
     @property
     def register_size(self) -> int:
@@ -131,12 +132,10 @@ def init_error_weights(inst: ShorInstance, init_delta: float) -> np.ndarray:
 
 
 def _checked(name: str, values: np.ndarray, length: int) -> np.ndarray:
-    """values as a float array of the given length, all finite."""
+    """values as a float array of the given length."""
     values = np.asarray(values, dtype=float)
     if values.shape != (length,):
         raise ValueError(f"{name} must have length {length}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
     return values
 
 
@@ -148,12 +147,19 @@ def _assemble(
 ) -> np.ndarray:
     """The M per-term complex coefficients z_j, in support order."""
     m = inst.support_count
-    support = inst.support_values()
-    phase_errors = _checked("phase_errors", phase_errors, m)
-    coeff = np.exp(1j * phase_errors * support)
+    # A finite error d'_j may still give an infinite angle d'_j a_j.
+    angles = _checked("phase_errors", phase_errors, m) * inst.support_values()
+    if not np.isfinite(angles).all():
+        raise ValueError(
+            "phase_errors must be finite, as must each phase error times its "
+            "support value"
+        )
+    coeff = np.exp(1j * angles)
     weights = 1.0 if init_delta == 0.0 else init_error_weights(inst, init_delta)
     if amp_errors is not None:
         factors = 1.0 + _checked("amp_errors", amp_errors, m)
+        if not np.isfinite(factors).all():  # exactly when an error is not finite
+            raise ValueError("amp_errors must be finite")
         coeff *= factors
         whose = "the amplitude errors give coefficients whose (sum |w (1 + d)|)"
         _check_coefficient_sum(np.abs(factors * weights), whose)
@@ -336,10 +342,10 @@ def model_spectrum(inst: ShorInstance, model: ErrorModel, seed: int) -> Spectrum
 
 def total_variation_distance(first: Spectrum, second: Spectrum) -> float:
     """Total-variation distance between two spectra, normalizing both."""
+    if first.register_size != second.register_size:
+        raise ValueError("spectra must have the same register size")
     p = first.normalize().values
     s = second.normalize().values
-    if len(p) != len(s):
-        raise ValueError("spectra must have the same register size")
     return float(0.5 * np.sum(np.abs(p - s)))
 
 

@@ -788,6 +788,29 @@ class TestErrorHandling:
         assert printed.err.endswith("error: --N and --y must be given together\n")
         assert "--L" not in printed.err and "--r" not in printed.err
 
+    @pytest.mark.parametrize("given", [["--L", "7"], ["--r", "4"]])
+    def test_synthetic_instance_needs_width_and_period(
+        self, tmp_path, given, capsys
+    ) -> None:
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", *given, "--out", str(tmp_path / "x.csv")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shornoise spectrum")
+        assert err.endswith("error: --L and --r must be given together\n")
+
+    @pytest.mark.parametrize("step", ["0", "-0.05"])
+    def test_sweep_step_must_be_positive(self, tmp_path, step, capsys) -> None:
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--N", "15", "--y", "7", "--model", "systematic",
+                  "--mag-stop", "0.1", "--mag-step", step, "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shornoise sweep")
+        assert err.endswith("error: --mag-step must be positive\n")
+        assert not out.exists()
+
     def test_factor_multiplier_bound_below_one_is_usage_error(self) -> None:
         with pytest.raises(SystemExit) as info:
             main(["factor", "--N", "15", "--y", "7", "--multiplier-bound", "0"])
@@ -897,6 +920,27 @@ class TestErrorHandling:
         assert done.stdout == ""
         assert done.stderr == f"error: {message}\n"
         assert not out.exists()
+
+    def test_overflowing_phase_angles_fail_alike(self, tmp_path) -> None:
+        # Each uniform phase error is finite, but not its product with a
+        # support value up to 1,023.
+        runs = [
+            ["spectrum", "--L", "10", "--r", "3"],
+            ["ensemble", "--L", "10", "--r", "3", "--realizations", "2"],
+            ["sweep", "--N", "31", "--y", "3", "--mag-stop", "2e306",
+             "--mag-step", "1e306"],
+        ]
+        for argv in runs:
+            out = tmp_path / "p.csv"
+            smax = [] if argv[0] == "sweep" else ["--smax", "1e306"]
+            done = run_process(*argv, "--model", "uniform", *smax, "--out", str(out))
+            assert done.returncode == 1
+            assert done.stdout == ""
+            assert done.stderr == (
+                "error: phase_errors must be finite, as must each phase error "
+                "times its support value\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize("errors", [["--delta0", "-1"], ["--sigma", "1e160"]],
                              ids=["zero", "huge"])

@@ -24,6 +24,7 @@ from shornoise.errmodel import (
     derive_stream_seed,
     sample_realizations,
 )
+from shornoise.numth import UsageError
 
 
 class TestXorshift64Star:
@@ -321,6 +322,39 @@ class TestErrorModel:
     def test_rejects_non_finite_magnitudes(self, field: str, value: float) -> None:
         with pytest.raises(ValueError, match=field):
             ErrorModel(ErrorMode.GAUSSIAN, **{field: value})
+
+
+class TestPythonValues:
+    """A mode name and numpy scalars are stored as the member and Python values."""
+
+    def test_numpy_scalars_give_the_python_model(self) -> None:
+        model = ErrorModel(
+            ErrorMode.SYSTEMATIC, delta0=np.float64(0.1), init_delta=np.float32(0.5),
+            include_amplitude_errors=np.bool_(True),
+        )
+        assert model == ErrorModel(
+            ErrorMode.SYSTEMATIC, delta0=0.1, init_delta=0.5,
+            include_amplitude_errors=True,
+        )
+        assert type(model.delta0) is float and type(model.init_delta) is float
+        assert model.include_amplitude_errors is True
+
+    def test_integer_magnitudes_become_floats(self) -> None:
+        model = ErrorModel(ErrorMode.UNIFORM, delta0=1, s_max=np.int64(2))
+        assert model == ErrorModel(ErrorMode.UNIFORM, delta0=1.0, s_max=2.0)
+        assert repr(model.delta0) == "1.0" and repr(model.s_max) == "2.0"
+
+    @pytest.mark.parametrize("mode", list(ErrorMode))
+    def test_mode_name_equals_its_member(self, mode: ErrorMode) -> None:
+        assert ErrorModel(mode.value).mode is mode
+        assert ErrorModel(mode.value) == ErrorModel(mode)
+
+    @pytest.mark.parametrize("mode", ["bogus", "Gaussian", 3, None])
+    def test_unknown_mode_is_a_usage_error(self, mode) -> None:
+        with pytest.raises(
+            UsageError, match="mode must be one of none, systematic, uniform, gaussian"
+        ):
+            ErrorModel(mode)
 
 
 class TestSamplePhaseErrors:

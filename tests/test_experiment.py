@@ -31,7 +31,6 @@ from shornoise.errmodel import (
 from shornoise.experiment import (
     SweepResult,
     _hit_share,
-    _recovery_hits,
     _recovery_mask,
     ensemble_spectrum,
     factor,
@@ -40,7 +39,7 @@ from shornoise.experiment import (
     threshold_sweep,
     write_sweep_csv,
 )
-from shornoise.numth import ShorInstance, UsageError, find_order, recover_orders
+from shornoise.numth import ShorInstance, UsageError, find_order
 from shornoise.qcircuit import circuit_spectrum, outcome_cdf, sample_outcomes
 from shornoise.spectrum import (
     Spectrum,
@@ -525,13 +524,11 @@ class TestRecoveryMask:
             ShorInstance(modulus=15, base=7, n_qubits=8, order=3, offset=0)
         assert _recovery_mask(256, 15, 7, 3, 64) == bytes(256)
 
-    def test_multiple_of_order_matches_scalar(self) -> None:
-        # Order 8 is a multiple of the true order 4, and recover_order
-        # returns 8 where the expansion of c/q reaches denominator 8 but
-        # none dividing 4 within the bound.
-        mask = _recovery_mask(256, 15, 7, 8, 1)
-        assert list(mask) == [int(hit) for hit in scalar_mask(256, 15, 7, 8, 1)]
-        assert any(mask)
+    def test_multiple_of_order_is_all_zero(self) -> None:
+        # recover_order returns 8, a multiple of the true order 4, from some
+        # outcomes; the mask follows the hits, which look for r alone.
+        assert any(scalar_mask(256, 15, 7, 8, 1))
+        assert _recovery_mask(256, 15, 7, 8, 1) == bytes(256)
 
     def test_hit_count_is_a_json_int(self) -> None:
         # The benchmark tracer sums the cached mask and writes it as JSON.
@@ -565,87 +562,6 @@ class TestRecoveryMask:
             success_probability(spec, 0)
 
 
-def full_range_hits(q: int, modulus: int, base: int, order: int, bound: int):
-    """The hits with every outcome expanded, as the full-range mask gives them."""
-    orders = recover_orders(np.arange(q), q, modulus, base, bound)
-    return np.flatnonzero(orders == order)
-
-
-@st.composite
-def hit_cases(draw) -> tuple[int, int, int, int, int]:
-    """(q, modulus, base, order, bound) with modulus <= 600 and 16 <= q <= 2**16.
-
-    order is r, 2r, r // 2 or any order up to 2 * modulus, r the true
-    order; bound is 1 to 8, or r and above.
-    """
-    modulus = draw(st.integers(3, 600))
-    coprime = [y for y in range(2, modulus) if math.gcd(y, modulus) == 1]
-    base = draw(st.sampled_from(coprime))
-    r = find_order(base, modulus)
-    kind = draw(st.sampled_from(["r", "2r", "r/2", "any"]))
-    orders = {"r": r, "2r": 2 * r, "r/2": max(1, r // 2)}
-    order = orders[kind] if kind in orders else draw(st.integers(1, 2 * modulus))
-    bound = draw(st.integers(r, r + 8) if draw(st.booleans()) else st.integers(1, 8))
-    # Counted down from 16, so that shrinking heads for the widest register.
-    return 1 << (16 - draw(st.integers(0, 12))), modulus, base, order, bound
-
-
-class TestRecoveryHits:
-    """The outcomes in Legendre's windows, expanded, against every outcome expanded."""
-
-    @settings(max_examples=200)
-    @given(case=hit_cases())
-    @example(case=(256, 15, 7, 8, 1))  # a multiple of the order
-    @example(case=(256, 15, 7, 3, 64))  # no candidate is ever 3
-    @example(case=(65536, 221, 2, 24, 1))
-    @example(case=(65536, 221, 2, 24, 24))
-    def test_matches_full_range_property(self, case) -> None:
-        assert np.array_equal(_recovery_hits(*case), full_range_hits(*case))
-
-    def test_sorted_read_only_int32(self) -> None:
-        hits = _recovery_hits(65536, 221, 2, 24, 1)
-        assert hits.dtype == np.int32
-        assert not hits.flags.writeable
-        assert np.all(np.diff(hits) > 0)
-        assert _recovery_hits.cache_parameters()["maxsize"] == 32
-
-    def test_bound_one_expands_only_the_windows(self, monkeypatch) -> None:
-        expanded = []
-
-        def recording(outcomes, *args):
-            expanded.append(len(outcomes))
-            return recover_orders(outcomes, *args)
-
-        monkeypatch.setattr(experiment, "recover_orders", recording)
-        hits = _recovery_hits.__wrapped__(65536, 221, 2, 24, 1)
-        # 1,262 hits, 1.9 % of the register, from under a tenth of it.
-        assert len(hits) == 1262
-        assert len(expanded) == 1 and expanded[0] < 6554
-
-    @pytest.mark.parametrize("order, hits", [(24, 65536), (48, 0), (12, 0)])
-    def test_bound_at_least_order_expands_nothing(
-        self, order, hits, monkeypatch
-    ) -> None:
-        # d = 1 is a convergent denominator of every c/q, so a bound >= r
-        # gives r from every outcome.
-        monkeypatch.setattr(experiment, "recover_orders", None)
-        found = _recovery_hits.__wrapped__(65536, 221, 2, order, 24)
-        assert np.array_equal(found, np.arange(hits))
-
-    def test_matches_full_range_mask_at_twenty_qubits(self) -> None:
-        inst = ShorInstance.from_factoring(899, 2)
-        q = inst.register_size
-        assert q == 1 << 20
-        expected = recover_orders(np.arange(q), q, 899, 2, 1) == inst.order
-        mask = _recovery_mask(q, 899, 2, inst.order, 1)
-        assert mask == expected.tobytes()
-
-    def test_rejects_bad_inputs(self) -> None:
-        for args in [(256, 15, 7, 4, 0), (256, 15, 1, 4, 1), (256, 15, 7, 0, 1)]:
-            with pytest.raises(ValueError):
-                _recovery_hits(*args)
-
-
 class TestHitShare:
     """The evaluator at the period equals np.sum over the tiled register."""
 
@@ -661,21 +577,46 @@ class TestHitShare:
                 register = np.tile(head, q // period)
                 total = np.sum(register)
                 for share in [0.0, 0.01, 0.5, 0.99, 1.0]:
-                    hits = np.flatnonzero(rng.random(q) < share)
+                    hits = np.flatnonzero(rng.random(q) < share).astype(np.int32)
                     expected = np.float64(np.sum(register[hits] / total))
-                    got = np.float64(_hit_share(head, hits % period, q))
+                    got = np.float64(_hit_share(head, hits, q))
                     assert got.view(np.uint64) == expected.view(np.uint64)
-                    if len(hits) == q:
-                        got = np.float64(_hit_share(head, None, q))
-                        assert got.view(np.uint64) == expected.view(np.uint64)
+                assert _hit_share(head, None, q) == 1.0
 
-    def test_rejects_what_a_spectrum_rejects(self) -> None:
+    def test_rejects_an_all_zero_head(self) -> None:
         with pytest.raises(ValueError, match="all-zero"):
             _hit_share(np.zeros(4), None, 16)
-        with pytest.raises(ValueError, match="finite"):
-            _hit_share(np.array([1.0, np.nan]), np.array([0]), 16)
-        with pytest.raises(ValueError, match="nonnegative"):
-            _hit_share(np.array([1.0, -1e-9]), np.array([0]), 16)
+        with pytest.raises(ValueError, match="all-zero"):
+            _hit_share(np.zeros(4), np.array([1], dtype=np.int32), 16)
+
+    def test_values_are_checked_once(self, monkeypatch) -> None:
+        # A Spectrum checks its values when built, and the sweep checks
+        # each realization once; the evaluator checks nothing again.
+        spec = exact_spectrum(RECOVERABLE)
+        checked = []
+        monkeypatch.setattr(experiment, "_check_probabilities", checked.append)
+        for bound in (1, 64):
+            success_probability(spec, bound)
+        assert checked == []
+        threshold_sweep(
+            RECOVERABLE, ErrorModel(ErrorMode.GAUSSIAN), [0.0, 0.1, 0.2], 3,
+            multiplier_bound=1,
+        )
+        assert len(checked) == 6
+
+    def test_wide_bound_builds_no_register_array(self) -> None:
+        inst = ShorInstance.synthetic_instance(20, 24, modulus=221, base=2)
+        spec = model_spectrum(inst, ErrorModel(), 1)
+        success_probability(spec, 64)  # the hits and the order are cached
+        tracemalloc.start()
+        try:
+            success = success_probability(spec, 64)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert success == 1.0
+        assert peak < 1 << 20
+        assert retained == 0
 
 
 def former_success(spec: Spectrum, bound: int) -> float:
@@ -704,25 +645,30 @@ def recovery_spectra(draw) -> Spectrum:
     return direct_spectrum(inst, rng.normal(0.0, width, inst.support_count))
 
 
+def assert_former_success(spec: Spectrum, bound: int) -> None:
+    """The former bits below r; exactly 1 where every outcome recovers r."""
+    got = np.float64(success_probability(spec, bound))
+    if bound >= spec.instance.order:
+        assert got == 1.0
+    else:
+        expected = np.float64(former_success(spec, bound))
+        assert got.view(np.uint64) == expected.view(np.uint64)
+
+
 class TestSuccessBitIdentity:
     """Gathering before dividing gives the former normalized sum's bits."""
 
     @settings(max_examples=100)
     @given(spec=recovery_spectra(), bound=st.sampled_from([1, 2, 64]))
     def test_matches_former_expression_property(self, spec, bound) -> None:
-        got = np.float64(success_probability(spec, bound))
-        expected = np.float64(former_success(spec, bound))
-        assert got.view(np.uint64) == expected.view(np.uint64)
+        assert_former_success(spec, bound)
 
     @pytest.mark.parametrize("bound", [1, 64])
     def test_matches_former_expression_on_benchmark_sweep(self, bound) -> None:
         inst = ShorInstance.from_factoring(221, 2)
         for seed in range(3):
             model = ErrorModel(ErrorMode.GAUSSIAN, sigma0=2e-5)
-            spec = model_spectrum(inst, model, seed)
-            got = np.float64(success_probability(spec, bound))
-            expected = np.float64(former_success(spec, bound))
-            assert got.view(np.uint64) == expected.view(np.uint64)
+            assert_former_success(model_spectrum(inst, model, seed), bound)
 
 
 class TestThresholdSweep:
@@ -924,6 +870,16 @@ class TestThresholdSweep:
         model = ErrorModel(ErrorMode.UNIFORM, delta0=0.01, init_delta=0.02)
         sweep = threshold_sweep(RECOVERABLE, model, [0.0, 0.1], n_realizations=2)
         assert sweep.model is model
+
+    def test_numpy_base_model_gives_the_python_sweep(self) -> None:
+        numpy = ErrorModel("uniform", delta0=np.float64(0.01), init_delta=np.int64(0))
+        python = ErrorModel(ErrorMode.UNIFORM, delta0=0.01)
+        sweeps = [
+            threshold_sweep(RECOVERABLE, model, [0.0, 0.1], n_realizations=2)
+            for model in (numpy, python)
+        ]
+        assert sweeps[0] == sweeps[1]
+        assert type(sweeps[0].model.delta0) is float
 
     @pytest.mark.parametrize("mode", [ErrorMode.GAUSSIAN, ErrorMode.UNIFORM])
     @pytest.mark.parametrize(

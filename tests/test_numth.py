@@ -7,12 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from recovery_oracle import COPRIME_PAIRS, convergents, recover_order
 
 from shornoise import numth
-from shornoise.numth import ShorInstance, UsageError, find_order, recover_orders
+from shornoise.numth import ShorInstance, UsageError, _recovery_hits, find_order
+from shornoise.numth import recover_orders
 
 
 def recover_one(c: int, q: int, modulus: int, base: int, bound: int) -> int:
@@ -181,6 +182,11 @@ class TestRecoverOrder:
         assert orders.tolist() == [0, 29_035 * 1_048_572]
         assert orders[1] > 2**31
 
+    @pytest.mark.parametrize("q", [0, -4, (1 << 24) + 1])
+    def test_rejects_register_size_out_of_range(self, q) -> None:
+        with pytest.raises(ValueError, match=r"need 1 <= q <= 2\*\*24"):
+            recover_orders(np.array([0]), q, 15, 7)
+
     def test_rejects_non_integer_or_nested_outcomes(self) -> None:
         with pytest.raises(ValueError):
             recover_orders(np.array([1.0]), 256, 15, 7)
@@ -239,6 +245,86 @@ class TestRecoverOrdersMatchesScalarOracle:
         orders = recover_orders(outcomes, q, 55, 2, 2)
         expected = [recover_order(c, q, 55, 2, 2) or 0 for c in outcomes.tolist()]
         assert orders.tolist() == expected
+
+
+def full_range_hits(q: int, modulus: int, base: int, bound: int):
+    """The outcomes that give r with every outcome expanded, None if all do."""
+    orders = recover_orders(np.arange(q), q, modulus, base, bound)
+    hits = np.flatnonzero(orders == find_order(base, modulus))
+    return None if len(hits) == q else hits
+
+
+@st.composite
+def hit_cases(draw) -> tuple[int, int, int, int]:
+    """(q, modulus, base, bound) with modulus <= 600 and 16 <= q <= 2**16.
+
+    bound is 1 to 8, or r, the true order, and above.
+    """
+    modulus = draw(st.integers(3, 600))
+    coprime = [y for y in range(2, modulus) if math.gcd(y, modulus) == 1]
+    base = draw(st.sampled_from(coprime))
+    r = find_order(base, modulus)
+    bound = draw(st.integers(r, r + 8) if draw(st.booleans()) else st.integers(1, 8))
+    # Counted down from 16, so that shrinking heads for the widest register.
+    return 1 << (16 - draw(st.integers(0, 12))), modulus, base, bound
+
+
+class TestRecoveryHits:
+    """The outcomes in Legendre's windows, expanded, against every outcome expanded."""
+
+    @settings(max_examples=200)
+    @given(case=hit_cases())
+    @example(case=(256, 15, 7, 1))
+    @example(case=(256, 15, 7, 3))  # one below r
+    @example(case=(65536, 221, 2, 1))
+    @example(case=(65536, 221, 2, 24))
+    def test_matches_full_range_property(self, case) -> None:
+        _, modulus, base, bound = case
+        hits, expected = _recovery_hits(*case), full_range_hits(*case)
+        # None exactly when every outcome recovers r, and that is bound >= r.
+        every = bound >= find_order(base, modulus)
+        assert (hits is None) == (expected is None) == every
+        if hits is not None:
+            assert np.array_equal(hits, expected)
+
+    def test_sorted_read_only_int32(self) -> None:
+        hits = _recovery_hits(65536, 221, 2, 1)
+        assert hits.dtype == np.int32
+        assert not hits.flags.writeable
+        assert np.all(np.diff(hits) > 0)
+        assert _recovery_hits.cache_parameters()["maxsize"] == 32
+
+    def test_bound_one_expands_only_the_windows(self, monkeypatch) -> None:
+        expanded = []
+
+        def recording(outcomes, *args):
+            expanded.append(len(outcomes))
+            return recover_orders(outcomes, *args)
+
+        monkeypatch.setattr(numth, "recover_orders", recording)
+        hits = _recovery_hits.__wrapped__(65536, 221, 2, 1)
+        # 1,262 hits, 1.9 % of the register, from under a tenth of it.
+        assert len(hits) == 1262
+        assert len(expanded) == 1 and expanded[0] < 6554
+
+    @pytest.mark.parametrize("bound", [24, 25, 64])
+    def test_bound_at_least_order_expands_nothing(self, bound, monkeypatch) -> None:
+        # d = 1 is a convergent denominator of every c/q, so a bound >= r
+        # gives r from every outcome.
+        monkeypatch.setattr(numth, "recover_orders", None)
+        assert _recovery_hits.__wrapped__(65536, 221, 2, bound) is None
+
+    def test_matches_full_range_at_twenty_qubits(self) -> None:
+        inst = ShorInstance.from_factoring(899, 2)
+        q = inst.register_size
+        assert q == 1 << 20
+        expected = full_range_hits(q, 899, 2, 1)
+        assert np.array_equal(_recovery_hits(q, 899, 2, 1), expected)
+
+    def test_rejects_bad_inputs(self) -> None:
+        for args in [(256, 15, 7, 0), (256, 15, 1, 1), (256, 15, 15, 1)]:
+            with pytest.raises(ValueError):
+                _recovery_hits(*args)
 
 
 class TestShorInstance:
@@ -348,6 +434,17 @@ class TestShorInstance:
         assert factored == outcome(
             lambda: ShorInstance(modulus, base, width, r or order, offset)
         )
+
+    def test_numpy_integers_give_the_python_instance(self) -> None:
+        built = ShorInstance.from_factoring(np.int64(15), np.int64(7), np.uint8(1))
+        assert built == ShorInstance.from_factoring(15, 7, 1)
+        synthetic = ShorInstance.synthetic_instance(
+            np.int32(7), np.int64(4), np.uint16(1), np.int64(15), np.int64(7)
+        )
+        assert synthetic == ShorInstance.synthetic_instance(7, 4, 1, 15, 7)
+        for inst in (built, synthetic):
+            for name in ("modulus", "base", "n_qubits", "order", "offset"):
+                assert type(getattr(inst, name)) is int
 
     def test_support_count_formula(self) -> None:
         # support_count = floor((q - 1 - l) / r) + 1 for every offset.

@@ -521,6 +521,13 @@ class TestMeasurement:
         advanced.next_u64()
         assert rng.state == advanced.state
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_rejects_fewer_than_one_shot(self, shots: int) -> None:
+        rng = Xorshift64Star(9)
+        with pytest.raises(ValueError, match=f"shots must be >= 1, got {shots}"):
+            sample_outcomes(outcome_cdf(UNIFORM_TWO_QUBITS), shots, rng)
+        assert rng.state == Xorshift64Star(9).state
+
     def test_measure_rejects_unnormalized_state(self) -> None:
         for second in (1.0, np.nan):
             with pytest.raises(ValueError, match="state norm deviates from 1 by"):

@@ -681,6 +681,27 @@ class TestSpectrumContainer:
         assert spec.register_size == 64
         assert len(spec.values) == 64
 
+    def test_values_are_read_only(self) -> None:
+        values = np.full(64, 1.0 / 64)
+        spec = Spectrum(values, SpectrumMethod.DIRECT_SUM, SMALL)
+        assert spec.values.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            spec.values[0] = np.nan
+        assert spec.normalize().values.flags.writeable is False
+        assert exact_spectrum(SMALL).values.flags.writeable is False
+
+    @pytest.mark.parametrize("length", [0, 63, 65])
+    def test_rejects_values_of_another_length(self, length: int) -> None:
+        with pytest.raises(ValueError, match="one entry per register value"):
+            Spectrum(np.ones(length), SpectrumMethod.DIRECT_SUM, SMALL)
+        with pytest.raises(ValueError, match="one entry per register value"):
+            Spectrum(np.ones((1, 64)), SpectrumMethod.DIRECT_SUM, SMALL)
+
+    def test_all_zero_spectrum_has_no_positive_total(self) -> None:
+        spec = Spectrum(np.zeros(64), SpectrumMethod.DIRECT_SUM, SMALL)
+        with pytest.raises(ValueError, match="cannot normalize an all-zero spectrum"):
+            spec.positive_total()
+
     def test_rejects_non_finite_values(self) -> None:
         for bad in (np.nan, np.inf, -np.inf):
             values = np.full(64, 1.0 / 64)
@@ -721,6 +742,20 @@ class TestSpectrumContainer:
             inputs[name][1] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             direct_spectrum(SMALL, **inputs)
+
+    def test_direct_sum_rejects_overflowing_angles(self) -> None:
+        # 1e306 is finite, but times a support value up to 1,023 it is not.
+        inst = ShorInstance.synthetic_instance(10, 3)
+        errors = np.full(inst.support_count, 1e306)
+        message = (
+            "phase_errors must be finite, as must each phase error times its "
+            "support value"
+        )
+        with pytest.raises(ValueError) as info:
+            direct_spectrum(inst, errors)
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match="phase_errors must be finite"):
+            direct_spectrum(inst, np.full(inst.support_count, np.nan))
 
     def test_direct_sum_bounds_weighted_amplitude_factors(self) -> None:
         # Weights near 6e150 and factors 1 + 1e10 each pass alone; the
@@ -766,6 +801,15 @@ class TestTotalVariationDistance:
         a = self._make([0.5, 0.5, 0.0, 0.0])
         b = self._make([0.5, 0.0, 0.5, 0.0])
         assert total_variation_distance(a, b) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("total", [0.0, 1.0])
+    def test_rejects_register_size_mismatch_first(self, total: float) -> None:
+        # Sizes are compared before either spectrum is normalized.
+        other = Spectrum(np.full(64, total), SpectrumMethod.DIRECT_SUM, SMALL)
+        for first, second in [(self._make([1.0, 0, 0, 0]), other),
+                              (other, self._make([1.0, 0, 0, 0]))]:
+            with pytest.raises(ValueError, match="the same register size"):
+                total_variation_distance(first, second)
 
     def test_separates_small_from_large_errors(self) -> None:
         # Against the exact four-line comb even a one-bin peak shift moves
@@ -1011,6 +1055,24 @@ class TestMetadata:
         closed = spectrum_metadata(systematic_spectrum_closed_form(STANDARD, 0.0))
         assert "model=systematic\ndelta0=0.0\n" in closed
         assert "seed=none" in closed
+
+    def test_numpy_model_writes_the_python_sidecar(self) -> None:
+        python = ErrorModel(
+            ErrorMode.SYSTEMATIC, delta0=1.0, include_amplitude_errors=True,
+            init_delta=0.01,
+        )
+        numpy = ErrorModel(
+            "systematic", delta0=np.int64(1), include_amplitude_errors=np.bool_(True),
+            init_delta=np.float64(0.01),
+        )
+        inst = ShorInstance.synthetic_instance(np.int64(7), np.int64(4))
+        metas = [
+            spectrum_metadata(model_spectrum(i, m, 3), seed=3)
+            for i, m in [(STANDARD, python), (inst, numpy)]
+        ]
+        assert metas[0] == metas[1]
+        assert "delta0=1.0\n" in metas[1]
+        assert "include_amplitude_errors=true\n" in metas[1]
 
     def test_errors_passed_in_directly_are_custom(self) -> None:
         meta = spectrum_metadata(exact_spectrum(STANDARD), seed=1)
